@@ -1,10 +1,16 @@
-"""Quantum channels (Kraus/Choi), POVMs, stochastic post-processing, and
-channel-class predicates.
+"""Quantum channels, POVMs, stochastic post-processing, and channel-class
+predicates.
 
-Channels are canonically Kraus lists; the Choi matrix is a derived cache
-computed eagerly at construction, so instances are immutable and safe to
-share across workers. Channel equality means max-abs Choi distance at most
-CHANNEL_EQ_TOL, which is representation independent.
+A channel is canonically its Choi matrix, and every operation on channels
+works on it directly: application, composition (one matrix product in the
+natural, superoperator representation, which is a reshuffle of the Choi
+matrix), mixtures, adjoints, identity extensions and the class predicates.
+Kraus operators are a view: a channel built from Kraus operators keeps
+them, and any other channel computes a minimal set from the Choi
+eigendecomposition the first time `kraus` is read. That set is a
+deterministic function of the Choi matrix, so instances stay immutable and
+safe to share across workers. Channel equality means max-abs Choi distance
+at most CHANNEL_EQ_TOL, which is representation independent.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ from .errors import (
     DimensionMismatch,
     InvalidPovm,
     InvalidStochasticMatrix,
+    NotPsd,
     NotTracePreserving,
     NotUnital,
 )
@@ -25,8 +32,7 @@ from .operators import (
     PSD_TOL,
     HermitianOperator,
     basis_projector,
-    dephase,
-    identity,
+    require_finite,
 )
 
 TP_TOL = 1e-9           # max-abs deviation of sum_k K_k^dag K_k from I
@@ -34,122 +40,158 @@ COMPLETENESS_TOL = 1e-9  # max-abs deviation of sum_x M_x from I
 CHANNEL_EQ_TOL = 1e-9    # max-abs Choi distance defining channel equality
 STOCHASTIC_TOL = 1e-10   # column-sum deviation allowed in p(x|i)
 
-# Kraus operators with squared Frobenius norm below this are dropped when
-# composing; the total effect on the channel stays far below TP_TOL.
-_PRUNE_TOL = 1e-24
-
-# Above this Kraus-product count, compose() assembles the composed Choi
-# matrix directly and re-extracts a minimal Kraus list (rank <= d_in*d_out)
-# instead of materializing the full product set.
-_MAX_PRODUCT_RANK = 4096
-
 
 class QuantumChannel:
-    """Completely positive trace-preserving map in Kraus form.
+    """Completely positive trace-preserving map, held as its Choi matrix.
 
-    The cached Choi matrix is sum_ij E(|i><j|) (x) |i><j| (unnormalized,
-    output factor first, input factor second). Complete positivity is
-    automatic for any Kraus list, so construction validates trace
-    preservation only.
+    The Choi matrix is sum_ij E(|i><j|) (x) |i><j| (unnormalized, output
+    factor first, input factor second), so its entry [(a, i), (b, j)] is
+    E(|i><j|)[a, b]. Complete positivity is automatic for any Kraus list,
+    so construction validates finiteness and trace preservation only.
     """
 
-    __slots__ = ("_kraus", "_choi")
+    __slots__ = ("_choi", "_dim_in", "_dim_out", "_kraus")
 
     def __init__(self, kraus) -> None:
         arr = np.array([np.asarray(k, dtype=complex) for k in kraus])
         if arr.ndim != 3 or arr.shape[0] == 0:
             raise DimensionMismatch("kraus must be a non-empty list of equal-shape matrices")
-        gram = np.tensordot(arr.conj(), arr, axes=([0, 1], [0, 1]))
-        residual = float(np.max(np.abs(gram - np.eye(arr.shape[2]))))
+        require_finite(arr, "Kraus operators")
+        vecs = arr.reshape(arr.shape[0], -1)
+        self._choi = HermitianOperator(vecs.T @ vecs.conj())
+        self._dim_out, self._dim_in = arr.shape[1], arr.shape[2]
+        residual = _tp_residual(self)
         if residual > TP_TOL:
             raise NotTracePreserving(
                 f"sum of K^dag K deviates from identity by {residual:.3e}"
             )
         arr.setflags(write=False)
         self._kraus = arr
-        vecs = arr.reshape(arr.shape[0], -1)
-        self._choi = HermitianOperator(vecs.T @ vecs.conj())
+
+    @classmethod
+    def _from_choi(cls, choi: np.ndarray, dim_in: int, dim_out: int) -> "QuantumChannel":
+        """Wrap the Choi matrix of a map already known to be CPTP."""
+        channel = cls.__new__(cls)
+        channel._choi = HermitianOperator(choi)
+        channel._dim_in, channel._dim_out = dim_in, dim_out
+        channel._kraus = None
+        return channel
 
     @property
     def kraus(self) -> np.ndarray:
-        """Stacked Kraus operators, shape (rank, dim_out, dim_in)."""
+        """Stacked Kraus operators, shape (rank, dim_out, dim_in).
+
+        The operators the channel was built from; for any other channel, the
+        minimal set sqrt(lambda_k) v_k of the Choi eigendecomposition,
+        computed on first access.
+        """
+        if self._kraus is None:
+            eig, vec = np.linalg.eigh(self._choi.matrix)
+            keep = eig > EIG_CLIP
+            kraus = (vec[:, keep] * np.sqrt(eig[keep])).T
+            kraus = kraus.reshape(-1, self._dim_out, self._dim_in)
+            kraus.setflags(write=False)
+            self._kraus = kraus
         return self._kraus
 
     @property
     def dim_in(self) -> int:
-        return self._kraus.shape[2]
+        return self._dim_in
 
     @property
     def dim_out(self) -> int:
-        return self._kraus.shape[1]
+        return self._dim_out
 
     @property
     def choi(self) -> HermitianOperator:
         return self._choi
 
     def apply(self, x: HermitianOperator) -> HermitianOperator:
-        """sum_k K_k X K_k^dag."""
+        """E(X)[a, b] = sum_ij J[(a, i), (b, j)] X[i, j]."""
         if x.dim != self.dim_in:
             raise DimensionMismatch(f"operator dim {x.dim} != channel input dim {self.dim_in}")
-        return HermitianOperator(_apply_kraus(self._kraus, x.matrix))
+        image = _superoperator(self) @ x.matrix.reshape(-1)
+        return HermitianOperator(image.reshape(self.dim_out, self.dim_out))
 
     def adjoint_apply(self, x: HermitianOperator) -> HermitianOperator:
-        """sum_k K_k^dag X K_k; maps the identity to the identity."""
+        """E^dag(X), the Heisenberg-picture map; sends the identity to the identity."""
         if x.dim != self.dim_out:
             raise DimensionMismatch(f"operator dim {x.dim} != channel output dim {self.dim_out}")
-        dagger = self._kraus.conj().transpose(0, 2, 1)
-        return HermitianOperator(((dagger @ x.matrix) @ self._kraus).sum(axis=0))
+        return HermitianOperator(_adjoint_images(self, x.matrix))
 
     def __repr__(self) -> str:
-        return (
-            f"QuantumChannel(dim_in={self.dim_in}, dim_out={self.dim_out},"
-            f" rank={self._kraus.shape[0]})"
-        )
+        return f"QuantumChannel(dim_in={self.dim_in}, dim_out={self.dim_out})"
 
 
-def _apply_kraus(kraus: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    return ((kraus @ matrix) @ kraus.conj().transpose(0, 2, 1)).sum(axis=0)
+def _blocks(channel: QuantumChannel) -> np.ndarray:
+    """The Choi matrix as a view J[a, i, b, j] = E(|i><j|)[a, b]."""
+    d_in, d_out = channel.dim_in, channel.dim_out
+    return channel.choi.matrix.reshape(d_out, d_in, d_out, d_in)
+
+
+def _tp_residual(channel: QuantumChannel) -> float:
+    """Max-abs deviation from the identity of the Choi matrix's partial trace
+    over the output, tr E(|i><j|) = sum_k K_k^dag K_k."""
+    return _max_abs(np.einsum("aiaj->ij", _blocks(channel)) - np.eye(channel.dim_in))
+
+
+def _unital_residual(channel: QuantumChannel) -> float:
+    """Max-abs deviation from the identity of the Choi matrix's partial trace
+    over the input, E(I)."""
+    return _max_abs(np.einsum("aibi->ab", _blocks(channel)) - np.eye(channel.dim_out))
+
+
+def _max_abs(values: np.ndarray) -> float:
+    return float(np.max(np.abs(values), initial=0.0))
+
+
+def _adjoint_images(channel: QuantumChannel, matrices: np.ndarray) -> np.ndarray:
+    """E^dag(Y)[i, j] = sum_ab conj(J[(a, i), (b, j)]) Y[a, b] for one matrix
+    or a stack of them along the leading axis."""
+    lead = matrices.shape[:-2]
+    flat = matrices.reshape(*lead, -1).conj() @ _superoperator(channel)
+    return flat.conj().reshape(*lead, channel.dim_in, channel.dim_in)
+
+
+def _superoperator(channel: QuantumChannel) -> np.ndarray:
+    """Natural representation S[(a, b), (i, j)] = J[(a, i), (b, j)], which maps
+    the row-major vec(X) to vec(E(X))."""
+    d_in, d_out = channel.dim_in, channel.dim_out
+    return _blocks(channel).transpose(0, 2, 1, 3).reshape(d_out * d_out, d_in * d_in)
 
 
 def compose(second: QuantumChannel, first: QuantumChannel) -> QuantumChannel:
-    """Channel applying `first` then `second` (Kraus products K2 K1)."""
+    """Channel applying `first` then `second`: the product of their
+    superoperators, reshuffled back to a Choi matrix."""
     if second.dim_in != first.dim_out:
         raise DimensionMismatch(
             f"cannot compose: inner dims {second.dim_in} and {first.dim_out} differ"
         )
-    if second.kraus.shape[0] * first.kraus.shape[0] > _MAX_PRODUCT_RANK:
-        return _compose_via_choi(second, first)
-    prod = second.kraus[:, None, :, :] @ first.kraus[None, :, :, :]
-    prod = prod.reshape(-1, second.dim_out, first.dim_in)
-    norms = (np.abs(prod) ** 2).sum(axis=(1, 2))
-    return QuantumChannel(prod[norms > _PRUNE_TOL])
-
-
-def _compose_via_choi(second: QuantumChannel, first: QuantumChannel) -> QuantumChannel:
     d_in, d_out = first.dim_in, second.dim_out
-    choi = np.zeros((d_out * d_in, d_out * d_in), dtype=complex)
-    unit = np.zeros((d_in, d_in), dtype=complex)
-    for i in range(d_in):
-        for j in range(d_in):
-            unit[i, j] = 1.0
-            image = _apply_kraus(second.kraus, _apply_kraus(first.kraus, unit))
-            choi += np.kron(image, unit)
-            unit[i, j] = 0.0
-    return channel_from_choi(HermitianOperator(choi), d_in, d_out)
+    product = _superoperator(second) @ _superoperator(first)
+    choi = product.reshape(d_out, d_out, d_in, d_in).transpose(0, 2, 1, 3)
+    return QuantumChannel._from_choi(choi.reshape(d_out * d_in, d_out * d_in), d_in, d_out)
 
 
 def extend_with_identity(channel: QuantumChannel, d_anc: int, side: str) -> QuantumChannel:
-    """Tensor an identity channel onto one side (Kraus set {K (x) I} or {I (x) K})."""
+    """Tensor an identity channel onto one side (E (x) id or id (x) E).
+
+    The extended Choi matrix is J[a, i, b, j] times the identity's Choi
+    matrix delta_xy delta_zw, with the ancilla indices placed on the
+    requested side of both the output and the input factor.
+    """
     if d_anc < 1:
         raise DimensionMismatch("ancilla dimension must be at least 1")
     eye = np.eye(d_anc)
     if side == "right":
-        kraus = [np.kron(k, eye) for k in channel.kraus]
+        layout = "aibj,xy,zw->axiybzjw"
     elif side == "left":
-        kraus = [np.kron(eye, k) for k in channel.kraus]
+        layout = "aibj,xy,zw->xayizbwj"
     else:
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    return QuantumChannel(kraus)
+    d_in, d_out = channel.dim_in * d_anc, channel.dim_out * d_anc
+    choi = np.einsum(layout, _blocks(channel), eye, eye)
+    return QuantumChannel._from_choi(choi.reshape(d_out * d_in, d_out * d_in), d_in, d_out)
 
 
 def unitary_channel(unitary) -> QuantumChannel:
@@ -174,36 +216,44 @@ def permutation_channel(perm) -> QuantumChannel:
 
 
 def adjoint_channel(channel: QuantumChannel) -> QuantumChannel:
-    """Channel with Kraus set {K^dag}; trace preserving iff the input is unital."""
+    """The Heisenberg-picture map E^dag as a channel (Kraus set {K^dag}):
+    Choi entries J'[(i, a), (j, b)] = conj(J[(a, i), (b, j)]). Trace
+    preserving iff the input is unital."""
     if channel.dim_in != channel.dim_out:
         raise DimensionMismatch("adjoint channel requires a square channel")
-    try:
-        return QuantumChannel([k.conj().T for k in channel.kraus])
-    except NotTracePreserving as exc:
-        raise NotUnital(f"channel is not unital: {exc}") from exc
+    d = channel.dim_in
+    residual = _unital_residual(channel)
+    if residual > TP_TOL:
+        raise NotUnital(f"channel is not unital: E(I) deviates from identity by {residual:.3e}")
+    choi = _blocks(channel).conj().transpose(1, 0, 3, 2).reshape(d * d, d * d)
+    return QuantumChannel._from_choi(choi, d, d)
 
 
 def mix_channels(a: QuantumChannel, b: QuantumChannel, p: float) -> QuantumChannel:
-    """Convex mixture p*a + (1-p)*b via Kraus sets {sqrt(p) K} u {sqrt(1-p) K'}."""
+    """Convex mixture p*a + (1-p)*b, the same mixture of the Choi matrices."""
     if (a.dim_in, a.dim_out) != (b.dim_in, b.dim_out):
         raise DimensionMismatch("mixture requires channels of equal dims")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"mixture weight {p} outside [0, 1]")
-    kraus = [np.sqrt(p) * k for k in a.kraus] + [np.sqrt(1.0 - p) * k for k in b.kraus]
-    return QuantumChannel(kraus)
+    choi = p * a.choi.matrix + (1.0 - p) * b.choi.matrix
+    return QuantumChannel._from_choi(choi, a.dim_in, a.dim_out)
 
 
 def channel_from_choi(choi: HermitianOperator, dim_in: int, dim_out: int) -> QuantumChannel:
-    """Rebuild a Kraus list from a Choi eigendecomposition."""
+    """Channel with the given Choi matrix, checked for complete positivity
+    (PSD Choi matrix) and trace preservation."""
     if choi.dim != dim_in * dim_out:
         raise DimensionMismatch(f"choi dim {choi.dim} is not {dim_out} * {dim_in}")
-    eig, vec = np.linalg.eigh(choi.matrix)
-    kraus = [
-        np.sqrt(eig[k]) * vec[:, k].reshape(dim_out, dim_in)
-        for k in range(eig.size)
-        if eig[k] > EIG_CLIP
-    ]
-    return QuantumChannel(kraus)
+    lowest = float(np.linalg.eigvalsh(choi.matrix)[0])
+    if lowest < -PSD_TOL:
+        raise NotPsd(f"Choi matrix has eigenvalue {lowest:.3e}: not completely positive")
+    channel = QuantumChannel._from_choi(choi.matrix, dim_in, dim_out)
+    residual = _tp_residual(channel)
+    if residual > TP_TOL:
+        raise NotTracePreserving(
+            f"partial trace of the Choi matrix deviates from identity by {residual:.3e}"
+        )
+    return channel
 
 
 def choi_distance(a: QuantumChannel, b: QuantumChannel) -> float:
@@ -231,31 +281,26 @@ class ChannelClass:
 
 
 def classify_channel(channel: QuantumChannel, tol: float = CHANNEL_EQ_TOL) -> ChannelClass:
-    """Test CPTP, unitality, the dephasing-commutation identity defining the
-    detection-incoherent class, and preservation of incoherent basis states."""
-    gram = np.tensordot(channel.kraus.conj(), channel.kraus, axes=([0, 1], [0, 1]))
-    tp_ok = float(np.max(np.abs(gram - np.eye(channel.dim_in)))) <= tol
-    choi_eig = np.linalg.eigvalsh(channel.choi.matrix)
-    cptp = tp_ok and bool(choi_eig[0] >= -PSD_TOL)
+    """Read the class flags off the Choi matrix J[(a, i), (b, j)] = E(|i><j|)[a, b].
+
+    Trace preservation and unitality are its two partial traces, complete
+    positivity its lowest eigenvalue. Detection incoherence
+    (dephase . E = dephase . E . dephase) means E(|i><j|) has a zero diagonal
+    for i != j, so J[(a, i), (a, j)] = 0; preservation of incoherent states
+    means E(|i><i|) is diagonal, so J[(a, i), (b, i)] = 0 for a != b.
+    """
+    tp_ok = _tp_residual(channel) <= tol
+    cptp = tp_ok and bool(np.linalg.eigvalsh(channel.choi.matrix)[0] >= -PSD_TOL)
 
     if channel.dim_in != channel.dim_out:
         return ChannelClass(cptp=cptp, unital=False, dio=False, mio=False)
 
     d = channel.dim_in
-    unital = (
-        float(np.max(np.abs(channel.apply(identity(d)).matrix - np.eye(d)))) <= tol
-    )
-
-    delta = dephasing_channel(d)
-    dephased = compose(delta, channel)
-    dio = choi_distance(dephased, compose(dephased, delta)) <= tol
-
-    mio = True
-    for i in range(d):
-        out = channel.apply(basis_projector(i, d))
-        if float(np.max(np.abs(out.matrix - dephase(out).matrix))) > tol:
-            mio = False
-            break
+    unital = _unital_residual(channel) <= tol
+    blocks = _blocks(channel)
+    off = ~np.eye(d, dtype=bool)
+    dio = _max_abs(np.einsum("aiaj->aij", blocks)[:, off]) <= tol
+    mio = _max_abs(np.einsum("aibi->abi", blocks)[off]) <= tol
     return ChannelClass(cptp=cptp, unital=unital, dio=dio, mio=mio)
 
 
@@ -317,6 +362,7 @@ class StochasticMatrix:
         arr = np.array(entries, dtype=float)
         if arr.ndim != 2:
             raise InvalidStochasticMatrix(f"expected a 2-d array, got shape {arr.shape}")
+        require_finite(arr, "stochastic matrix")
         if float(arr.min(initial=0.0)) < -STOCHASTIC_TOL:
             raise InvalidStochasticMatrix(f"negative entry {arr.min():.3e}")
         arr = np.clip(arr, 0.0, None)
@@ -387,7 +433,8 @@ def pullback_povm(channel: QuantumChannel, povm: Povm) -> Povm:
         raise DimensionMismatch(
             f"POVM dim {povm.dim} != channel output dim {channel.dim_out}"
         )
-    return Povm([channel.adjoint_apply(el) for el in povm.elements])
+    stack = np.stack([el.matrix for el in povm.elements])
+    return Povm(list(_adjoint_images(channel, stack)))
 
 
 def tensor_povm(a: Povm, b: Povm) -> Povm:

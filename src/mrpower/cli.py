@@ -6,7 +6,8 @@ Subcommands:
   verify   run randomized verification suites and emit JSON/CSV reports
 
 Exit codes: 0 success; 1 suite failure (verify); 2 parse/flag errors;
-3 invalid channel input; 4 conversion certificate gap above tolerance.
+3 invalid channel input (any ToolkitError or LinAlgError a command lets
+through); 4 conversion certificate gap above tolerance.
 """
 
 from __future__ import annotations
@@ -15,15 +16,18 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from .errors import ToolkitError
 from .powers import (
+    DEFAULT_CONVERSION_DIM_CAP,
     conversion_channel,
     conversion_ent_lower_bound,
     measurement_cohering_power,
     state_cohering_power,
 )
 from .serialize import SchemaError, load_channel, save_channel
-from .suites import SUITE_NAMES, VerificationReport, run_suite
+from .suites import SUITE_NAMES, VerificationReport, run_suite, thread_count
 
 CONVERT_GAP_TOL = 1e-9
 
@@ -58,8 +62,6 @@ def _cmd_power(args) -> int:
         channel = _load_square_channel(args.channel_file)
     except SchemaError as exc:
         return _fail(EXIT_PARSE, str(exc))
-    except ToolkitError as exc:
-        return _fail(EXIT_INVALID_CHANNEL, str(exc))
     out: dict[str, float] = {}
     if args.what in ("c", "both"):
         out["c"] = _sig12(measurement_cohering_power(channel))
@@ -70,17 +72,18 @@ def _cmd_power(args) -> int:
 
 
 def _cmd_convert(args) -> int:
+    # Create the output first: an unwritable path fails before any work, and
+    # a failed conversion leaves an empty file, never an earlier result.
+    try:
+        open(args.out, "w", encoding="utf-8").close()
+    except OSError as exc:
+        return _fail(EXIT_PARSE, f"cannot write {args.out}: {exc}")
     try:
         channel = _load_square_channel(args.channel_file)
     except SchemaError as exc:
         return _fail(EXIT_PARSE, str(exc))
-    except ToolkitError as exc:
-        return _fail(EXIT_INVALID_CHANNEL, str(exc))
-    try:
-        certificate = conversion_ent_lower_bound(channel)
-        converted = conversion_channel(channel)
-    except ToolkitError as exc:
-        return _fail(EXIT_INVALID_CHANNEL, str(exc))
+    certificate = conversion_ent_lower_bound(channel)
+    converted = conversion_channel(channel)
     save_channel(args.out, converted)
     print(
         json.dumps(
@@ -130,8 +133,16 @@ def _cmd_verify(args) -> int:
         return _fail(EXIT_PARSE, f"--tol must be positive, got {args.tol}")
     if args.suite == "cm_oracle" and args.dim != 2:
         return _fail(EXIT_PARSE, "cm_oracle is defined at dimension 2 only")
-    if args.dim > 6 and args.suite in ("all", "conversion_equality", "thm3_proxy"):
-        return _fail(EXIT_PARSE, "conversion suites are capped at dimension 6")
+    if args.dim > DEFAULT_CONVERSION_DIM_CAP and args.suite in (
+        "all", "conversion_equality", "thm3_proxy"
+    ):
+        return _fail(
+            EXIT_PARSE, f"conversion suites are capped at dimension {DEFAULT_CONVERSION_DIM_CAP}"
+        )
+    try:
+        thread_count()
+    except ValueError as exc:
+        return _fail(EXIT_PARSE, str(exc))
 
     names = list(SUITE_NAMES) if args.suite == "all" else [args.suite]
     reports = []
@@ -206,7 +217,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except (ToolkitError, np.linalg.LinAlgError) as exc:
+        # invalid input found past loading, e.g. by the certificate or a power
+        return _fail(EXIT_INVALID_CHANNEL, str(exc))
 
 
 if __name__ == "__main__":

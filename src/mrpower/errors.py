@@ -9,6 +9,10 @@ class NotHermitian(ToolkitError):
     """Matrix deviates from its conjugate transpose beyond tolerance."""
 
 
+class NonFiniteEntry(ToolkitError):
+    """Matrix holds a NaN or infinite entry."""
+
+
 class NotPsd(ToolkitError):
     """Operator has an eigenvalue below the positivity tolerance."""
 

@@ -18,12 +18,19 @@ import math
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotHermitian, NotPsd
+from .errors import DimensionMismatch, NonFiniteEntry, NotHermitian, NotPsd
 
 HERM_TOL = 1e-10    # max-abs deviation allowed from X = X^dagger
 PSD_TOL = 1e-9      # eigenvalues below -PSD_TOL fail positivity checks
 EIG_CLIP = 1e-12    # eigenvalues at or below this are treated as zero
 SUPPORT_TOL = 1e-9  # mass tolerated outside the support of the reference
+
+
+def require_finite(values: np.ndarray, what: str) -> None:
+    """Reject NaN and infinite entries, which every `deviation > tol` check
+    would let through."""
+    if not np.isfinite(values).all():
+        raise NonFiniteEntry(f"{what} has a NaN or infinite entry")
 
 
 class HermitianOperator:
@@ -38,7 +45,8 @@ class HermitianOperator:
         if m.shape[0] < 1:
             raise DimensionMismatch("dimension must be at least 1")
         deviation = float(np.max(np.abs(m - m.conj().T)))
-        if deviation > HERM_TOL:
+        if not deviation <= HERM_TOL:  # any NaN or infinite entry lands here
+            require_finite(m, "operator")
             raise NotHermitian(
                 f"max deviation from Hermiticity {deviation:.3e} exceeds {HERM_TOL}"
             )

@@ -3,7 +3,9 @@
 Complex entries travel as [re, im] pairs. A channel file is
 {"dim_in": d, "dim_out": d', "kraus": [matrix, ...]} and a POVM file is
 {"dim": d, "elements": [matrix, ...]} with each matrix a nested list of
-[re, im] pairs.
+[re, im] pairs. A malformed file raises SchemaError; a NaN or infinite
+entry is well-formed JSON to Python but invalid input, and raises
+NonFiniteEntry.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from typing import Any
 import numpy as np
 
 from .channels import Povm, QuantumChannel
+from .operators import require_finite
 
 
 class SchemaError(ValueError):
@@ -21,7 +24,8 @@ class SchemaError(ValueError):
 
 
 def matrix_to_wire(matrix: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(matrix, dtype=complex)]
+    m = np.asarray(matrix, dtype=complex)
+    return np.stack((m.real, m.imag), axis=-1).tolist()
 
 
 def matrix_from_wire(obj: Any, rows: int, cols: int, what: str) -> np.ndarray:
@@ -39,6 +43,7 @@ def matrix_from_wire(obj: Any, rows: int, cols: int, what: str) -> np.ndarray:
             ):
                 raise SchemaError(f"{what}: entry ({i}, {j}) must be a [re, im] pair")
             out[i, j] = complex(entry[0], entry[1])
+    require_finite(out, what)
     return out
 
 
@@ -109,8 +114,8 @@ def load_channel(path: str) -> QuantumChannel:
 
 def save_channel(path: str, channel: QuantumChannel) -> None:
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(channel_to_dict(channel), handle)
-        handle.write("\n")
+        # dumps, unlike dump, runs the C encoder
+        handle.write(json.dumps(channel_to_dict(channel)) + "\n")
 
 
 def load_povm(path: str) -> Povm:
@@ -119,5 +124,5 @@ def load_povm(path: str) -> Povm:
 
 def save_povm(path: str, povm: Povm) -> None:
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(povm_to_dict(povm), handle)
-        handle.write("\n")
+        # dumps, unlike dump, runs the C encoder
+        handle.write(json.dumps(povm_to_dict(povm)) + "\n")

@@ -91,7 +91,10 @@ def thread_count() -> int:
     raw = os.environ.get("MRPOWER_THREADS")
     if raw is None:
         return 1
-    value = int(raw)
+    try:
+        value = int(raw)
+    except ValueError:
+        raise ValueError(f"MRPOWER_THREADS must be an integer, got {raw!r}") from None
     if value == 0:
         return os.cpu_count() or 1
     return max(1, value)
@@ -103,6 +106,12 @@ def _map_trials(fn, trials: int) -> list:
         return [fn(i) for i in range(trials)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, range(trials)))
+
+
+def _worst(*violations: float) -> float:
+    """Largest violation, reading NaN as +inf: `max` would let a NaN pass
+    whenever it is not the first argument."""
+    return max(math.inf if math.isnan(v) else float(v) for v in violations)
 
 
 def _povm_distance(a, b) -> float:
@@ -124,8 +133,8 @@ def _trial_dm_properties(dim: int, rng: SeededRng, tol: float):
 
     base = measurement_relative_entropy(m, k)
     second = measurement_relative_entropy(second_m, second_k)
-    violation = max(0.0, -base)
-    violation = max(violation, abs(measurement_relative_entropy(m, m)))
+    violation = _worst(0.0, -base)
+    violation = _worst(violation, abs(measurement_relative_entropy(m, m)))
     detail = None
     if base <= tol and _povm_distance(m, k) > 1e-4:
         detail = "faithfulness: vanishing divergence between distinct POVMs"
@@ -134,30 +143,30 @@ def _trial_dm_properties(dim: int, rng: SeededRng, tol: float):
     processed = measurement_relative_entropy(
         pullback_povm(unital, m), pullback_povm(unital, k)
     )
-    violation = max(violation, processed - base)
+    violation = _worst(violation, processed - base)
 
     rotation = unitary_channel(haar_unitary(dim, rng))
     rotated = measurement_relative_entropy(
         pullback_povm(rotation, m), pullback_povm(rotation, k)
     )
-    violation = max(violation, abs(rotated - base))
+    violation = _worst(violation, abs(rotated - base))
 
     post = random_stochastic_matrix(int(rng.gen.integers(2, n + 2)), n, rng)
     merged = measurement_relative_entropy(
         classical_postprocess(m, post), classical_postprocess(k, post)
     )
-    violation = max(violation, merged - base)
+    violation = _worst(violation, merged - base)
 
     product = measurement_relative_entropy(
         tensor_povm(m, second_m), tensor_povm(k, second_k)
     )
-    violation = max(violation, abs(product - base - second))
+    violation = _worst(violation, abs(product - base - second))
 
     p = float(rng.gen.uniform())
     mixed = measurement_relative_entropy(
         mix_povm(m, second_m, p), mix_povm(k, second_k, p)
     )
-    violation = max(violation, mixed - (p * base + (1.0 - p) * second))
+    violation = _worst(violation, mixed - (p * base + (1.0 - p) * second))
     return violation, detail
 
 
@@ -168,7 +177,7 @@ def _trial_cm_faithfulness(dim: int, rng: SeededRng, tol: float):
     coherent = random_povm(dim, n, False, rng)
     violation = abs(measurement_coherence(incoherent))
     coherent_value = measurement_coherence(coherent)
-    violation = max(violation, -coherent_value)
+    violation = _worst(violation, -coherent_value)
     detail = None
     if not is_incoherent_measurement(incoherent, 1e-8):
         detail = "constructed incoherent POVM failed the diagonal predicate"
@@ -193,7 +202,7 @@ def _trial_structure_lemma(dim: int, rng: SeededRng, tol: float):
     povm = random_povm(d, n, True, rng)
     decomposition = decompose_incoherent(povm)
     column_dev = float(np.max(np.abs(decomposition.post.entries.sum(axis=0) - 1.0)))
-    return max(decomposition.residual, column_dev), None
+    return _worst(decomposition.residual, column_dev), None
 
 
 def _trial_power_monotone(dim: int, rng: SeededRng, tol: float):
@@ -201,15 +210,15 @@ def _trial_power_monotone(dim: int, rng: SeededRng, tol: float):
     monotonicity under detection-incoherent sandwiching."""
     channel = random_channel(dim, int(rng.gen.integers(1, dim * dim + 1)), "general", rng)
     power = measurement_cohering_power(channel)
-    violation = max(0.0, -power)
+    violation = _worst(0.0, -power)
 
     k = random_dio(dim, False, rng)
     l = random_dio(dim, True, rng)
     sandwiched = measurement_cohering_power(compose(k, compose(channel, l)))
-    violation = max(violation, sandwiched - power)
+    violation = _worst(violation, sandwiched - power)
 
     free = random_dio(dim, bool(rng.gen.integers(0, 2)), rng)
-    violation = max(violation, abs(measurement_cohering_power(free)))
+    violation = _worst(violation, abs(measurement_cohering_power(free)))
 
     detail = None
     flags = classify_channel(channel)
@@ -226,7 +235,7 @@ def _trial_power_convexity(dim: int, rng: SeededRng, tol: float):
     p = float(rng.gen.uniform())
     mixed = measurement_cohering_power(mix_channels(first, second, p))
     bound = p * measurement_cohering_power(first) + (1.0 - p) * measurement_cohering_power(second)
-    return max(0.0, mixed - bound), None
+    return _worst(0.0, mixed - bound), None
 
 
 def _trial_conversion_equality(dim: int, rng: SeededRng, tol: float):
@@ -235,7 +244,7 @@ def _trial_conversion_equality(dim: int, rng: SeededRng, tol: float):
     gap = conversion_ent_lower_bound(unitary).gap
     rank = int(rng.gen.integers(2, dim * dim + 1))
     general = random_channel(dim, rank, "general", rng)
-    return max(gap, conversion_ent_lower_bound(general).gap), None
+    return _worst(gap, conversion_ent_lower_bound(general).gap), None
 
 
 def _trial_thm3_proxy(dim: int, rng: SeededRng, tol: float):
@@ -245,7 +254,7 @@ def _trial_thm3_proxy(dim: int, rng: SeededRng, tol: float):
     k = random_dio(dim * dim, bool(rng.gen.integers(0, 2)), rng)
     l = random_dio(dim * dim, True, rng)
     proxy = composite_ent_lower_bound(channel, k, l)
-    return max(0.0, proxy - measurement_cohering_power(channel)), None
+    return _worst(0.0, proxy - measurement_cohering_power(channel)), None
 
 
 def _trial_duality(dim: int, rng: SeededRng, tol: float):
@@ -253,13 +262,13 @@ def _trial_duality(dim: int, rng: SeededRng, tol: float):
     measurement-cohering power, plus the exact averaged-coherence identity."""
     channel = random_channel(dim, int(rng.gen.integers(1, dim * dim + 1)), "unital", rng)
     result = duality_check(channel)
-    violation = max(0.0, result.c_g / dim - result.c_adj, result.c_adj - result.c_g)
+    violation = _worst(0.0, result.c_g / dim - result.c_adj, result.c_adj - result.c_g)
     average = sum(
         relative_entropy_of_coherence(channel.apply(basis_projector(i, dim)))
         for i in range(dim)
     ) / dim
     identity_residual = abs(result.c_adj - average)
-    violation = max(violation, identity_residual)
+    violation = _worst(violation, identity_residual)
     detail = None
     if identity_residual > DUALITY_IDENTITY_TOL:
         detail = f"adjoint power deviates from averaged coherence by {identity_residual:.3e}"
@@ -329,13 +338,13 @@ def run_suite(
     outcomes = _map_trials(one, trials)
     elapsed_ms = int(round((time.perf_counter() - start) * 1000.0))
 
-    values = [float(v) for v, _ in outcomes]
+    values = [_worst(v) for v, _ in outcomes]  # NaN read as +inf
     failures = [
         {"trial": i, "detail": detail}
         for i, (_, detail) in enumerate(outcomes)
         if detail is not None
     ]
-    max_violation = max(values)
+    max_violation = _worst(*values)
     return VerificationReport(
         suite=name,
         dim=dim,

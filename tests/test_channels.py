@@ -6,6 +6,8 @@ from mrpower.errors import (
     DimensionMismatch,
     InvalidPovm,
     InvalidStochasticMatrix,
+    NonFiniteEntry,
+    NotPsd,
     NotTracePreserving,
     NotUnital,
 )
@@ -337,3 +339,182 @@ class TestValidation:
         padded = mp.pad_povm(povm, 3)
         assert padded.n == 3
         np.testing.assert_allclose(padded.elements[2].matrix, np.zeros((3, 3)))
+
+
+def kraus_choi(kraus):
+    """sum_k vec(K_k) vec(K_k)^dag, straight from a Kraus list."""
+    vecs = np.array([np.asarray(k).reshape(-1) for k in kraus])
+    return vecs.T @ vecs.conj()
+
+
+def oversized_channel(d, count, rng):
+    """A channel given by `count` Kraus operators, more than the minimal d^2."""
+    isometry = mp.haar_isometry(d * count, d, rng)
+    return mp.QuantumChannel([isometry[k * d : (k + 1) * d, :] for k in range(count)])
+
+
+def kraus_reference_flags(channel, tol=1e-9):
+    """Class flags from the Kraus operators and the definitions: images of
+    matrix units, sum K^dag K and sum K K^dag."""
+    kraus = channel.kraus
+    d = channel.dim_in
+
+    def image(i, j):
+        unit = np.zeros((d, d), dtype=complex)
+        unit[i, j] = 1.0
+        return sum(k @ unit @ k.conj().T for k in kraus)
+
+    tp = np.max(np.abs(sum(k.conj().T @ k for k in kraus) - np.eye(d))) <= tol
+    unital = np.max(np.abs(sum(k @ k.conj().T for k in kraus) - np.eye(d))) <= tol
+    dio = all(
+        np.max(np.abs(np.diag(image(i, j)))) <= tol
+        for i in range(d) for j in range(d) if i != j
+    )
+    mio = all(
+        np.max(np.abs(image(i, i) - np.diag(np.diag(image(i, i))))) <= tol
+        for i in range(d)
+    )
+    return mp.ChannelClass(cptp=bool(tp), unital=bool(unital), dio=dio, mio=mio)
+
+
+class TestComposeMatchesKrausProducts:
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_random_pairs(self, dim):
+        rng = mp.SeededRng(230 + dim)
+        for i in range(10):
+            first = random_channel_any(dim, rng.spawn(2 * i))
+            second = random_channel_any(dim, rng.spawn(2 * i + 1))
+            products = [k2 @ k1 for k2 in second.kraus for k1 in first.kraus]
+            composed = mp.compose(second, first)
+            np.testing.assert_allclose(composed.choi.matrix, kraus_choi(products), atol=1e-12)
+
+    def test_more_than_4096_products(self):
+        rng = mp.SeededRng(234)
+        first = oversized_channel(4, 80, rng.spawn(0))
+        second = oversized_channel(4, 60, rng.spawn(1))
+        products = [k2 @ k1 for k2 in second.kraus for k1 in first.kraus]
+        assert len(products) > 4096
+        composed = mp.compose(second, first)
+        np.testing.assert_allclose(composed.choi.matrix, kraus_choi(products), atol=1e-12)
+
+    def test_non_square_factors(self):
+        rng = mp.SeededRng(235)
+        first = random_channel_any(3, rng.spawn(0))
+        second = mp.measurement_as_channel(mp.random_povm(3, 5, False, rng.spawn(1)))
+        composed = mp.compose(second, first)
+        assert (composed.dim_in, composed.dim_out) == (3, 5)
+        products = [k2 @ k1 for k2 in second.kraus for k1 in first.kraus]
+        np.testing.assert_allclose(composed.choi.matrix, kraus_choi(products), atol=1e-12)
+
+
+class TestLazyKraus:
+    def test_given_kraus_are_kept(self):
+        rng = mp.SeededRng(236)
+        kraus = [np.asarray(k) for k in random_channel_any(3, rng).kraus]
+        assert np.array_equal(mp.QuantumChannel(kraus).kraus, np.array(kraus))
+
+    def test_derived_kraus_are_minimal_and_exact(self):
+        rng = mp.SeededRng(237)
+        first = oversized_channel(3, 20, rng.spawn(0))
+        second = oversized_channel(3, 20, rng.spawn(1))
+        composed = mp.compose(second, first)
+        assert composed.kraus.shape == (9, 3, 3)  # rank of a 9 x 9 Choi matrix
+        rebuilt = mp.QuantumChannel(composed.kraus)
+        assert mp.choi_distance(rebuilt, composed) <= 1e-12
+
+    def test_derived_kraus_follow_choi_rank(self):
+        composed = mp.compose(mp.dephasing_channel(3), mp.dephasing_channel(3))
+        assert composed.kraus.shape[0] == 3
+
+
+class TestChoiAlgebraMatchesKraus:
+    def test_mixture(self):
+        rng = mp.SeededRng(238)
+        a = random_channel_any(3, rng.spawn(0))
+        b = random_channel_any(3, rng.spawn(1))
+        expected = [np.sqrt(0.3) * k for k in a.kraus] + [np.sqrt(0.7) * k for k in b.kraus]
+        mixed = mp.mix_channels(a, b, 0.3)
+        np.testing.assert_allclose(mixed.choi.matrix, kraus_choi(expected), atol=1e-12)
+
+    def test_adjoint(self):
+        rng = mp.SeededRng(239)
+        channel = mp.random_channel(3, 4, "unital", rng)
+        adjoint = mp.adjoint_channel(channel)
+        expected = [k.conj().T for k in channel.kraus]
+        np.testing.assert_allclose(adjoint.choi.matrix, kraus_choi(expected), atol=1e-12)
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_extension(self, side):
+        rng = mp.SeededRng(240)
+        channel = mp.measurement_as_channel(mp.random_povm(2, 3, False, rng))
+        eye = np.eye(4)
+        expected = [np.kron(k, eye) if side == "right" else np.kron(eye, k) for k in channel.kraus]
+        extended = mp.extend_with_identity(channel, 4, side)
+        assert (extended.dim_in, extended.dim_out) == (8, 12)
+        np.testing.assert_allclose(extended.choi.matrix, kraus_choi(expected), atol=1e-12)
+
+
+class TestClassifyMatchesKrausReference:
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_dio(self, dim):
+        rng = mp.SeededRng(241 + dim)
+        for i in range(10):
+            channel = mp.random_dio(dim, False, rng.spawn(i))
+            flags = mp.classify_channel(channel)
+            assert flags.dio
+            assert flags == kraus_reference_flags(channel)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_unital_dio(self, dim):
+        rng = mp.SeededRng(243 + dim)
+        for i in range(10):
+            channel = mp.random_dio(dim, True, rng.spawn(i))
+            flags = mp.classify_channel(channel)
+            assert flags.dio and flags.unital
+            assert flags == kraus_reference_flags(channel)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_mio_only(self, dim):
+        # dephasing after a Haar unitary: outputs are always diagonal, but
+        # the outcome statistics see input coherences
+        rng = mp.SeededRng(245 + dim)
+        for i in range(10):
+            u = mp.haar_unitary(dim, rng.spawn(i))
+            channel = mp.QuantumChannel([mp.basis_projector(j, dim).matrix @ u for j in range(dim)])
+            flags = mp.classify_channel(channel)
+            assert flags.mio and not flags.dio
+            assert flags == kraus_reference_flags(channel)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_general(self, dim):
+        rng = mp.SeededRng(247 + dim)
+        for i in range(10):
+            channel = random_channel_any(dim, rng.spawn(i))
+            flags = mp.classify_channel(channel)
+            assert flags.cptp
+            assert flags == kraus_reference_flags(channel)
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_channel_rejects(self, bad):
+        with pytest.raises(NonFiniteEntry):
+            mp.QuantumChannel([[[bad, 0.0], [0.0, 1.0]]])
+
+    def test_povm_rejects(self):
+        with pytest.raises(NonFiniteEntry):
+            mp.Povm([np.diag([np.nan, 0.0]), np.diag([0.0, 1.0])])
+
+    def test_stochastic_matrix_rejects(self):
+        with pytest.raises(NonFiniteEntry):
+            mp.StochasticMatrix([[np.nan], [1.0]])
+
+
+class TestChannelFromChoi:
+    def test_rejects_non_positive(self):
+        with pytest.raises(NotPsd):
+            mp.channel_from_choi(mp.HermitianOperator(np.diag([1.0, -1.0, 1.0, 1.0])), 2, 2)
+
+    def test_rejects_non_trace_preserving(self):
+        with pytest.raises(NotTracePreserving):
+            mp.channel_from_choi(mp.HermitianOperator(np.eye(4)), 2, 2)

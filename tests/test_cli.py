@@ -1,11 +1,16 @@
 import json
+import math
 import re
 
+import numpy as np
 import pytest
 
 import mrpower as mp
+from mrpower import cli, suites
 from mrpower.cli import main
-from mrpower.serialize import load_channel, save_channel
+from mrpower.errors import NotDensity
+from mrpower.powers import DEFAULT_CONVERSION_DIM_CAP
+from mrpower.serialize import channel_to_dict, load_channel, save_channel
 
 
 def write_channel(tmp_path, name, channel):
@@ -192,3 +197,85 @@ class TestThreading:
         monkeypatch.setenv("MRPOWER_THREADS", "0")  # auto
         auto = mp.run_suite("duality", dim=2, trials=8, seed=11)
         assert auto.trial_values == serial.trial_values
+
+
+def write_nan_channel(tmp_path):
+    wire = channel_to_dict(mp.dephasing_channel(2))
+    wire["kraus"][0][0][0] = [math.nan, 0.0]
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(wire))
+    return str(path)
+
+
+class TestInvalidInputExitCodes:
+    def test_power_on_nan_entry_exits_3(self, tmp_path, capsys):
+        assert main(["power", write_nan_channel(tmp_path)]) == 3
+        assert "NaN" in capsys.readouterr().err
+
+    def test_convert_on_nan_entry_exits_3(self, tmp_path):
+        out = tmp_path / "out.json"
+        out.write_text("an earlier result")
+        assert main(["convert", write_nan_channel(tmp_path), "--out", str(out)]) == 3
+        assert out.read_text() == ""
+
+    def test_error_after_load_exits_3(self, tmp_path, monkeypatch):
+        def fail(channel):
+            raise NotDensity("operator is not a density matrix")
+
+        monkeypatch.setattr(cli, "measurement_cohering_power", fail)
+        path = write_channel(tmp_path, "g.json", mp.example_channels()["g"])
+        assert main(["power", path]) == 3
+
+    def test_linalg_error_exits_3(self, tmp_path, monkeypatch):
+        def fail(channel):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(cli, "conversion_channel", fail)
+        path = write_channel(tmp_path, "g.json", mp.example_channels()["g"])
+        assert main(["convert", path, "--out", str(tmp_path / "out.json")]) == 3
+
+    def test_unwritable_output_exits_2(self, tmp_path):
+        path = write_channel(tmp_path, "g.json", mp.example_channels()["g"])
+        assert main(["convert", path, "--out", str(tmp_path / "missing" / "out.json")]) == 2
+
+    def test_bad_thread_count_exits_2(self, monkeypatch, capsys):
+        monkeypatch.setenv("MRPOWER_THREADS", "abc")
+        assert main(["verify", "--suite", "duality", "--trials", "2"]) == 2
+        assert "MRPOWER_THREADS" in capsys.readouterr().err
+
+    def test_dimension_cap_is_the_certificate_cap(self, capsys):
+        dim = DEFAULT_CONVERSION_DIM_CAP + 1
+        assert main(["verify", "--suite", "thm3_proxy", "--dim", str(dim)]) == 2
+        assert f"dimension {DEFAULT_CONVERSION_DIM_CAP}" in capsys.readouterr().err
+
+
+class TestConvertOutput:
+    def test_full_rank_d4_writes_minimal_kraus_set(self, tmp_path, capsys):
+        channel = mp.random_channel(4, 16, "general", mp.SeededRng(602))
+        path = write_channel(tmp_path, "d4.json", channel)
+        out = tmp_path / "converted.json"
+        assert main(["convert", path, "--out", str(out)]) == 0
+        assert json.loads(capsys.readouterr().out)["gap"] <= 1e-9
+        wire = json.loads(out.read_text())
+        kraus = np.array(wire["kraus"], dtype=float)
+        kraus = kraus[..., 0] + 1j * kraus[..., 1]
+        assert kraus.shape[0] <= 64  # Choi rank of the conversion channel is at most d^3
+        gram = np.einsum("kab,kac->bc", kraus.conj(), kraus)
+        assert np.max(np.abs(gram - np.eye(16))) <= 1e-9
+
+
+class TestNanViolations:
+    def test_nan_trial_fails_the_suite(self, monkeypatch):
+        monkeypatch.setitem(
+            suites.SUITES, "duality", (lambda dim, rng, tol: (math.nan, None), 1e-8, 9)
+        )
+        report = mp.run_suite("duality", dim=2, trials=3, seed=1)
+        assert report.passed is False
+        assert report.max_violation == math.inf
+        assert report.trial_values == [math.inf] * 3
+
+    def test_nan_after_a_finite_violation_is_not_dropped(self):
+        assert max(0.0, math.nan) == 0.0  # the fold that let NaN pass
+        assert suites._worst(0.0, math.nan) == math.inf
+        assert suites._worst(1e-3, math.nan, 0.0) == math.inf
+        assert suites._worst(0.0, 2e-9) == 2e-9

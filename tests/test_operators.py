@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import mrpower as mp
-from mrpower.errors import DimensionMismatch, NotHermitian, NotPsd
+from mrpower.errors import DimensionMismatch, NonFiniteEntry, NotHermitian, NotPsd
 
 
 def plus_state():
@@ -24,6 +24,20 @@ class TestHermitianOperator:
         x = mp.identity(2)
         with pytest.raises(ValueError):
             x.matrix[0, 0] = 5.0
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            [[np.nan, 0.0], [0.0, 1.0]],
+            [[np.inf, 0.0], [0.0, 1.0]],
+            [[1.0, np.inf], [np.inf, 1.0]],
+            [[1.0, complex(0.0, np.nan)], [0.0, 1.0]],
+        ],
+    )
+    def test_rejects_non_finite(self, entries):
+        with pytest.raises(NonFiniteEntry):
+            mp.HermitianOperator(entries)
 
     def test_tolerates_rounding_noise(self):
         m = np.array([[1.0, 0.3 + 1e-12j], [0.3, 1.0]])

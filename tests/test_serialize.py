@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import mrpower as mp
-from mrpower.errors import NotTracePreserving
+from mrpower.errors import NonFiniteEntry, NotTracePreserving
 from mrpower.serialize import (
     SchemaError,
     channel_from_dict,
@@ -47,6 +47,13 @@ class TestChannelWireFormat:
         wire = channel_to_dict(mp.identity_channel(2))
         wire["kraus"][0][0][0] = [1.0]
         with pytest.raises(SchemaError):
+            channel_from_dict(wire)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_non_finite_entry(self, bad):
+        wire = json.loads(json.dumps(channel_to_dict(mp.identity_channel(2))))
+        wire["kraus"][0][1][0] = [0.0, bad]
+        with pytest.raises(NonFiniteEntry, match=r"kraus\[0\]"):
             channel_from_dict(wire)
 
     def test_invalid_channel_is_not_a_schema_error(self):
