@@ -72,10 +72,11 @@ def _cmd_power(args) -> int:
 
 
 def _cmd_convert(args) -> int:
-    # Create the output first: an unwritable path fails before any work, and
-    # a failed conversion leaves an empty file, never an earlier result.
+    # Make sure the output exists, without truncating it, before any work: an
+    # unwritable path fails at once, and a failed conversion leaves an earlier
+    # result (or the input itself, when --out names it) unchanged.
     try:
-        open(args.out, "w", encoding="utf-8").close()
+        open(args.out, "a", encoding="utf-8").close()
     except OSError as exc:
         return _fail(EXIT_PARSE, f"cannot write {args.out}: {exc}")
     try:

@@ -214,9 +214,21 @@ class TestInvalidInputExitCodes:
 
     def test_convert_on_nan_entry_exits_3(self, tmp_path):
         out = tmp_path / "out.json"
+        assert main(["convert", write_nan_channel(tmp_path), "--out", str(out)]) == 3
+
+    def test_failed_convert_keeps_earlier_output(self, tmp_path):
+        out = tmp_path / "out.json"
         out.write_text("an earlier result")
         assert main(["convert", write_nan_channel(tmp_path), "--out", str(out)]) == 3
-        assert out.read_text() == ""
+        assert main(["convert", str(tmp_path / "missing.json"), "--out", str(out)]) == 2
+        assert out.read_text() == "an earlier result"
+
+    def test_convert_in_place(self, tmp_path):
+        path = write_channel(tmp_path, "g.json", mp.example_channels()["g"])
+        expected = tmp_path / "expected.json"
+        assert main(["convert", path, "--out", str(expected)]) == 0
+        assert main(["convert", path, "--out", path]) == 0
+        assert (tmp_path / "g.json").read_text() == expected.read_text()
 
     def test_error_after_load_exits_3(self, tmp_path, monkeypatch):
         def fail(channel):
