@@ -23,12 +23,14 @@ from .errors import (
     DimensionMismatch,
     InvalidPovm,
     InvalidStochasticMatrix,
+    NotHermitian,
     NotPsd,
     NotTracePreserving,
     NotUnital,
 )
 from .operators import (
     EIG_CLIP,
+    HERM_TOL,
     PSD_TOL,
     HermitianOperator,
     basis_projector,
@@ -305,47 +307,83 @@ def classify_channel(channel: QuantumChannel, tol: float = CHANNEL_EQ_TOL) -> Ch
 
 
 class Povm:
-    """Finite POVM: PSD elements summing to the identity."""
+    """Finite POVM: PSD elements summing to the identity.
 
-    __slots__ = ("_elements",)
+    The elements are held as one read-only complex (n, d, d) stack together
+    with their ascending spectra, shape (n, d), from the single batched
+    eigendecomposition that the positivity check needs. Measures read both
+    directly; `elements` wraps each slice of the stack as a
+    `HermitianOperator` on first access, without validating it again.
+    """
+
+    __slots__ = ("_stack", "_spectra", "_elements")
 
     def __init__(self, elements) -> None:
-        ops = tuple(
-            el if isinstance(el, HermitianOperator) else HermitianOperator(el)
-            for el in elements
-        )
-        if not ops:
-            raise InvalidPovm("a POVM needs at least one element")
-        dim = ops[0].dim
-        if any(el.dim != dim for el in ops):
-            raise DimensionMismatch("POVM elements have mixed dimensions")
-        for x, el in enumerate(ops):
-            eig = np.linalg.eigvalsh(el.matrix)
-            if eig[0] < -PSD_TOL:
-                raise InvalidPovm(
-                    f"element {x} is not PSD (min eigenvalue {eig[0]:.3e})"
-                )
-        total = sum(el.matrix for el in ops)
-        residual = float(np.max(np.abs(total - np.eye(dim))))
+        stack = _element_stack(elements)
+        deviation = _max_abs(stack - stack.conj().transpose(0, 2, 1))
+        if not deviation <= HERM_TOL:  # any NaN or infinite entry lands here
+            require_finite(stack, "POVM elements")
+            raise NotHermitian(
+                f"max deviation from Hermiticity {deviation:.3e} exceeds {HERM_TOL}"
+            )
+        spectra = np.linalg.eigvalsh(stack)
+        lowest = spectra[:, 0]
+        if lowest.min() < -PSD_TOL:
+            x = int(np.argmax(lowest < -PSD_TOL))
+            raise InvalidPovm(f"element {x} is not PSD (min eigenvalue {lowest[x]:.3e})")
+        residual = _max_abs(stack.sum(axis=0) - np.eye(stack.shape[1]))
         if residual > COMPLETENESS_TOL:
             raise InvalidPovm(f"elements sum to identity only within {residual:.3e}")
-        self._elements = ops
+        stack.setflags(write=False)
+        spectra.setflags(write=False)
+        self._stack, self._spectra, self._elements = stack, spectra, None
+
+    @property
+    def stack(self) -> np.ndarray:
+        """The elements M_x as one read-only complex array, shape (n, d, d)."""
+        return self._stack
+
+    @property
+    def spectra(self) -> np.ndarray:
+        """Ascending eigenvalues of each element, shape (n, d)."""
+        return self._spectra
 
     @property
     def elements(self) -> tuple[HermitianOperator, ...]:
+        if self._elements is None:
+            self._elements = tuple(HermitianOperator._trusted(m) for m in self._stack)
         return self._elements
 
     @property
     def dim(self) -> int:
-        return self._elements[0].dim
+        return self._stack.shape[1]
 
     @property
     def n(self) -> int:
         """Number of outcomes."""
-        return len(self._elements)
+        return self._stack.shape[0]
 
     def __repr__(self) -> str:
         return f"Povm(dim={self.dim}, n={self.n})"
+
+
+def _element_stack(elements) -> np.ndarray:
+    """Elements given as an (n, d, d) array or a sequence of matrices or
+    `HermitianOperator`s, copied into one complex (n, d, d) array."""
+    if not isinstance(elements, np.ndarray):
+        elements = [el.matrix if isinstance(el, HermitianOperator) else el for el in elements]
+    if len(elements) == 0:
+        raise InvalidPovm("a POVM needs at least one element")
+    try:
+        stack = np.array(elements, dtype=complex)
+    except ValueError:  # ragged: tell a shape mismatch from a bad entry
+        shapes = {np.shape(np.array(el, dtype=complex)) for el in elements}
+        raise DimensionMismatch(f"POVM elements have mixed shapes {sorted(shapes)}") from None
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or stack.shape[1] < 1:
+        raise DimensionMismatch(
+            f"POVM elements must be square matrices of one shape, got {stack.shape[1:]}"
+        )
+    return stack
 
 
 class StochasticMatrix:
@@ -394,7 +432,9 @@ class StochasticMatrix:
 
 def basis_measurement(dim: int) -> Povm:
     """The incoherent-basis measurement {|i><i|}."""
-    return Povm([basis_projector(i, dim) for i in range(dim)])
+    stack = np.zeros((dim, dim, dim), dtype=complex)
+    stack[np.arange(dim), np.arange(dim), np.arange(dim)] = 1.0
+    return Povm(stack)
 
 
 def measurement_as_channel(povm: Povm) -> QuantumChannel:
@@ -404,15 +444,10 @@ def measurement_as_channel(povm: Povm) -> QuantumChannel:
     eigendecompositions; output dimension equals the outcome count, and the
     output is always diagonal.
     """
-    n, d = povm.n, povm.dim
-    kraus = []
-    for x, el in enumerate(povm.elements):
-        eig, vec = np.linalg.eigh(el.matrix)
-        for k in range(eig.size):
-            if eig[k] > EIG_CLIP:
-                op = np.zeros((n, d), dtype=complex)
-                op[x, :] = np.sqrt(eig[k]) * vec[:, k].conj()
-                kraus.append(op)
+    eig, vec = np.linalg.eigh(povm.stack)
+    x, k = np.nonzero(eig > EIG_CLIP)  # x-major, ascending eigenvalue within x
+    kraus = np.zeros((x.size, povm.n, povm.dim), dtype=complex)
+    kraus[np.arange(x.size), x, :] = np.sqrt(eig[x, k])[:, None] * vec[x, :, k].conj()
     return QuantumChannel(kraus)
 
 
@@ -422,9 +457,7 @@ def classical_postprocess(povm: Povm, post: StochasticMatrix) -> Povm:
         raise DimensionMismatch(
             f"post-processing expects {post.cols} outcomes, POVM has {povm.n}"
         )
-    stack = np.stack([el.matrix for el in povm.elements])
-    merged = np.einsum("yx,xij->yij", post.entries, stack)
-    return Povm(list(merged))
+    return Povm(np.einsum("yx,xij->yij", post.entries, povm.stack))
 
 
 def pullback_povm(channel: QuantumChannel, povm: Povm) -> Povm:
@@ -433,19 +466,23 @@ def pullback_povm(channel: QuantumChannel, povm: Povm) -> Povm:
         raise DimensionMismatch(
             f"POVM dim {povm.dim} != channel output dim {channel.dim_out}"
         )
-    stack = np.stack([el.matrix for el in povm.elements])
-    return Povm(list(_adjoint_images(channel, stack)))
+    return Povm(_adjoint_images(channel, povm.stack))
 
 
 def tensor_povm(a: Povm, b: Povm) -> Povm:
     """Product measurement {M_x (x) N_y}, x-major outcome ordering."""
-    return Povm(
-        [
-            np.kron(ax.matrix, by.matrix)
-            for ax in a.elements
-            for by in b.elements
-        ]
-    )
+    n, d = a.n * b.n, a.dim * b.dim
+    return Povm(kron_stacks(a.stack, b.stack).reshape(n, d, d))
+
+
+def kron_stacks(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of every pair (a[x], b[y]) as one broadcast product, indexed
+    [x, y, row, col] with x-major pairs; the same products as np.kron,
+    which einsum's complex multiply does not round identically to."""
+    n_a, d_a, _ = a.shape
+    n_b, d_b, _ = b.shape
+    pairs = a[:, None, :, None, :, None] * b[None, :, None, :, None, :]
+    return pairs.reshape(n_a, n_b, d_a * d_b, d_a * d_b)
 
 
 def mix_povm(a: Povm, b: Povm, p: float) -> Povm:
@@ -454,14 +491,12 @@ def mix_povm(a: Povm, b: Povm, p: float) -> Povm:
         raise DimensionMismatch("mixture requires POVMs of equal dim and outcome count")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"mixture weight {p} outside [0, 1]")
-    return Povm(
-        [p * ax.matrix + (1.0 - p) * bx.matrix for ax, bx in zip(a.elements, b.elements)]
-    )
+    return Povm(p * a.stack + (1.0 - p) * b.stack)
 
 
 def pad_povm(povm: Povm, n_total: int) -> Povm:
     """Append zero elements (zero-probability outcomes) up to n_total."""
     if n_total < povm.n:
         raise DimensionMismatch(f"cannot pad {povm.n} outcomes down to {n_total}")
-    zero = np.zeros((povm.dim, povm.dim))
-    return Povm(list(povm.elements) + [zero] * (n_total - povm.n))
+    zeros = np.zeros((n_total - povm.n, povm.dim, povm.dim))
+    return Povm(np.concatenate((povm.stack, zeros)))

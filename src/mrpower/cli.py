@@ -71,14 +71,22 @@ def _cmd_power(args) -> int:
     return EXIT_OK
 
 
-def _cmd_convert(args) -> int:
-    # Make sure the output exists, without truncating it, before any work: an
-    # unwritable path fails at once, and a failed conversion leaves an earlier
-    # result (or the input itself, when --out names it) unchanged.
+def _unwritable(path: str) -> str | None:
+    """Make sure the output exists, without truncating it, before any work:
+    an unwritable path fails at once, and a failed run leaves an earlier
+    result (or the input itself, when the output names it) unchanged.
+    Returns the error message, or None when the path can be written."""
     try:
-        open(args.out, "a", encoding="utf-8").close()
+        open(path, "a", encoding="utf-8").close()
     except OSError as exc:
-        return _fail(EXIT_PARSE, f"cannot write {args.out}: {exc}")
+        return f"cannot write {path}: {exc}"
+    return None
+
+
+def _cmd_convert(args) -> int:
+    problem = _unwritable(args.out)
+    if problem:
+        return _fail(EXIT_PARSE, problem)
     try:
         channel = _load_square_channel(args.channel_file)
     except SchemaError as exc:
@@ -144,6 +152,9 @@ def _cmd_verify(args) -> int:
         thread_count()
     except ValueError as exc:
         return _fail(EXIT_PARSE, str(exc))
+    problem = args.out and _unwritable(args.out)
+    if problem:
+        return _fail(EXIT_PARSE, problem)
 
     names = list(SUITE_NAMES) if args.suite == "all" else [args.suite]
     reports = []

@@ -23,15 +23,16 @@ from .errors import (
     DimensionMismatch,
     NotDensity,
     NotIncoherent,
+    NotPsd,
     UnsupportedScale,
 )
 from .operators import (
+    EIG_CLIP,
     PSD_TOL,
+    SUPPORT_TOL,
     HermitianOperator,
-    dephase,
-    is_psd,
+    entropies,
     partial_trace,
-    relative_entropy,
     von_neumann_entropy,
 )
 
@@ -40,12 +41,31 @@ DENSITY_TRACE_TOL = 1e-9
 
 def relative_entropy_of_coherence(rho: HermitianOperator) -> float:
     """S(dephase(rho)) - S(rho), the coherence of a density operator in bits."""
-    trace = float(np.trace(rho.matrix).real)
-    if abs(trace - 1.0) > DENSITY_TRACE_TOL:
-        raise NotDensity(f"trace {trace} is not 1 within {DENSITY_TRACE_TOL}")
-    if not is_psd(rho):
+    return float(coherences_of_states(rho.matrix[None])[0])
+
+
+def coherences_of_states(states: np.ndarray) -> np.ndarray:
+    """`relative_entropy_of_coherence` of every density operator in an
+    (n, d, d) stack, from one batched eigvalsh."""
+    traces = np.einsum("xii->x", states).real
+    worst = float(np.max(np.abs(traces - 1.0)))
+    if not worst <= DENSITY_TRACE_TOL:
+        raise NotDensity(f"trace deviates from 1 by {worst:.3e}, above {DENSITY_TRACE_TOL}")
+    spectra = np.linalg.eigvalsh(states)
+    if spectra[:, 0].min() < -PSD_TOL:
         raise NotDensity("operator has an eigenvalue below the PSD tolerance")
-    return von_neumann_entropy(dephase(rho)) - von_neumann_entropy(rho)
+    return _dephasing_gains(states, spectra)
+
+
+def _dephasing_gains(stack: np.ndarray, spectra: np.ndarray) -> np.ndarray:
+    """S(dephase(X)) - S(X) for each operator of a stack with the given
+    spectra; the spectrum of dephase(X) is the real diagonal of X, sorted."""
+    return entropies(np.sort(_diagonals(stack), axis=1)) - entropies(spectra)
+
+
+def _diagonals(stack: np.ndarray) -> np.ndarray:
+    """Real diagonals <i|X|i> of an (n, d, d) stack, shape (n, d)."""
+    return np.diagonal(stack, axis1=1, axis2=2).real
 
 
 def measurement_relative_entropy(m: Povm, n: Povm) -> float:
@@ -53,19 +73,23 @@ def measurement_relative_entropy(m: Povm, n: Povm) -> float:
 
     The 1/d prefactor uses the measured (input) dimension; this is the
     unique normalization under which the quantity adds over tensor products
-    of measurements.
+    of measurements. Each term is `relative_entropy(M_x, N_x)`, computed for
+    all outcomes at once from one batched eigendecomposition of N's
+    elements and the stored spectra of M's.
     """
     if m.dim != n.dim or m.n != n.n:
         raise DimensionMismatch(
             f"POVMs differ in dim ({m.dim} vs {n.dim}) or outcomes ({m.n} vs {n.n})"
         )
-    total = 0.0
-    for mx, nx in zip(m.elements, n.elements):
-        term = relative_entropy(mx, nx)
-        if math.isinf(term):
-            return math.inf
-        total += term
-    return total / m.dim
+    n_eig, n_vec = np.linalg.eigh(n.stack)
+    # <v_xj| M_x |v_xj> for each eigenvector of N_x
+    weights = np.einsum("xji,xjk,xki->xi", n_vec.conj(), m.stack, n_vec).real
+    null = n_eig <= EIG_CLIP
+    if (np.where(null, weights, 0.0).sum(axis=1) > SUPPORT_TOL).any():
+        return math.inf
+    tr_x_log_x = -entropies(m.spectra)
+    tr_x_log_y = np.sum(weights * np.log2(np.where(null, 1.0, n_eig)), axis=1)
+    return sum((tr_x_log_x - tr_x_log_y).tolist()) / m.dim  # in outcome order
 
 
 def measurement_coherence(m: Povm) -> float:
@@ -74,19 +98,14 @@ def measurement_coherence(m: Povm) -> float:
     This is the minimum averaged relative entropy to any incoherent
     measurement; the minimizer is the element-wise dephasing of m.
     """
-    total = sum(
-        von_neumann_entropy(dephase(el)) - von_neumann_entropy(el) for el in m.elements
-    )
-    return total / m.dim
+    # summed in outcome order, as the per-element form was, so values stay bit-identical
+    return sum(_dephasing_gains(m.stack, m.spectra).tolist()) / m.dim
 
 
 def is_incoherent_measurement(m: Povm, tol: float) -> bool:
     """True iff every element is diagonal within max-abs tolerance."""
-    for el in m.elements:
-        off = el.matrix - np.diag(np.diag(el.matrix))
-        if float(np.max(np.abs(off))) > tol:
-            return False
-    return True
+    off = m.stack[:, ~np.eye(m.dim, dtype=bool)]
+    return float(np.max(np.abs(off), initial=0.0)) <= tol
 
 
 def measurement_coherence_bruteforce(m: Povm, grid_steps: int) -> float:
@@ -106,9 +125,8 @@ def measurement_coherence_bruteforce(m: Povm, grid_steps: int) -> float:
         raise ValueError(f"grid_steps must be at least 100, got {grid_steps}")
 
     # D(M_x || diag) splits into independent terms for the two diagonal slots.
-    mass = np.array([np.diag(el.matrix).real for el in m.elements])  # (2, 2)
-    mass = np.clip(mass, 0.0, None)
-    base = -sum(von_neumann_entropy(el) for el in m.elements)
+    mass = np.clip(_diagonals(m.stack), 0.0, None)  # (2, 2)
+    base = -sum(entropies(m.spectra).tolist())
 
     def slot_cost(axis_values: np.ndarray, slot: int) -> np.ndarray:
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -121,12 +139,19 @@ def measurement_coherence_bruteforce(m: Povm, grid_steps: int) -> float:
         return c0 + c1
 
     def grid_minimum(a_lo, a_hi, b_lo, b_hi):
+        """Minimum of cost_a[ia] + cost_b[ib] over the grid and the first
+        cell in row-major order that attains it, as `np.argmin` of the full
+        grid would give. Rounded addition is monotone in each argument, so
+        the grid minimum is exactly cost_a.min() + cost_b.min(), and a row
+        attains it exactly when its sum with cost_b.min() does."""
         a = np.linspace(a_lo, a_hi, grid_steps)
         b = np.linspace(b_lo, b_hi, grid_steps)
-        grid = slot_cost(a, 0)[:, None] + slot_cost(b, 1)[None, :]
-        flat = int(np.argmin(grid))
-        ia, ib = divmod(flat, grid_steps)
-        return float(grid[ia, ib]), float(a[ia]), float(b[ib]), (a[1] - a[0]), (b[1] - b[0])
+        cost_a, cost_b = slot_cost(a, 0), slot_cost(b, 1)
+        best = cost_a.min() + cost_b.min()
+        ia = int(np.argmax(cost_a + cost_b.min() == best))
+        ib = int(np.argmax(cost_a[ia] + cost_b == best))
+        value = cost_a[ia] + cost_b[ib]
+        return float(value), float(a[ia]), float(b[ib]), (a[1] - a[0]), (b[1] - b[0])
 
     best, a_star, b_star, ha, hb = grid_minimum(0.0, 1.0, 0.0, 1.0)
     refined, _, _, _, _ = grid_minimum(
@@ -151,14 +176,10 @@ def decompose_incoherent(m: Povm, tol: float = 1e-9) -> IncoherentDecomposition:
     """Extract p(x|i) = <i|M_x|i> and verify it reconstructs the POVM."""
     if not is_incoherent_measurement(m, tol):
         raise NotIncoherent(f"POVM has off-diagonal entries above {tol}")
-    probs = np.array([np.diag(el.matrix).real for el in m.elements])
-    probs = np.clip(probs, 0.0, None)  # PSD diagonals can carry -1e-16 noise
+    probs = np.clip(_diagonals(m.stack), 0.0, None)  # PSD diagonals can carry -1e-16 noise
     post = StochasticMatrix(probs)
     recon = classical_postprocess(basis_measurement(m.dim), post)
-    residual = max(
-        float(np.max(np.abs(rx.matrix - mx.matrix)))
-        for rx, mx in zip(recon.elements, m.elements)
-    )
+    residual = float(np.max(np.abs(recon.stack - m.stack)))
     return IncoherentDecomposition(post=post, residual=residual)
 
 
@@ -174,3 +195,25 @@ def ere_lower_bound(x: HermitianOperator, dims: tuple[int, int]) -> float:
     s_a = von_neumann_entropy(partial_trace(x, dims, "A"))
     s_b = von_neumann_entropy(partial_trace(x, dims, "B"))
     return max(s_a - joint, s_b - joint)
+
+
+def ere_lower_bounds(stack: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
+    """`ere_lower_bound` of every operator in an (n, d_A d_B, d_A d_B) stack,
+    from one batched eigvalsh each for the joint operators and for both
+    marginals."""
+    d_a, d_b = dims
+    if stack.shape[-1] != d_a * d_b:
+        raise DimensionMismatch(f"dim {stack.shape[-1]} is not {d_a} * {d_b}")
+    blocks = stack.reshape(-1, d_a, d_b, d_a, d_b)
+    joint, s_a, s_b = (
+        _psd_entropies(np.linalg.eigvalsh(ops))
+        for ops in (stack, np.einsum("xijkj->xik", blocks), np.einsum("xijil->xjl", blocks))
+    )
+    return np.maximum(s_a - joint, s_b - joint)
+
+
+def _psd_entropies(spectra: np.ndarray) -> np.ndarray:
+    lowest = float(spectra[:, 0].min(initial=0.0))
+    if lowest < -PSD_TOL:
+        raise NotPsd(f"entropy argument: minimum eigenvalue {lowest:.3e} below -{PSD_TOL}")
+    return entropies(spectra)

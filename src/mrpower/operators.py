@@ -53,6 +53,13 @@ class HermitianOperator:
         m.setflags(write=False)
         self._matrix = m
 
+    @classmethod
+    def _trusted(cls, matrix: np.ndarray) -> "HermitianOperator":
+        """Wrap a read-only complex matrix already validated as part of a stack."""
+        op = cls.__new__(cls)
+        op._matrix = matrix
+        return op
+
     @property
     def matrix(self) -> np.ndarray:
         return self._matrix
@@ -91,6 +98,15 @@ def diagonal_operator(values) -> HermitianOperator:
 def _check_psd_spectrum(eigenvalues: np.ndarray, what: str) -> None:
     if eigenvalues.size and eigenvalues[0] < -PSD_TOL:
         raise NotPsd(f"{what}: minimum eigenvalue {eigenvalues[0]:.3e} below -{PSD_TOL}")
+
+
+def entropies(eigenvalues: np.ndarray) -> np.ndarray:
+    """-sum_k lambda_k log2 lambda_k along the last axis, over eigenvalues
+    above EIG_CLIP: `von_neumann_entropy` for a stack of spectra, which the
+    caller has already checked for positivity."""
+    kept = np.where(eigenvalues > EIG_CLIP, eigenvalues, 1.0)  # 1 log 1 = 0
+    # 0.0 - sum rather than -sum: an all-clipped spectrum gives 0.0, not -0.0
+    return 0.0 - np.sum(kept * np.log2(kept), axis=-1)
 
 
 def von_neumann_entropy(x: HermitianOperator) -> float:

@@ -22,6 +22,7 @@ from .channels import (
     compose,
     dephasing_channel,
     extend_with_identity,
+    kron_stacks,
     measurement_as_channel,
     pad_povm,
     pullback_povm,
@@ -33,11 +34,10 @@ from .errors import (
     PreconditionViolation,
     UnsupportedScale,
 )
-from .operators import HermitianOperator, basis_projector
 from .measures import (
-    ere_lower_bound,
+    coherences_of_states,
+    ere_lower_bounds,
     measurement_coherence,
-    relative_entropy_of_coherence,
 )
 
 # Conversion certificates need d^2-dimensional eigendecompositions; the cap
@@ -71,10 +71,9 @@ def state_cohering_power(channel: QuantumChannel) -> float:
     cannot do better.
     """
     d = _require_square(channel)
-    return max(
-        relative_entropy_of_coherence(channel.apply(basis_projector(i, d)))
-        for i in range(d)
-    )
+    # E(|i><i|)[a, b] = J[(a, i), (b, i)]: the d images are one slice of the Choi matrix
+    images = np.einsum("aibi->iab", channel.choi.matrix.reshape(d, d, d, d))
+    return float(np.max(coherences_of_states(images)))
 
 
 def cnot_matrix(d: int) -> np.ndarray:
@@ -134,19 +133,19 @@ def conversion_ent_lower_bound(
     d = _require_square(channel)
     if d > max_dim:
         raise UnsupportedScale(f"conversion certificate capped at dim {max_dim}, got {d}")
-    power = measurement_cohering_power(channel)
+    basis = basis_measurement(d)
+    pulled = pullback_povm(channel, basis)
+    power = measurement_coherence(pulled)
+    # element (i, j) is U (E^dag(|i><i|) (x) |j><j|) U^dag, i-major
+    products = kron_stacks(pulled.stack, basis.stack)
     u = cnot_matrix(d)
-    bounds = []
-    for i in range(d):
-        pulled = channel.adjoint_apply(basis_projector(i, d)).matrix
-        for j in range(d):
-            embedded = u @ np.kron(pulled, basis_projector(j, d).matrix) @ u.conj().T
-            bounds.append(ere_lower_bound(HermitianOperator(embedded), (d, d)))
+    embedded = u @ products.reshape(d * d, d * d, d * d) @ u.conj().T
+    bounds = ere_lower_bounds(embedded, (d, d))
     avg = float(np.mean(bounds))
     return ConversionCertificate(
         cohering_power=power,
         avg_ere_lower_bound=avg,
-        per_element_bounds=tuple(bounds),
+        per_element_bounds=tuple(bounds.tolist()),
         gap=abs(power - avg),
     )
 
@@ -177,7 +176,7 @@ def composite_ent_lower_bound(
         compose(k, compose(extend_with_identity(channel, d, "right"), l)),
     )
     pulled = pullback_povm(composite, basis_measurement(dd))
-    return float(np.mean([ere_lower_bound(el, (d, d)) for el in pulled.elements]))
+    return float(np.mean(ere_lower_bounds(pulled.stack, (d, d))))
 
 
 @dataclass(frozen=True)

@@ -150,12 +150,12 @@ def random_povm(d: int, n: int, incoherent: bool, rng: SeededRng) -> Povm:
     if incoherent:
         return classical_postprocess(basis_measurement(d), random_stochastic_matrix(n, d, rng))
     for _ in range(10):
-        blocks = [(lambda a: a @ a.conj().T)(_ginibre(d, rng)) for _ in range(n)]
-        total = sum(blocks)
-        eig, vec = np.linalg.eigh(total)
+        a = np.array([_ginibre(d, rng) for _ in range(n)])
+        blocks = a @ a.conj().transpose(0, 2, 1)
+        eig, vec = np.linalg.eigh(blocks.sum(axis=0))
         if eig[0] > 1e-12:
             inv_sqrt = (vec / np.sqrt(eig)) @ vec.conj().T
-            return Povm([inv_sqrt @ g @ inv_sqrt for g in blocks])
+            return Povm(inv_sqrt @ blocks @ inv_sqrt)
     raise SingularTotal("total of sampled blocks stayed singular after 10 redraws")
 
 

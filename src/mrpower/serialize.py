@@ -47,6 +47,35 @@ def matrix_from_wire(obj: Any, rows: int, cols: int, what: str) -> np.ndarray:
     return out
 
 
+def stack_from_wire(items: list, rows: int, cols: int, what: str) -> np.ndarray:
+    """The matrices of a wire list as one complex (n, rows, cols) array.
+
+    A list that numpy reads as one real (n, rows, cols, 2) block converts in
+    one step; for JSON input that is exactly what the entry-by-entry
+    `matrix_from_wire` accepts. Anything else goes through that loop, which
+    names the matrix and entry at fault.
+    """
+    try:
+        block = np.array(items)
+    except ValueError:  # ragged nesting
+        block = None
+    if (
+        block is None
+        or block.shape != (len(items), rows, cols, 2)
+        or block.dtype.kind not in "biuf"
+    ):
+        return np.array(
+            [matrix_from_wire(m, rows, cols, f"{what}[{i}]") for i, m in enumerate(items)]
+        )
+    # each trailing [re, im] pair of float64 is one complex128
+    stack = np.ascontiguousarray(block, dtype=float).view(complex)[..., 0]
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        require_finite(stack[bad], f"{what}[{bad}]")
+    return stack
+
+
 def _require_positive_int(obj: Any, key: str, what: str) -> int:
     value = obj.get(key)
     if not isinstance(value, int) or isinstance(value, bool) or value < 1:
@@ -70,11 +99,7 @@ def channel_from_dict(obj: Any) -> QuantumChannel:
     kraus_obj = obj.get("kraus")
     if not isinstance(kraus_obj, list) or not kraus_obj:
         raise SchemaError("channel: 'kraus' must be a non-empty list")
-    kraus = [
-        matrix_from_wire(k, dim_out, dim_in, f"kraus[{idx}]")
-        for idx, k in enumerate(kraus_obj)
-    ]
-    return QuantumChannel(kraus)
+    return QuantumChannel(stack_from_wire(kraus_obj, dim_out, dim_in, "kraus"))
 
 
 def povm_to_dict(povm: Povm) -> dict:
@@ -91,11 +116,7 @@ def povm_from_dict(obj: Any) -> Povm:
     elements_obj = obj.get("elements")
     if not isinstance(elements_obj, list) or not elements_obj:
         raise SchemaError("povm: 'elements' must be a non-empty list")
-    elements = [
-        matrix_from_wire(el, dim, dim, f"elements[{idx}]")
-        for idx, el in enumerate(elements_obj)
-    ]
-    return Povm(elements)
+    return Povm(stack_from_wire(elements_obj, dim, dim, "elements"))
 
 
 def _load_json(path: str) -> Any:

@@ -115,10 +115,7 @@ def _worst(*violations: float) -> float:
 
 
 def _povm_distance(a, b) -> float:
-    return max(
-        float(np.max(np.abs(ax.matrix - bx.matrix)))
-        for ax, bx in zip(a.elements, b.elements)
-    )
+    return float(np.max(np.abs(a.stack - b.stack)))
 
 
 def _trial_dm_properties(dim: int, rng: SeededRng, tol: float):

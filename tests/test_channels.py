@@ -7,6 +7,7 @@ from mrpower.errors import (
     InvalidPovm,
     InvalidStochasticMatrix,
     NonFiniteEntry,
+    NotHermitian,
     NotPsd,
     NotTracePreserving,
     NotUnital,
@@ -339,6 +340,89 @@ class TestValidation:
         padded = mp.pad_povm(povm, 3)
         assert padded.n == 3
         np.testing.assert_allclose(padded.elements[2].matrix, np.zeros((3, 3)))
+
+
+INVALID_POVMS = [
+    ("empty", [], InvalidPovm),
+    ("non-square", [np.ones((2, 3)) / 2, np.ones((2, 3)) / 2], DimensionMismatch),
+    ("mixed dims", [np.eye(2), np.zeros((3, 3))], DimensionMismatch),
+    ("zero dim", np.zeros((2, 0, 0)), DimensionMismatch),
+    ("not Hermitian", [[[0.5, 0.1], [0.0, 0.5]], np.eye(2) / 2], NotHermitian),
+    ("NaN off the diagonal", [[[0.5, np.nan], [np.nan, 0.5]], np.eye(2) / 2], NonFiniteEntry),
+    ("inf", [np.diag([np.inf, 0.0]), np.diag([0.0, 1.0])], NonFiniteEntry),
+    ("not PSD", [np.diag([1.5, 0.5]), np.diag([-0.5, 0.5])], InvalidPovm),
+    ("incomplete", [np.eye(2) / 2, np.eye(2) / 4], InvalidPovm),
+]
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # inf - inf
+class TestPovmStack:
+    @pytest.mark.parametrize(
+        "elements, error",
+        [case[1:] for case in INVALID_POVMS],
+        ids=[case[0] for case in INVALID_POVMS],
+    )
+    def test_rejects_invalid_input(self, elements, error):
+        with pytest.raises(error):
+            mp.Povm(elements)
+
+    @pytest.mark.parametrize(
+        "elements, error",
+        [case[1:] for case in INVALID_POVMS if case[2] in (NotHermitian, NonFiniteEntry)],
+        ids=[c[0] for c in INVALID_POVMS if c[2] in (NotHermitian, NonFiniteEntry)],
+    )
+    def test_element_errors_are_the_operator_errors(self, elements, error):
+        """Checks made once on the stack raise what the per-element
+        HermitianOperator check raises."""
+        with pytest.raises(error):
+            for el in elements:
+                mp.HermitianOperator(el)
+
+    def test_names_the_element_that_is_not_psd(self):
+        with pytest.raises(InvalidPovm, match="element 1 "):
+            mp.Povm([np.diag([1.5, 0.5]), np.diag([-0.5, 0.5])])
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_stack_spectra_and_elements_agree(self, dim):
+        rng = mp.SeededRng(227)
+        povm = mp.random_povm(dim, 4, False, rng)
+        assert povm.stack.shape == (4, dim, dim) and povm.spectra.shape == (4, dim)
+        for x, el in enumerate(povm.elements):
+            assert np.array_equal(el.matrix, povm.stack[x])
+            assert np.array_equal(np.linalg.eigvalsh(el.matrix), povm.spectra[x])
+        assert not povm.stack.flags.writeable and not povm.spectra.flags.writeable
+
+    def test_copies_its_input(self):
+        elements = np.array([np.eye(2) / 2, np.eye(2) / 2], dtype=complex)
+        povm = mp.Povm(elements)
+        elements[0, 0, 0] = 7.0
+        assert povm.stack[0, 0, 0] == 0.5
+
+    def test_accepts_operators_and_arrays_alike(self):
+        plus = mp.projector(np.array([1.0, 1.0]) / np.sqrt(2.0))
+        from_operators = mp.Povm([plus, mp.identity(2).matrix - plus.matrix])
+        from_stack = mp.Povm(from_operators.stack)
+        assert np.array_equal(from_operators.stack, from_stack.stack)
+
+    def test_tensor_povm_matches_kron_loop(self):
+        rng = mp.SeededRng(228)
+        a = mp.random_povm(2, 3, False, rng)
+        b = mp.random_povm(3, 2, False, rng)
+        loop = [np.kron(x.matrix, y.matrix) for x in a.elements for y in b.elements]
+        assert np.array_equal(mp.tensor_povm(a, b).stack, np.array(loop))
+
+    def test_measurement_as_channel_matches_element_loop(self):
+        rng = mp.SeededRng(229)
+        rotation = mp.unitary_channel(mp.haar_unitary(3, rng))
+        povm = mp.pad_povm(mp.pullback_povm(rotation, mp.basis_measurement(3)), 4)
+        kraus = []
+        for x, el in enumerate(povm.elements):
+            eig, vec = np.linalg.eigh(el.matrix)
+            for k in np.flatnonzero(eig > 1e-12):
+                op = np.zeros((4, 3), dtype=complex)
+                op[x] = np.sqrt(eig[k]) * vec[:, k].conj()
+                kraus.append(op)
+        assert np.array_equal(mp.measurement_as_channel(povm).kraus, np.array(kraus))
 
 
 def kraus_choi(kraus):

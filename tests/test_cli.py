@@ -250,6 +250,13 @@ class TestInvalidInputExitCodes:
         path = write_channel(tmp_path, "g.json", mp.example_channels()["g"])
         assert main(["convert", path, "--out", str(tmp_path / "missing" / "out.json")]) == 2
 
+    def test_verify_to_unwritable_output_exits_2_before_any_suite(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "report.json"
+        assert main(["verify", "--suite", "duality", "--trials", "1", "--out", str(out)]) == 2
+        streams = capsys.readouterr()
+        assert "cannot write" in streams.err
+        assert streams.out == ""  # no suite ran
+
     def test_bad_thread_count_exits_2(self, monkeypatch, capsys):
         monkeypatch.setenv("MRPOWER_THREADS", "abc")
         assert main(["verify", "--suite", "duality", "--trials", "2"]) == 2

@@ -8,8 +8,10 @@ from mrpower.errors import (
     DimensionMismatch,
     NotDensity,
     NotIncoherent,
+    NotPsd,
     UnsupportedScale,
 )
+from mrpower.measures import ere_lower_bounds
 
 
 def plus_povm():
@@ -132,6 +134,120 @@ class TestBruteforceOracle:
             mp.measurement_coherence_bruteforce(mp.random_povm(2, 3, False, rng), 1000)
 
 
+def full_grid_bruteforce(m, grid_steps):
+    """The grid oracle over the whole grid_steps x grid_steps grid and its
+    np.argmin, kept as the reference for the per-slot minimum."""
+    mass = np.clip(np.array([np.diag(el.matrix).real for el in m.elements]), 0.0, None)
+    base = -sum(mp.von_neumann_entropy(el) for el in m.elements)
+
+    def slot_cost(axis_values, slot):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            c0 = np.where(mass[0, slot] > 0.0, -mass[0, slot] * np.log2(axis_values), 0.0)
+            c1 = np.where(mass[1, slot] > 0.0, -mass[1, slot] * np.log2(1.0 - axis_values), 0.0)
+        return c0 + c1
+
+    def grid_minimum(a_lo, a_hi, b_lo, b_hi):
+        a = np.linspace(a_lo, a_hi, grid_steps)
+        b = np.linspace(b_lo, b_hi, grid_steps)
+        grid = slot_cost(a, 0)[:, None] + slot_cost(b, 1)[None, :]
+        ia, ib = divmod(int(np.argmin(grid)), grid_steps)
+        return float(grid[ia, ib]), float(a[ia]), float(b[ib]), (a[1] - a[0]), (b[1] - b[0])
+
+    best, a_star, b_star, ha, hb = grid_minimum(0.0, 1.0, 0.0, 1.0)
+    refined, _, _, _, _ = grid_minimum(
+        max(0.0, a_star - ha), min(1.0, a_star + ha), max(0.0, b_star - hb), min(1.0, b_star + hb)
+    )
+    return 0.5 * (base + min(best, refined))
+
+
+def oracle_povm(kind, rng):
+    """Coherent, incoherent, rank-one projective or diagonal with extreme
+    entries: the last two put zero mass in diagonal slots."""
+    if kind == 0:
+        return mp.random_povm(2, 2, False, rng)
+    if kind == 1:
+        return mp.random_povm(2, 2, True, rng)
+    if kind == 2:
+        rotation = mp.unitary_channel(mp.haar_unitary(2, rng))
+        return mp.pullback_povm(rotation, mp.basis_measurement(2))
+    a, b = rng.gen.choice([0.0, 0.5, 1.0, float(rng.gen.uniform())], size=2)
+    return mp.Povm([np.diag([a, b]), np.diag([1.0 - a, 1.0 - b])])
+
+
+class TestBruteforceOracleMatchesFullGrid:
+    def test_bit_identical_on_seeded_povms(self):
+        rng = mp.SeededRng(313)
+        for i in range(600):
+            povm = oracle_povm(i % 4, rng.spawn(i))
+            steps = (1000, 100, 257)[i % 3]
+            assert mp.measurement_coherence_bruteforce(povm, steps) == full_grid_bruteforce(
+                povm, steps
+            ), f"POVM {i}"
+
+
+def per_element_coherence(m):
+    entropy = mp.von_neumann_entropy
+    return sum(entropy(mp.dephase(el)) - entropy(el) for el in m.elements) / m.dim
+
+
+def per_element_divergence(m, n):
+    terms = [mp.relative_entropy(a, b) for a, b in zip(m.elements, n.elements)]
+    return math.inf if any(math.isinf(t) for t in terms) else sum(terms) / m.dim
+
+
+def sample_povms(dim, rng):
+    """Full-rank, incoherent, rank-deficient (pulled back through a unitary)
+    and zero-padded POVMs with 3 outcomes."""
+    rotation = mp.unitary_channel(mp.haar_unitary(dim, rng))
+    projective = mp.pullback_povm(rotation, mp.basis_measurement(dim))
+    return [
+        mp.random_povm(dim, 3, False, rng),
+        mp.random_povm(dim, 3, True, rng),
+        mp.classical_postprocess(projective, mp.random_stochastic_matrix(3, dim, rng)),
+        mp.pad_povm(mp.random_povm(dim, 2, False, rng), 3),
+    ]
+
+
+class TestBatchedMeasuresMatchPerElementSums:
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_coherence(self, dim):
+        rng = mp.SeededRng(314)
+        for i in range(10):
+            for povm in sample_povms(dim, rng.spawn(i)):
+                expected = per_element_coherence(povm)
+                assert mp.measurement_coherence(povm) == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_divergence(self, dim):
+        rng = mp.SeededRng(315)
+        for i in range(10):
+            povms = sample_povms(dim, rng.spawn(i))
+            for m in povms:
+                for n in povms:
+                    expected = per_element_divergence(m, n)
+                    value = mp.measurement_relative_entropy(m, n)
+                    if math.isinf(expected):
+                        assert value == math.inf
+                    else:
+                        assert value == pytest.approx(expected, abs=1e-12)
+
+    def test_support_mismatch_is_inf(self):
+        rng = mp.SeededRng(316)
+        coherent = mp.random_povm(3, 3, False, rng)
+        padded = mp.pad_povm(mp.random_povm(3, 2, False, rng), 3)  # zero last element
+        for m, n in ((plus_povm(), mp.basis_measurement(2)), (coherent, padded)):
+            assert per_element_divergence(m, n) == math.inf
+            assert mp.measurement_relative_entropy(m, n) == math.inf
+        assert mp.measurement_relative_entropy(padded, coherent) < math.inf
+
+    def test_state_coherence_matches_entropy_difference(self):
+        rng = mp.SeededRng(317)
+        for dim in (2, 3, 4):
+            rho = mp.HermitianOperator(mp.random_density(dim, rng))
+            expected = mp.von_neumann_entropy(mp.dephase(rho)) - mp.von_neumann_entropy(rho)
+            assert mp.relative_entropy_of_coherence(rho) == pytest.approx(expected, abs=1e-12)
+
+
 class TestIncoherentStructure:
     def test_basis_is_incoherent(self):
         assert mp.is_incoherent_measurement(mp.basis_measurement(2), 1e-9)
@@ -179,6 +295,19 @@ def random_separable(d_a, d_b, trace, rng):
     for _ in range(terms):
         total += np.kron(mp.random_psd(d_a, rng), mp.random_psd(d_b, rng))
     return mp.HermitianOperator(total * (trace / np.trace(total).real))
+
+
+class TestEreLowerBounds:
+    def test_matches_per_operator_bound(self):
+        rng = mp.SeededRng(318)
+        stack = np.array([mp.random_psd(6, rng) for _ in range(5)] + [np.zeros((6, 6))])
+        expected = [mp.ere_lower_bound(mp.HermitianOperator(x), (2, 3)) for x in stack]
+        np.testing.assert_allclose(ere_lower_bounds(stack, (2, 3)), expected, rtol=0, atol=1e-12)
+
+    def test_rejects_non_psd_operator(self):
+        stack = np.array([np.eye(4), np.diag([1.0, 1.0, 1.0, -1.0])])
+        with pytest.raises(NotPsd):
+            ere_lower_bounds(stack, (2, 2))
 
 
 class TestEreLowerBound:

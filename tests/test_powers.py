@@ -117,6 +117,61 @@ class TestConversionCertificate:
         assert certificate.gap <= 1e-9
 
 
+def per_element_certificate_bounds(channel):
+    """The certificate's bounds one embedded element at a time."""
+    d = channel.dim_in
+    u = mp.cnot_matrix(d)
+    bounds = []
+    for i in range(d):
+        pulled = channel.adjoint_apply(mp.basis_projector(i, d)).matrix
+        for j in range(d):
+            embedded = u @ np.kron(pulled, mp.basis_projector(j, d).matrix) @ u.conj().T
+            bounds.append(mp.ere_lower_bound(mp.HermitianOperator(embedded), (d, d)))
+    return bounds
+
+
+class TestBatchedBoundsMatchElementLoops:
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_certificate_bounds(self, dim):
+        rng = mp.SeededRng(410 + dim)
+        for i in range(4):
+            rank = 1 + i * (dim * dim - 1) // 3  # unitary up to full rank
+            channel = mp.random_channel(dim, rank, "general", rng.spawn(i))
+            certificate = mp.conversion_ent_lower_bound(channel)
+            np.testing.assert_allclose(
+                certificate.per_element_bounds,
+                per_element_certificate_bounds(channel),
+                rtol=0,
+                atol=1e-12,
+            )
+
+    def test_composite_bound(self):
+        rng = mp.SeededRng(414)
+        for i in range(5):
+            channel = mp.random_channel(2, 1 + i % 4, "general", rng.spawn(3 * i))
+            k = mp.random_dio(4, bool(i % 2), rng.spawn(3 * i + 1))
+            l = mp.random_dio(4, True, rng.spawn(3 * i + 2))
+            composite = mp.compose(
+                mp.dephasing_channel(4),
+                mp.compose(k, mp.compose(mp.extend_with_identity(channel, 2, "right"), l)),
+            )
+            pulled = mp.pullback_povm(composite, mp.basis_measurement(4))
+            expected = np.mean([mp.ere_lower_bound(el, (2, 2)) for el in pulled.elements])
+            proxy = mp.composite_ent_lower_bound(channel, k, l)
+            assert proxy == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_state_cohering_power(self, dim):
+        rng = mp.SeededRng(415 + dim)
+        entropy = mp.von_neumann_entropy
+        for i in range(5):
+            rank = int(rng.spawn(2 * i).gen.integers(1, dim * dim + 1))
+            channel = mp.random_channel(dim, rank, "general", rng.spawn(2 * i + 1))
+            images = [channel.apply(mp.basis_projector(j, dim)) for j in range(dim)]
+            expected = max(entropy(mp.dephase(rho)) - entropy(rho) for rho in images)
+            assert mp.state_cohering_power(channel) == pytest.approx(expected, abs=1e-12)
+
+
 class TestCompositeBound:
     def test_identity_sandwich_of_g(self):
         g = mp.example_channels()["g"]

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -10,9 +11,11 @@ from mrpower.serialize import (
     channel_from_dict,
     channel_to_dict,
     load_channel,
+    matrix_from_wire,
     povm_from_dict,
     povm_to_dict,
     save_channel,
+    stack_from_wire,
 )
 
 
@@ -55,6 +58,34 @@ class TestChannelWireFormat:
         wire["kraus"][0][1][0] = [0.0, bad]
         with pytest.raises(NonFiniteEntry, match=r"kraus\[0\]"):
             channel_from_dict(wire)
+
+    def test_rejects_non_finite_entry_in_a_later_operator(self):
+        wire = json.loads(json.dumps(channel_to_dict(mp.dephasing_channel(3))))
+        wire["kraus"][2][0][1] = [math.inf, 0.0]
+        with pytest.raises(NonFiniteEntry, match=r"kraus\[2\]"):
+            channel_from_dict(wire)
+
+    @pytest.mark.parametrize("bad", ["0.5", None, [0.5, 0.0, 0.0], [[0.5, 0.0]], ["0.5", 0.0]])
+    def test_rejects_bad_entry_in_a_multi_operator_file(self, bad):
+        wire = json.loads(json.dumps(channel_to_dict(mp.dephasing_channel(2))))
+        wire["kraus"][1][0][1] = bad
+        with pytest.raises(SchemaError, match=r"kraus\[1\]: entry \(0, 1\)"):
+            channel_from_dict(wire)
+
+    def test_rejects_ragged_row_in_a_multi_operator_file(self):
+        wire = json.loads(json.dumps(channel_to_dict(mp.dephasing_channel(2))))
+        wire["kraus"][1][1].append([0.0, 0.0])
+        with pytest.raises(SchemaError, match=r"kraus\[1\]: row 1"):
+            channel_from_dict(wire)
+
+    def test_whole_list_conversion_matches_the_entry_loop(self):
+        channel = mp.random_channel(3, 5, "general", mp.SeededRng(504))
+        kraus = json.loads(json.dumps(channel_to_dict(channel)))["kraus"]
+        kraus[0][0][0] = [1, True]  # JSON integers and booleans are numbers too
+        loop = np.array(
+            [matrix_from_wire(k, 3, 3, f"kraus[{i}]") for i, k in enumerate(kraus)]
+        )
+        assert np.array_equal(stack_from_wire(kraus, 3, 3, "kraus"), loop)
 
     def test_invalid_channel_is_not_a_schema_error(self):
         wire = {
