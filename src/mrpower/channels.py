@@ -23,17 +23,16 @@ from .errors import (
     DimensionMismatch,
     InvalidPovm,
     InvalidStochasticMatrix,
-    NotHermitian,
-    NotPsd,
     NotTracePreserving,
     NotUnital,
 )
 from .operators import (
     EIG_CLIP,
-    HERM_TOL,
     PSD_TOL,
     HermitianOperator,
     basis_projector,
+    check_hermitian,
+    check_psd_spectra,
     require_finite,
 )
 
@@ -246,9 +245,7 @@ def channel_from_choi(choi: HermitianOperator, dim_in: int, dim_out: int) -> Qua
     (PSD Choi matrix) and trace preservation."""
     if choi.dim != dim_in * dim_out:
         raise DimensionMismatch(f"choi dim {choi.dim} is not {dim_out} * {dim_in}")
-    lowest = float(np.linalg.eigvalsh(choi.matrix)[0])
-    if lowest < -PSD_TOL:
-        raise NotPsd(f"Choi matrix has eigenvalue {lowest:.3e}: not completely positive")
+    check_psd_spectra(np.linalg.eigvalsh(choi.matrix), "Choi matrix (not completely positive)")
     channel = QuantumChannel._from_choi(choi.matrix, dim_in, dim_out)
     residual = _tp_residual(channel)
     if residual > TP_TOL:
@@ -313,24 +310,16 @@ class Povm:
     with their ascending spectra, shape (n, d), from the single batched
     eigendecomposition that the positivity check needs. Measures read both
     directly; `elements` wraps each slice of the stack as a
-    `HermitianOperator` on first access, without validating it again.
+    `HermitianOperator` on first access.
     """
 
     __slots__ = ("_stack", "_spectra", "_elements")
 
     def __init__(self, elements) -> None:
         stack = _element_stack(elements)
-        deviation = _max_abs(stack - stack.conj().transpose(0, 2, 1))
-        if not deviation <= HERM_TOL:  # any NaN or infinite entry lands here
-            require_finite(stack, "POVM elements")
-            raise NotHermitian(
-                f"max deviation from Hermiticity {deviation:.3e} exceeds {HERM_TOL}"
-            )
+        check_hermitian(stack, "POVM elements")
         spectra = np.linalg.eigvalsh(stack)
-        lowest = spectra[:, 0]
-        if lowest.min() < -PSD_TOL:
-            x = int(np.argmax(lowest < -PSD_TOL))
-            raise InvalidPovm(f"element {x} is not PSD (min eigenvalue {lowest[x]:.3e})")
+        check_psd_spectra(spectra, "element", InvalidPovm)
         residual = _max_abs(stack.sum(axis=0) - np.eye(stack.shape[1]))
         if residual > COMPLETENESS_TOL:
             raise InvalidPovm(f"elements sum to identity only within {residual:.3e}")
@@ -351,7 +340,7 @@ class Povm:
     @property
     def elements(self) -> tuple[HermitianOperator, ...]:
         if self._elements is None:
-            self._elements = tuple(HermitianOperator._trusted(m) for m in self._stack)
+            self._elements = tuple(HermitianOperator(m) for m in self._stack)
         return self._elements
 
     @property

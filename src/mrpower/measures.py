@@ -23,14 +23,13 @@ from .errors import (
     DimensionMismatch,
     NotDensity,
     NotIncoherent,
-    NotPsd,
     UnsupportedScale,
 )
 from .operators import (
     EIG_CLIP,
-    PSD_TOL,
     SUPPORT_TOL,
     HermitianOperator,
+    check_psd_spectra,
     entropies,
     partial_trace,
     von_neumann_entropy,
@@ -52,8 +51,7 @@ def coherences_of_states(states: np.ndarray) -> np.ndarray:
     if not worst <= DENSITY_TRACE_TOL:
         raise NotDensity(f"trace deviates from 1 by {worst:.3e}, above {DENSITY_TRACE_TOL}")
     spectra = np.linalg.eigvalsh(states)
-    if spectra[:, 0].min() < -PSD_TOL:
-        raise NotDensity("operator has an eigenvalue below the PSD tolerance")
+    check_psd_spectra(spectra, "density operator", NotDensity)
     return _dephasing_gains(states, spectra)
 
 
@@ -213,7 +211,5 @@ def ere_lower_bounds(stack: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
 
 
 def _psd_entropies(spectra: np.ndarray) -> np.ndarray:
-    lowest = float(spectra[:, 0].min(initial=0.0))
-    if lowest < -PSD_TOL:
-        raise NotPsd(f"entropy argument: minimum eigenvalue {lowest:.3e} below -{PSD_TOL}")
+    check_psd_spectra(spectra, "entropy argument")
     return entropies(spectra)

@@ -33,6 +33,16 @@ def require_finite(values: np.ndarray, what: str) -> None:
         raise NonFiniteEntry(f"{what} has a NaN or infinite entry")
 
 
+def check_hermitian(matrices: np.ndarray, what: str) -> None:
+    """Reject a matrix, or a stack of matrices over the last two axes, that
+    deviates from its conjugate transpose by more than HERM_TOL or holds a
+    NaN or infinite entry."""
+    deviation = float(np.max(np.abs(matrices - matrices.conj().swapaxes(-1, -2))))
+    if not deviation <= HERM_TOL:  # any NaN or infinite entry lands here
+        require_finite(matrices, what)
+        raise NotHermitian(f"max deviation from Hermiticity {deviation:.3e} exceeds {HERM_TOL}")
+
+
 class HermitianOperator:
     """Immutable square complex matrix, validated Hermitian on construction."""
 
@@ -44,21 +54,9 @@ class HermitianOperator:
             raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
         if m.shape[0] < 1:
             raise DimensionMismatch("dimension must be at least 1")
-        deviation = float(np.max(np.abs(m - m.conj().T)))
-        if not deviation <= HERM_TOL:  # any NaN or infinite entry lands here
-            require_finite(m, "operator")
-            raise NotHermitian(
-                f"max deviation from Hermiticity {deviation:.3e} exceeds {HERM_TOL}"
-            )
+        check_hermitian(m, "operator")
         m.setflags(write=False)
         self._matrix = m
-
-    @classmethod
-    def _trusted(cls, matrix: np.ndarray) -> "HermitianOperator":
-        """Wrap a read-only complex matrix already validated as part of a stack."""
-        op = cls.__new__(cls)
-        op._matrix = matrix
-        return op
 
     @property
     def matrix(self) -> np.ndarray:
@@ -95,9 +93,18 @@ def diagonal_operator(values) -> HermitianOperator:
     return HermitianOperator(np.diag(np.asarray(values, dtype=float)))
 
 
-def _check_psd_spectrum(eigenvalues: np.ndarray, what: str) -> None:
-    if eigenvalues.size and eigenvalues[0] < -PSD_TOL:
-        raise NotPsd(f"{what}: minimum eigenvalue {eigenvalues[0]:.3e} below -{PSD_TOL}")
+def check_psd_spectra(eigenvalues: np.ndarray, what: str, error=NotPsd) -> None:
+    """Raise `error` when an ascending spectrum, or any spectrum of an (n, d)
+    stack of them, has an eigenvalue below -PSD_TOL; for a stack the message
+    names the first operator at fault."""
+    if eigenvalues.size == 0:
+        return
+    lowest = eigenvalues[..., 0]
+    if lowest.min() < -PSD_TOL:
+        if lowest.ndim:
+            x = int(np.argmax(lowest < -PSD_TOL))
+            what, lowest = f"{what} {x} is not PSD", lowest[x]
+        raise error(f"{what}: minimum eigenvalue {lowest:.3e} below -{PSD_TOL}")
 
 
 def entropies(eigenvalues: np.ndarray) -> np.ndarray:
@@ -116,7 +123,7 @@ def von_neumann_entropy(x: HermitianOperator) -> float:
     subnormalized), so the result can be negative. 0 log 0 := 0.
     """
     eig = np.linalg.eigvalsh(x.matrix)
-    _check_psd_spectrum(eig, "entropy argument")
+    check_psd_spectra(eig, "entropy argument")
     lam = eig[eig > EIG_CLIP]
     if lam.size == 0:
         return 0.0
@@ -134,9 +141,9 @@ def relative_entropy(x: HermitianOperator, y: HermitianOperator) -> float:
     if x.dim != y.dim:
         raise DimensionMismatch(f"operand dims {x.dim} and {y.dim} differ")
     x_eig = np.linalg.eigvalsh(x.matrix)
-    _check_psd_spectrum(x_eig, "first argument")
+    check_psd_spectra(x_eig, "first argument")
     y_eig, y_vec = np.linalg.eigh(y.matrix)
-    _check_psd_spectrum(y_eig, "second argument")
+    check_psd_spectra(y_eig, "second argument")
 
     # <v_j| X |v_j> for each eigenvector of Y
     weights = np.einsum("ji,jk,ki->i", y_vec.conj(), x.matrix, y_vec).real

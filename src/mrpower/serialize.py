@@ -105,7 +105,7 @@ def channel_from_dict(obj: Any) -> QuantumChannel:
 def povm_to_dict(povm: Povm) -> dict:
     return {
         "dim": povm.dim,
-        "elements": [matrix_to_wire(el.matrix) for el in povm.elements],
+        "elements": matrix_to_wire(povm.stack),
     }
 
 
