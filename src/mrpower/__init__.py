@@ -19,15 +19,19 @@ from .channels import (
     classical_postprocess,
     classify_channel,
     compose,
+    dephased,
     dephasing_channel,
     extend_with_identity,
     identity_channel,
+    is_dio,
+    is_unital,
     measurement_as_channel,
     mix_channels,
     mix_povm,
     pad_povm,
     permutation_channel,
     pullback_povm,
+    pulled_back_basis,
     tensor_povm,
     unitary_channel,
 )

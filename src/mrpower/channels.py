@@ -208,6 +208,20 @@ def dephasing_channel(dim: int) -> QuantumChannel:
     return QuantumChannel([basis_projector(i, dim).matrix for i in range(dim)])
 
 
+def dephased(channel: QuantumChannel, side: str) -> QuantumChannel:
+    """dephase . E (side "out") or E . dephase (side "in"), the same channel
+    as composing with `dephasing_channel`: the Choi matrix with
+    J[(a, i), (b, j)] zeroed for a != b, or for i != j."""
+    if side == "out":
+        keep = np.eye(channel.dim_out, dtype=bool)[:, None, :, None]
+    elif side == "in":
+        keep = np.eye(channel.dim_in, dtype=bool)[None, :, None, :]
+    else:
+        raise ValueError(f"side must be 'in' or 'out', got {side!r}")
+    choi = np.where(keep, _blocks(channel), 0.0).reshape(channel.choi.matrix.shape)
+    return QuantumChannel._from_choi(choi, channel.dim_in, channel.dim_out)
+
+
 def permutation_channel(perm) -> QuantumChannel:
     """Unitary channel of the basis permutation |i> -> |perm[i]>."""
     perm = np.asarray(perm, dtype=int)
@@ -279,13 +293,30 @@ class ChannelClass:
     mio: bool
 
 
+def is_unital(channel: QuantumChannel, tol: float = CHANNEL_EQ_TOL) -> bool:
+    """E(I) = I: the Choi matrix's partial trace over the input. False for a
+    non-square channel."""
+    if channel.dim_in != channel.dim_out:
+        return False
+    return _unital_residual(channel) <= tol
+
+
+def is_dio(channel: QuantumChannel, tol: float = CHANNEL_EQ_TOL) -> bool:
+    """Detection incoherence, dephase . E = dephase . E . dephase: E(|i><j|)
+    has a zero diagonal for i != j, so J[(a, i), (a, j)] = 0. False for a
+    non-square channel."""
+    if channel.dim_in != channel.dim_out:
+        return False
+    off = ~np.eye(channel.dim_in, dtype=bool)
+    return _max_abs(np.einsum("aiaj->aij", _blocks(channel))[:, off]) <= tol
+
+
 def classify_channel(channel: QuantumChannel, tol: float = CHANNEL_EQ_TOL) -> ChannelClass:
     """Read the class flags off the Choi matrix J[(a, i), (b, j)] = E(|i><j|)[a, b].
 
     Trace preservation and unitality are its two partial traces, complete
-    positivity its lowest eigenvalue. Detection incoherence
-    (dephase . E = dephase . E . dephase) means E(|i><j|) has a zero diagonal
-    for i != j, so J[(a, i), (a, j)] = 0; preservation of incoherent states
+    positivity its lowest eigenvalue; `is_dio` and `is_unital` give one flag
+    each without that eigendecomposition. Preservation of incoherent states
     means E(|i><i|) is diagonal, so J[(a, i), (b, i)] = 0 for a != b.
     """
     tp_ok = _tp_residual(channel) <= tol
@@ -294,13 +325,11 @@ def classify_channel(channel: QuantumChannel, tol: float = CHANNEL_EQ_TOL) -> Ch
     if channel.dim_in != channel.dim_out:
         return ChannelClass(cptp=cptp, unital=False, dio=False, mio=False)
 
-    d = channel.dim_in
-    unital = _unital_residual(channel) <= tol
-    blocks = _blocks(channel)
-    off = ~np.eye(d, dtype=bool)
-    dio = _max_abs(np.einsum("aiaj->aij", blocks)[:, off]) <= tol
-    mio = _max_abs(np.einsum("aibi->abi", blocks)[off]) <= tol
-    return ChannelClass(cptp=cptp, unital=unital, dio=dio, mio=mio)
+    off = ~np.eye(channel.dim_in, dtype=bool)
+    mio = _max_abs(np.einsum("aibi->abi", _blocks(channel))[off]) <= tol
+    return ChannelClass(
+        cptp=cptp, unital=is_unital(channel, tol), dio=is_dio(channel, tol), mio=mio
+    )
 
 
 class Povm:
@@ -456,6 +485,15 @@ def pullback_povm(channel: QuantumChannel, povm: Povm) -> Povm:
             f"POVM dim {povm.dim} != channel output dim {channel.dim_out}"
         )
     return Povm(_adjoint_images(channel, povm.stack))
+
+
+def pulled_back_basis(channel: QuantumChannel) -> Povm:
+    """The incoherent-basis measurement pulled back through the channel,
+    {E^dag(|a><a|)}, the same POVM as
+    `pullback_povm(channel, basis_measurement(channel.dim_out))`:
+    E^dag(|a><a|)[i, j] = conj(J[(a, i), (a, j)]), a conjugated diagonal
+    block of the Choi matrix."""
+    return Povm(np.einsum("aiaj->aij", _blocks(channel)).conj())
 
 
 def tensor_povm(a: Povm, b: Povm) -> Povm:

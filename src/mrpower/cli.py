@@ -13,6 +13,7 @@ through); 4 conversion certificate gap above tolerance.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -227,8 +228,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and shared by later `main` calls in the
+    process: parsing reads it and leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.handler(args)
     except (ToolkitError, np.linalg.LinAlgError) as exc:

@@ -18,14 +18,15 @@ from .channels import (
     QuantumChannel,
     adjoint_channel,
     basis_measurement,
-    classify_channel,
     compose,
-    dephasing_channel,
+    dephased,
     extend_with_identity,
+    is_dio,
+    is_unital,
     kron_stacks,
     measurement_as_channel,
     pad_povm,
-    pullback_povm,
+    pulled_back_basis,
     unitary_channel,
 )
 from .errors import (
@@ -60,8 +61,8 @@ def measurement_cohering_power(channel: QuantumChannel) -> float:
     pulled back through the channel:
     (1/d) sum_i [S(dephase(E^dag(|i><i|))) - S(E^dag(|i><i|))].
     """
-    d = _require_square(channel)
-    return measurement_coherence(pullback_povm(channel, basis_measurement(d)))
+    _require_square(channel)
+    return measurement_coherence(pulled_back_basis(channel))
 
 
 def state_cohering_power(channel: QuantumChannel) -> float:
@@ -97,10 +98,7 @@ def conversion_channel(channel: QuantumChannel) -> QuantumChannel:
     power without any additional coherence source."""
     d = _require_square(channel)
     pre = unitary_channel(cnot_matrix(d).conj().T)
-    return compose(
-        dephasing_channel(d * d),
-        compose(extend_with_identity(channel, d, "right"), pre),
-    )
+    return dephased(compose(extend_with_identity(channel, d, "right"), pre), "out")
 
 
 @dataclass(frozen=True)
@@ -133,11 +131,10 @@ def conversion_ent_lower_bound(
     d = _require_square(channel)
     if d > max_dim:
         raise UnsupportedScale(f"conversion certificate capped at dim {max_dim}, got {d}")
-    basis = basis_measurement(d)
-    pulled = pullback_povm(channel, basis)
+    pulled = pulled_back_basis(channel)
     power = measurement_coherence(pulled)
     # element (i, j) is U (E^dag(|i><i|) (x) |j><j|) U^dag, i-major
-    products = kron_stacks(pulled.stack, basis.stack)
+    products = kron_stacks(pulled.stack, basis_measurement(d).stack)
     u = cnot_matrix(d)
     embedded = u @ products.reshape(d * d, d * d, d * d) @ u.conj().T
     bounds = ere_lower_bounds(embedded, (d, d))
@@ -166,16 +163,14 @@ def composite_ent_lower_bound(
         raise PreconditionViolation(f"K must act on dimension {dd}")
     if l.dim_in != dd or l.dim_out != dd:
         raise PreconditionViolation(f"L must act on dimension {dd}")
-    if not classify_channel(k).dio:
+    if not is_dio(k):
         raise PreconditionViolation("K is not detection incoherent")
-    l_class = classify_channel(l)
-    if not (l_class.dio and l_class.unital):
+    if not (is_dio(l) and is_unital(l)):
         raise PreconditionViolation("L is not unital detection incoherent")
-    composite = compose(
-        dephasing_channel(dd),
-        compose(k, compose(extend_with_identity(channel, d, "right"), l)),
-    )
-    pulled = pullback_povm(composite, basis_measurement(dd))
+    # the basis measurement reads only the diagonal, so the final dephasing
+    # leaves the pulled-back elements unchanged and is not applied
+    composite = compose(k, compose(extend_with_identity(channel, d, "right"), l))
+    pulled = pulled_back_basis(composite)
     return float(np.mean(ere_lower_bounds(pulled.stack, (d, d))))
 
 
@@ -192,7 +187,7 @@ class DualityCheck:
 def duality_check(channel: QuantumChannel, tol: float = 1e-8) -> DualityCheck:
     """Verify c_g / d - tol <= C(adjoint) <= c_g + tol for a unital channel."""
     d = _require_square(channel)
-    if not classify_channel(channel).unital:
+    if not is_unital(channel):
         raise NotUnital("duality check requires a unital channel")
     c_g = state_cohering_power(channel)
     c_adj = measurement_cohering_power(adjoint_channel(channel))

@@ -14,9 +14,10 @@ from .channels import (
     QuantumChannel,
     basis_measurement,
     classical_postprocess,
-    classify_channel,
-    compose,
+    dephased,
     dephasing_channel,
+    is_dio,
+    is_unital,
     StochasticMatrix,
     unitary_channel,
 )
@@ -125,9 +126,8 @@ def random_dio(d: int, unital: bool, rng: SeededRng) -> QuantumChannel:
         channel = QuantumChannel(kraus)
     else:
         rank = int(rng.gen.integers(1, d * d + 1))
-        channel = compose(random_channel(d, rank, "general", rng), dephasing_channel(d))
-    flags = classify_channel(channel)
-    if not flags.dio or (unital and not flags.unital):
+        channel = dephased(random_channel(d, rank, "general", rng), "in")
+    if not is_dio(channel) or (unital and not is_unital(channel)):
         raise ConstructionFailed("sampled channel failed its class predicate")
     return channel
 

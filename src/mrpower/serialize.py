@@ -16,6 +16,7 @@ from typing import Any
 import numpy as np
 
 from .channels import Povm, QuantumChannel
+from .errors import NonFiniteEntry
 from .operators import require_finite
 
 
@@ -42,7 +43,12 @@ def matrix_from_wire(obj: Any, rows: int, cols: int, what: str) -> np.ndarray:
                 or not all(isinstance(v, (int, float)) for v in entry)
             ):
                 raise SchemaError(f"{what}: entry ({i}, {j}) must be a [re, im] pair")
-            out[i, j] = complex(entry[0], entry[1])
+            try:
+                out[i, j] = complex(entry[0], entry[1])
+            except OverflowError:  # a JSON integer beyond the float range
+                raise NonFiniteEntry(
+                    f"{what}: entry ({i}, {j}) is too large for a float"
+                ) from None
     require_finite(out, what)
     return out
 
@@ -125,7 +131,7 @@ def _load_json(path: str) -> Any:
             return json.load(handle)
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past int's digit limit
         raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
 
 

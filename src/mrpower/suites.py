@@ -19,8 +19,8 @@ import numpy as np
 
 from .channels import (
     classical_postprocess,
-    classify_channel,
     compose,
+    is_dio,
     mix_channels,
     mix_povm,
     pullback_povm,
@@ -89,7 +89,7 @@ class VerificationReport:
 
 def thread_count() -> int:
     raw = os.environ.get("MRPOWER_THREADS")
-    if raw is None:
+    if raw is None or not raw.strip():  # unset or empty: serial
         return 1
     try:
         value = int(raw)
@@ -218,10 +218,10 @@ def _trial_power_monotone(dim: int, rng: SeededRng, tol: float):
     violation = _worst(violation, abs(measurement_cohering_power(free)))
 
     detail = None
-    flags = classify_channel(channel)
-    if flags.dio and power > tol:
+    dio = is_dio(channel)
+    if dio and power > tol:
         detail = f"detection-incoherent channel with power {power:.3e}"
-    elif not flags.dio and power <= tol:
+    elif not dio and power <= tol:
         detail = "vanishing power for a channel outside the free class"
     return violation, detail
 

@@ -602,3 +602,93 @@ class TestChannelFromChoi:
     def test_rejects_non_trace_preserving(self):
         with pytest.raises(NotTracePreserving):
             mp.channel_from_choi(mp.HermitianOperator(np.eye(4)), 2, 2)
+
+
+def composed_channel(d, rng):
+    """A channel held only as a Choi matrix: the product of two random ones."""
+    return mp.compose(random_channel_any(d, rng.spawn(0)), random_channel_any(d, rng.spawn(1)))
+
+
+class TestPulledBackBasis:
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_matches_pullback_of_basis_measurement(self, dim):
+        rng = mp.SeededRng(250 + dim)
+        channels = [
+            random_channel_any(dim, rng.spawn(0)),
+            composed_channel(dim, rng.spawn(1)),
+            mp.random_dio(dim, True, rng.spawn(2)),
+        ]
+        for channel in channels:
+            reference = mp.pullback_povm(channel, mp.basis_measurement(dim))
+            pulled = mp.pulled_back_basis(channel)
+            assert np.array_equal(pulled.stack, reference.stack)
+            assert np.array_equal(pulled.spectra, reference.spectra)
+
+    def test_non_square_channel(self):
+        rng = mp.SeededRng(254)
+        channel = mp.compose(
+            mp.measurement_as_channel(mp.random_povm(3, 5, False, rng.spawn(0))),
+            random_channel_any(3, rng.spawn(1)),
+        )
+        reference = mp.pullback_povm(channel, mp.basis_measurement(5))
+        assert np.array_equal(mp.pulled_back_basis(channel).stack, reference.stack)
+
+
+class TestDephased:
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_matches_compose_with_dephasing_channel(self, dim):
+        rng = mp.SeededRng(255 + dim)
+        for channel in (random_channel_any(dim, rng.spawn(0)), composed_channel(dim, rng.spawn(1))):
+            after = mp.compose(mp.dephasing_channel(dim), channel)
+            before = mp.compose(channel, mp.dephasing_channel(dim))
+            assert np.array_equal(mp.dephased(channel, "out").choi.matrix, after.choi.matrix)
+            assert np.array_equal(mp.dephased(channel, "in").choi.matrix, before.choi.matrix)
+
+    def test_non_square_channel(self):
+        rng = mp.SeededRng(259)
+        channel = mp.measurement_as_channel(mp.random_povm(3, 5, True, rng))
+        after = mp.compose(mp.dephasing_channel(5), channel)
+        before = mp.compose(channel, mp.dephasing_channel(3))
+        assert np.array_equal(mp.dephased(channel, "out").choi.matrix, after.choi.matrix)
+        assert np.array_equal(mp.dephased(channel, "in").choi.matrix, before.choi.matrix)
+
+    def test_output_dephasing_leaves_the_pulled_back_basis(self):
+        channel = composed_channel(3, mp.SeededRng(260))
+        assert np.array_equal(
+            mp.pulled_back_basis(mp.dephased(channel, "out")).stack,
+            mp.pulled_back_basis(channel).stack,
+        )
+
+    def test_rejects_unknown_side(self):
+        with pytest.raises(ValueError):
+            mp.dephased(mp.identity_channel(2), "both")
+
+
+def class_family(kind, dim, rng):
+    if kind == "dio":
+        return mp.random_dio(dim, False, rng)
+    if kind == "unital_dio":
+        return mp.random_dio(dim, True, rng)
+    if kind == "mio_only":
+        u = mp.haar_unitary(dim, rng)
+        return mp.QuantumChannel([mp.basis_projector(j, dim).matrix @ u for j in range(dim)])
+    unital = mp.random_channel(dim, int(rng.gen.integers(1, dim * dim + 1)), "unital", rng)
+    return unital if rng.gen.integers(0, 2) else random_channel_any(dim, rng)
+
+
+class TestPredicatesMatchClassify:
+    @pytest.mark.parametrize("kind", ["dio", "unital_dio", "mio_only", "general"])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_families(self, kind, dim):
+        rng = mp.SeededRng(261 + dim)
+        for i in range(10):
+            channel = class_family(kind, dim, rng.spawn(i))
+            flags = mp.classify_channel(channel)
+            assert mp.is_dio(channel) == flags.dio
+            assert mp.is_unital(channel) == flags.unital
+
+    def test_non_square_channel_is_in_neither_class(self):
+        channel = mp.measurement_as_channel(mp.random_povm(3, 5, True, mp.SeededRng(264)))
+        assert not mp.is_dio(channel) and not mp.is_unital(channel)
+        flags = mp.classify_channel(channel)
+        assert not flags.dio and not flags.unital

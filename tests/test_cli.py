@@ -207,6 +207,14 @@ def write_nan_channel(tmp_path):
     return str(path)
 
 
+def write_overflow_channel(tmp_path):
+    """A channel file whose first entry is an integer no float can hold."""
+    text = json.dumps(channel_to_dict(mp.dephasing_channel(2)))
+    path = tmp_path / "overflow.json"
+    path.write_text(text.replace("1.0", "1" + "0" * 400, 1))
+    return str(path)
+
+
 class TestInvalidInputExitCodes:
     def test_power_on_nan_entry_exits_3(self, tmp_path, capsys):
         assert main(["power", write_nan_channel(tmp_path)]) == 3
@@ -257,6 +265,34 @@ class TestInvalidInputExitCodes:
         assert "cannot write" in streams.err
         assert streams.out == ""  # no suite ran
 
+    def test_power_on_overflowing_integer_exits_3(self, tmp_path, capsys):
+        assert main(["power", write_overflow_channel(tmp_path)]) == 3
+        assert "kraus[0]" in capsys.readouterr().err
+
+    def test_convert_on_overflowing_integer_keeps_earlier_output(self, tmp_path):
+        out = tmp_path / "out.json"
+        out.write_text("an earlier result")
+        assert main(["convert", write_overflow_channel(tmp_path), "--out", str(out)]) == 3
+        assert out.read_text() == "an earlier result"
+
+    @pytest.mark.parametrize("content", [
+        # an integer past Python's digit limit for int parsing
+        json.dumps(channel_to_dict(mp.dephasing_channel(2))).replace("1.0", "1" + "0" * 5000, 1)
+        .encode(),
+        b"\xff\xfe{}",  # not UTF-8
+    ])
+    def test_unparsable_file_exits_2(self, tmp_path, capsys, content):
+        path = tmp_path / "unparsable.json"
+        path.write_bytes(content)
+        assert main(["power", str(path)]) == 2
+        assert "not valid JSON" in capsys.readouterr().err
+
+    def test_empty_thread_count_runs_serially(self, monkeypatch, capsys):
+        for raw in ("", "  "):
+            monkeypatch.setenv("MRPOWER_THREADS", raw)
+            assert suites.thread_count() == 1
+            assert main(["verify", "--suite", "duality", "--trials", "2"]) == 0
+
     def test_bad_thread_count_exits_2(self, monkeypatch, capsys):
         monkeypatch.setenv("MRPOWER_THREADS", "abc")
         assert main(["verify", "--suite", "duality", "--trials", "2"]) == 2
@@ -298,3 +334,34 @@ class TestNanViolations:
         assert suites._worst(0.0, math.nan) == math.inf
         assert suites._worst(1e-3, math.nan, 0.0) == math.inf
         assert suites._worst(0.0, 2e-9) == 2e-9
+
+
+class TestParserReuse:
+    COMMANDS = (
+        ["power", "{g}", "--what", "c"],
+        ["power", "{g}"],
+        ["verify", "--suite", "duality", "--trials", "3", "--seed", "5"],
+        ["power", "{prep}", "--what", "cg"],
+        ["verify", "--suite", "cm_oracle", "--trials", "2"],
+        ["convert", "{g}", "--out", "{out}"],
+    )
+
+    def test_later_calls_match_fresh_parsers(self, tmp_path, capsys):
+        paths = {
+            "g": write_channel(tmp_path, "g.json", mp.example_channels()["g"]),
+            "prep": write_channel(tmp_path, "prep.json", mp.example_channels()["prep"]),
+            "out": str(tmp_path / "out.json"),
+        }
+        commands = [[arg.format(**paths) for arg in argv] for argv in self.COMMANDS]
+        wall_time = re.compile(r"\(\d+ ms\)")
+
+        def run(fresh):
+            outputs = []
+            for argv in commands:
+                if fresh:
+                    cli._parser.cache_clear()
+                code = main(argv)
+                outputs.append((code, wall_time.sub("", capsys.readouterr().out)))
+            return outputs
+
+        assert run(fresh=False) == run(fresh=True)
