@@ -7,7 +7,8 @@ Subcommands:
 
 Exit codes: 0 success; 1 suite failure (verify); 2 parse/flag errors;
 3 invalid channel input (any ToolkitError or LinAlgError a command lets
-through); 4 conversion certificate gap above tolerance.
+through); 4 conversion certificate gap above tolerance; 5 internal error
+(any other exception a command lets through).
 """
 
 from __future__ import annotations
@@ -15,7 +16,10 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
+import os
 import sys
+import traceback
 
 import numpy as np
 
@@ -37,6 +41,7 @@ EXIT_SUITE_FAILURE = 1
 EXIT_PARSE = 2
 EXIT_INVALID_CHANNEL = 3
 EXIT_GAP = 4
+EXIT_INTERNAL = 5
 
 
 def _fail(code: int, message: str) -> int:
@@ -139,8 +144,8 @@ def _cmd_verify(args) -> int:
         return _fail(EXIT_PARSE, f"--dim must be at least 2, got {args.dim}")
     if args.trials < 1:
         return _fail(EXIT_PARSE, f"--trials must be at least 1, got {args.trials}")
-    if args.tol is not None and args.tol <= 0:
-        return _fail(EXIT_PARSE, f"--tol must be positive, got {args.tol}")
+    if args.tol is not None and not (math.isfinite(args.tol) and args.tol > 0):
+        return _fail(EXIT_PARSE, f"--tol must be positive and finite, got {args.tol}")
     if args.suite == "cm_oracle" and args.dim != 2:
         return _fail(EXIT_PARSE, "cm_oracle is defined at dimension 2 only")
     if args.dim > DEFAULT_CONVERSION_DIM_CAP and args.suite in (
@@ -242,6 +247,11 @@ def main(argv=None) -> int:
     except (ToolkitError, np.linalg.LinAlgError) as exc:
         # invalid input found past loading, e.g. by the certificate or a power
         return _fail(EXIT_INVALID_CHANNEL, str(exc))
+    except Exception as exc:  # a fault in the program, never a suite failure
+        frame = traceback.extract_tb(exc.__traceback__)[-1]
+        where = f"{os.path.basename(frame.filename)}:{frame.lineno} in {frame.name}"
+        detail = " ".join(str(exc).split())  # one line, whatever the message holds
+        return _fail(EXIT_INTERNAL, f"internal error: {type(exc).__name__}: {detail} (at {where})")
 
 
 if __name__ == "__main__":

@@ -308,8 +308,9 @@ def run_suite(
 ) -> VerificationReport:
     """Run one named suite and assemble its report.
 
-    `tol` of None selects the suite's default tolerance. The oracle suite is
-    defined at dimension 2 only.
+    `tol` of None selects the suite's default tolerance; any other value
+    must be positive and finite. The oracle suite is defined at dimension 2
+    only.
     """
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}")
@@ -321,6 +322,8 @@ def run_suite(
         raise UnsupportedScale("cm_oracle is defined at dimension 2 only")
     trial_fn, default_tol, stream = SUITES[name]
     tolerance = default_tol if tol is None else float(tol)
+    if not (math.isfinite(tolerance) and tolerance > 0):
+        raise ValueError(f"tolerance must be positive and finite, got {tolerance}")
 
     suite_rng = SeededRng(seed).spawn(stream)
 

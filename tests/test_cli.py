@@ -142,6 +142,29 @@ class TestVerifyCommand:
     def test_conversion_dim_cap_exits_2(self):
         assert main(["verify", "--suite", "conversion_equality", "--dim", "7"]) == 2
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0"])
+    def test_tolerance_must_be_positive_and_finite(self, tol, capsys):
+        # --tol=-inf: a separate "-inf" would be read as an option by argparse
+        assert main(["verify", "--suite", "duality", "--trials", "2", f"--tol={tol}"]) == 2
+        streams = capsys.readouterr()
+        assert "--tol" in streams.err
+        assert streams.out == ""  # no suite ran
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -1e-8])
+    def test_run_suite_rejects_a_bad_tolerance(self, tol):
+        with pytest.raises(ValueError, match="tolerance"):
+            mp.run_suite("duality", dim=2, trials=2, seed=1, tol=tol)
+
+    def test_unexpected_exception_exits_5(self, monkeypatch, capsys):
+        def crash(*args, **kwargs):
+            raise RuntimeError("unexpected\nstate")
+
+        monkeypatch.setattr(cli, "run_suite", crash)
+        assert main(["verify", "--suite", "duality", "--trials", "2"]) == cli.EXIT_INTERNAL == 5
+        err = capsys.readouterr().err
+        assert err.startswith("error: internal error: RuntimeError: unexpected state (at ")
+        assert err.endswith(" in crash)\n") and err.count("\n") == 1
+
     def test_unknown_suite_exits_2(self):
         with pytest.raises(SystemExit) as info:
             main(["verify", "--suite", "nonsense"])

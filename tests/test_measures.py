@@ -78,6 +78,19 @@ class TestMeasurementRelativeEntropy:
             split = mp.measurement_relative_entropy(m, k) + mp.measurement_relative_entropy(n, l)
             assert joint == pytest.approx(split, abs=1e-8)
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason=(
+            "known failure: tensor additivity in dm_properties at d = 3 misses 1e-8 by "
+            "rounding (violation 1.16e-8); eigh's absolute error of about 1e-16 on a "
+            "product element's eigenvalue of 3.1e-11 is a relative error of about 3e-6, "
+            "which moves the divergence by about 1e-8"
+        ),
+    )
+    def test_dm_properties_tensor_additivity_at_d3(self):
+        report = mp.run_suite("dm_properties", dim=3, trials=20, seed=1199875773)
+        assert report.passed, f"max_violation {report.max_violation:.3e}"
+
     def test_support_mismatch_propagates(self):
         basis = mp.basis_measurement(2)
         swapped = mp.Povm([basis.elements[1], basis.elements[0]])

@@ -8,6 +8,7 @@ from mrpower.errors import (
     PreconditionViolation,
     UnsupportedScale,
 )
+from mrpower.measures import ere_lower_bounds
 
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
 
@@ -84,6 +85,47 @@ class TestConversionChannel:
         certificate = mp.conversion_ent_lower_bound(mp.dephasing_channel(2))
         assert certificate.cohering_power == pytest.approx(0.0, abs=1e-9)
         assert certificate.avg_ere_lower_bound == pytest.approx(0.0, abs=1e-9)
+
+
+def composed_conversion_channel(channel):
+    """dephase . (E (x) id) . CNOT^dag as written, from superoperator
+    products: the reference for `conversion_channel`."""
+    d = channel.dim_in
+    pre = mp.unitary_channel(mp.cnot_matrix(d).conj().T)
+    return mp.dephased(mp.compose(mp.extend_with_identity(channel, d, "right"), pre), "out")
+
+
+def conversion_inputs(dim, seed):
+    rng = mp.SeededRng(seed)
+    return {
+        "full_rank": mp.random_channel(dim, dim * dim, "general", rng.spawn(0)),
+        "rank_2": mp.random_channel(dim, 2, "general", rng.spawn(1)),
+        "haar_unitary": mp.unitary_channel(mp.haar_unitary(dim, rng.spawn(2))),
+        "dephasing": mp.dephasing_channel(dim),
+    }
+
+
+class TestConversionChannelMatchesComposition:
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    def test_same_channel_and_minimal_kraus_count(self, dim):
+        for name, channel in conversion_inputs(dim, 420 + dim).items():
+            converted = mp.conversion_channel(channel)
+            reference = composed_conversion_channel(channel)
+            assert mp.choi_distance(converted, reference) <= 1e-12, name
+            assert converted.kraus.shape[0] == reference.kraus.shape[0], name
+            assert converted.kraus.shape[0] <= dim**3, name
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_pulled_back_elements_give_the_certificate_bounds(self, dim):
+        for name, channel in conversion_inputs(dim, 430 + dim).items():
+            pulled = mp.pulled_back_basis(mp.conversion_channel(channel))
+            np.testing.assert_allclose(
+                ere_lower_bounds(pulled.stack, (dim, dim)),
+                mp.conversion_ent_lower_bound(channel).per_element_bounds,
+                rtol=0,
+                atol=1e-12,
+                err_msg=name,
+            )
 
 
 class TestConversionCertificate:

@@ -1,0 +1,107 @@
+"""Seeded fuzz of the channel wire format.
+
+Valid channel files are mutated (an entry swapped for a non-number, the
+nesting depth changed, a row dropped or duplicated, the text truncated), and
+`power` and `convert` must exit 0, 2 or 3 on every one, never with a
+traceback. A `convert` that fails leaves an existing `--out` unchanged.
+"""
+
+import json
+import random
+
+import mrpower as mp
+from mrpower.cli import main
+from mrpower.serialize import channel_to_dict
+
+FUZZ_SEED = 61
+CASES = 400
+ALLOWED_EXITS = (0, 2, 3)
+ODD_VALUES = ("entry", None, True, 10**400, float("nan"), float("inf"))
+
+
+def base_channels():
+    rng = mp.SeededRng(FUZZ_SEED)
+    channels = [
+        mp.dephasing_channel(2),
+        mp.example_channels()["g"],
+        mp.random_channel(2, 3, "general", rng.spawn(0)),
+        mp.random_channel(3, 2, "general", rng.spawn(1)),
+    ]
+    return [channel_to_dict(channel) for channel in channels]
+
+
+def random_list(wire, depth, rng):
+    """A random nested list up to `depth` levels below wire["kraus"], the
+    Kraus list (0), an operator (1), a row (2) or an entry pair (3), stopping
+    higher up where an earlier mutation left no non-empty list to descend to."""
+    node = wire["kraus"]
+    for _ in range(depth):
+        children = [child for child in node if isinstance(child, list) and child]
+        if not children:
+            break
+        node = rng.choice(children)
+    return node
+
+
+def swap_entry(wire, rng):
+    node = random_list(wire, 3, rng)
+    if node:
+        node[rng.randrange(len(node))] = rng.choice(ODD_VALUES)
+
+
+def change_depth(wire, rng):
+    node = random_list(wire, rng.randrange(3), rng)
+    if not node:
+        return
+    index = rng.randrange(len(node))
+    if rng.random() < 0.5 or not isinstance(node[index], list) or not node[index]:
+        node[index] = [node[index]]
+    else:
+        node[index] = node[index][0]
+
+
+def drop_or_duplicate_row(wire, rng):
+    node = random_list(wire, 1, rng)
+    if not node:
+        return
+    index = rng.randrange(len(node))
+    if rng.random() < 0.5:
+        del node[index]
+    else:
+        node.insert(index, json.loads(json.dumps(node[index])))
+
+
+MUTATIONS = (swap_entry, change_depth, drop_or_duplicate_row)
+
+
+def mutated_text(rng, wires):
+    wire = json.loads(json.dumps(rng.choice(wires)))
+    if rng.random() < 0.2:
+        text = json.dumps(wire)
+        return text[: rng.randrange(len(text))]
+    for _ in range(rng.randint(1, 2)):
+        rng.choice(MUTATIONS)(wire, rng)
+    return json.dumps(wire)  # NaN and Infinity as Python's json writes them
+
+
+def test_mutated_channel_files_exit_cleanly(tmp_path, capsys):
+    rng = random.Random(FUZZ_SEED)
+    wires = base_channels()
+    # the unmutated files first: the mutations start from valid input
+    texts = [json.dumps(wire) for wire in wires]
+    texts += [mutated_text(rng, wires) for _ in range(CASES)]
+    path, out = tmp_path / "mutated.json", tmp_path / "converted.json"
+    seen = set()
+    for case, text in enumerate(texts):
+        path.write_text(text, encoding="utf-8")
+        power_code = main(["power", str(path)])
+        out.write_text("an earlier result", encoding="utf-8")
+        convert_code = main(["convert", str(path), "--out", str(out)])
+        capsys.readouterr()
+        context = f"case {case}: {text[:200]}"
+        assert power_code in ALLOWED_EXITS, context
+        assert convert_code in ALLOWED_EXITS, context
+        if convert_code != 0:
+            assert out.read_text(encoding="utf-8") == "an earlier result", context
+        seen.add(convert_code)
+    assert seen == set(ALLOWED_EXITS)
