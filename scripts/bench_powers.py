@@ -2,13 +2,16 @@
 
 Times the measurement-cohering power C, the state-cohering power C_g, the
 conversion certificate and the conversion channel at d = 2, 4 and 6, each on
-one full-Kraus-rank random channel. `conversion_channel+kraus` also reads the
-channel's Kraus set, which `convert` writes, so a construction that defers its
-Kraus set cannot look faster than it is. Each quantity and dimension is timed
-in a fresh interpreter, so that no measurement inherits the allocator state
-of another: it is called once to warm up, then timed call by call until it
-has run at least MIN_CALLS times and for at least MIN_SECONDS (or MAX_CALLS
-times). The output records the median and quartiles of the per-call times
+one full-Kraus-rank random channel, and the sandwiched-composite bound at
+d = 2, 3 and 4 on such a channel between a detection-incoherent K and a
+unital detection-incoherent L on dimension d^2, sampled before the timed
+calls. `conversion_channel+kraus` also reads the channel's Kraus set, which
+`convert` writes, so a construction that defers its Kraus set cannot look
+faster than it is. Each quantity and dimension is timed in a fresh
+interpreter, so that no measurement inherits the allocator state of another:
+it is called once to warm up, then timed call by call until it has run at
+least MIN_CALLS times and for at least MIN_SECONDS (or MAX_CALLS times). The
+output records the median and quartiles of the per-call times
 with the environment they were taken in.
 
 Usage: PYTHONPATH=src python scripts/bench_powers.py [--out BENCH_powers.json]
@@ -30,29 +33,42 @@ import numpy as np
 import mrpower as mp
 
 DIMS = (2, 4, 6)
+COMPOSITE_DIMS = (2, 3, 4)
 SEED = 20241018
 MIN_CALLS = 7
 MIN_SECONDS = 0.5
 MAX_CALLS = 2000
 
+# name -> (function, dimensions)
 QUANTITIES = {
-    "C": mp.measurement_cohering_power,
-    "C_g": mp.state_cohering_power,
-    "certificate": mp.conversion_ent_lower_bound,
-    "conversion_channel": mp.conversion_channel,
-    "conversion_channel+kraus": lambda channel: mp.conversion_channel(channel).kraus,
+    "C": (mp.measurement_cohering_power, DIMS),
+    "C_g": (mp.state_cohering_power, DIMS),
+    "certificate": (mp.conversion_ent_lower_bound, DIMS),
+    "conversion_channel": (mp.conversion_channel, DIMS),
+    "conversion_channel+kraus": (lambda channel: mp.conversion_channel(channel).kraus, DIMS),
+    "composite_bound": (mp.composite_ent_lower_bound, COMPOSITE_DIMS),
 }
 
 
+def inputs(name: str, d: int) -> tuple:
+    rng = mp.SeededRng(SEED).spawn(d)
+    channel = mp.random_channel(d, d * d, "general", rng)
+    if name != "composite_bound":
+        return (channel,)
+    k = mp.random_dio(d * d, False, rng.spawn(1))
+    l = mp.random_dio(d * d, True, rng.spawn(2))
+    return channel, k, l
+
+
 def per_call_ms(name: str, d: int) -> list[float]:
-    fn = QUANTITIES[name]
-    channel = mp.random_channel(d, d * d, "general", mp.SeededRng(SEED).spawn(d))
-    fn(channel)
+    fn = QUANTITIES[name][0]
+    args = inputs(name, d)
+    fn(*args)
     times: list[float] = []
     spent = 0.0
     while len(times) < MAX_CALLS and (len(times) < MIN_CALLS or spent < MIN_SECONDS):
         start = time.perf_counter()
-        fn(channel)
+        fn(*args)
         elapsed = time.perf_counter() - start
         times.append(elapsed * 1e3)
         spent += elapsed
@@ -76,8 +92,8 @@ def main(argv=None) -> int:
         return 0
 
     results = []
-    for d in DIMS:
-        for name in QUANTITIES:
+    for d in sorted(set(DIMS) | set(COMPOSITE_DIMS)):
+        for name in (name for name, (_, dims) in QUANTITIES.items() if d in dims):
             command = [sys.executable, __file__, "--measure", name, str(d)]
             times = json.loads(subprocess.run(command, check=True, capture_output=True,
                                               text=True).stdout)

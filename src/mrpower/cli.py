@@ -32,7 +32,7 @@ from .powers import (
     state_cohering_power,
 )
 from .serialize import SchemaError, load_channel, save_channel
-from .suites import SUITE_NAMES, VerificationReport, run_suite, thread_count
+from .suites import SUITE_NAMES, VerificationReport, run_suite
 
 CONVERT_GAP_TOL = 1e-9
 
@@ -154,10 +154,6 @@ def _cmd_verify(args) -> int:
         return _fail(
             EXIT_PARSE, f"conversion suites are capped at dimension {DEFAULT_CONVERSION_DIM_CAP}"
         )
-    try:
-        thread_count()
-    except ValueError as exc:
-        return _fail(EXIT_PARSE, str(exc))
     problem = args.out and _unwritable(args.out)
     if problem:
         return _fail(EXIT_PARSE, problem)

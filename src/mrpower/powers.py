@@ -18,13 +18,12 @@ from .channels import (
     QuantumChannel,
     adjoint_channel,
     basis_measurement,
-    compose,
-    extend_with_identity,
     is_dio,
     is_unital,
     kron_stacks,
     measurement_as_channel,
     pad_povm,
+    pullback_povm,
     pulled_back_basis,
     unitary_channel,
 )
@@ -41,11 +40,10 @@ from .measures import (
 )
 
 # Input-dimension cap of the conversion certificate, and so of `convert` and
-# the conversion suites; configurable upward per call. Measured for `convert`
-# on a full-Kraus-rank channel (Python 3.11, numpy 2.4, one BLAS thread,
-# 2-vCPU VM): d = 6 takes 0.21 s, writes 3.4 MB and peaks at 153 MiB RSS;
-# d = 7 takes 0.73-0.82 s, writes 10.1 MB and peaks at 425 MiB. The
-# certificate alone takes 3 ms at d = 6.
+# the conversion suites. Measured for `convert` on a full-Kraus-rank channel
+# (Python 3.11, numpy 2.4, one BLAS thread, 2-vCPU VM): d = 6 takes 0.21 s,
+# writes 3.4 MB and peaks at 153 MiB RSS; d = 7 takes 0.73-0.82 s, writes
+# 10.1 MB and peaks at 425 MiB. The certificate alone takes 3 ms at d = 6.
 DEFAULT_CONVERSION_DIM_CAP = 6
 
 
@@ -134,9 +132,7 @@ class ConversionCertificate:
     gap: float
 
 
-def conversion_ent_lower_bound(
-    channel: QuantumChannel, max_dim: int = DEFAULT_CONVERSION_DIM_CAP
-) -> ConversionCertificate:
+def conversion_ent_lower_bound(channel: QuantumChannel) -> ConversionCertificate:
     """Certificate that the conversion channel entangles exactly as much as
     the input channel coheres.
 
@@ -146,8 +142,10 @@ def conversion_ent_lower_bound(
     coherence term exactly.
     """
     d = _require_square(channel)
-    if d > max_dim:
-        raise UnsupportedScale(f"conversion certificate capped at dim {max_dim}, got {d}")
+    if d > DEFAULT_CONVERSION_DIM_CAP:
+        raise UnsupportedScale(
+            f"conversion certificate capped at dim {DEFAULT_CONVERSION_DIM_CAP}, got {d}"
+        )
     pulled = pulled_back_basis(channel)
     power = measurement_coherence(pulled)
     bounds = ere_lower_bounds(_embedded_elements(pulled), (d, d))
@@ -181,9 +179,12 @@ def composite_ent_lower_bound(
     if not (is_dio(l) and is_unital(l)):
         raise PreconditionViolation("L is not unital detection incoherent")
     # the basis measurement reads only the diagonal, so the final dephasing
-    # leaves the pulled-back elements unchanged and is not applied
-    composite = compose(k, compose(extend_with_identity(channel, d, "right"), l))
-    pulled = pulled_back_basis(composite)
+    # leaves the pulled-back elements unchanged and is not applied; E^dag
+    # acts on the first factor of each Y_n = K^dag(|n><n|):
+    # X[n, i, x, j, y] = sum_ab conj(J[a, i, b, j]) Y[n, a, x, b, y]
+    y = pulled_back_basis(k).stack.reshape(dd, d, d, d, d)
+    x = np.einsum("aibj,naxby->nixjy", channel.choi.matrix.reshape(d, d, d, d).conj(), y)
+    pulled = pullback_povm(l, Povm(x.reshape(dd, dd, dd)))
     return float(np.mean(ere_lower_bounds(pulled.stack, (d, d))))
 
 

@@ -41,7 +41,7 @@ class SeededRng:
 
     Two instances built from the same master seed replay the same draw
     sequence bit for bit; `spawn(i)` derives an independent stream for
-    trial i, so parallel trials reproduce regardless of execution order.
+    trial i, so trials are order-independent.
     """
 
     algorithm = "philox4x64"

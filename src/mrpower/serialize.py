@@ -3,8 +3,9 @@
 Complex entries travel as [re, im] pairs. A channel file is
 {"dim_in": d, "dim_out": d', "kraus": [matrix, ...]} and a POVM file is
 {"dim": d, "elements": [matrix, ...]} with each matrix a nested list of
-[re, im] pairs. A malformed file raises SchemaError; a NaN or infinite
-entry is well-formed JSON to Python but invalid input, and raises
+[re, im] pairs of JSON numbers. A malformed file raises SchemaError, and so
+does a `true` or `false` entry, which Python reads as an int; a NaN or
+infinite entry is well-formed JSON to Python but invalid input, and raises
 NonFiniteEntry.
 """
 
@@ -41,6 +42,7 @@ def matrix_from_wire(obj: Any, rows: int, cols: int, what: str) -> np.ndarray:
                 not isinstance(entry, list)
                 or len(entry) != 2
                 or not all(isinstance(v, (int, float)) for v in entry)
+                or any(isinstance(v, bool) for v in entry)  # JSON true is an int to Python
             ):
                 raise SchemaError(f"{what}: entry ({i}, {j}) must be a [re, im] pair")
             try:
@@ -53,22 +55,26 @@ def matrix_from_wire(obj: Any, rows: int, cols: int, what: str) -> np.ndarray:
     return out
 
 
-def stack_from_wire(items: list, rows: int, cols: int, what: str) -> np.ndarray:
+def stack_from_wire(
+    items: list, rows: int, cols: int, what: str, *, boolean_free: bool = False
+) -> np.ndarray:
     """The matrices of a wire list as one complex (n, rows, cols) array.
 
-    A list that numpy reads as one real (n, rows, cols, 2) block converts in
-    one step; for JSON input that is exactly what the entry-by-entry
-    `matrix_from_wire` accepts. Anything else goes through that loop, which
-    names the matrix and entry at fault.
+    With `boolean_free`, the caller's word that the list holds no bool (it
+    was decoded from JSON text without `true` or `false`), a list that numpy
+    reads as one real (n, rows, cols, 2) block converts in one step: numpy
+    reads True as 1.0, and without bools that block is exactly what the
+    entry-by-entry `matrix_from_wire` accepts. Anything else goes through
+    that loop, which names the matrix and entry at fault.
     """
     try:
-        block = np.array(items)
+        block = np.array(items) if boolean_free else None
     except ValueError:  # ragged nesting
         block = None
     if (
         block is None
         or block.shape != (len(items), rows, cols, 2)
-        or block.dtype.kind not in "biuf"
+        or block.dtype.kind not in "iuf"
     ):
         return np.array(
             [matrix_from_wire(m, rows, cols, f"{what}[{i}]") for i, m in enumerate(items)]
@@ -97,7 +103,7 @@ def channel_to_dict(channel: QuantumChannel) -> dict:
     }
 
 
-def channel_from_dict(obj: Any) -> QuantumChannel:
+def channel_from_dict(obj: Any, *, boolean_free: bool = False) -> QuantumChannel:
     if not isinstance(obj, dict):
         raise SchemaError("channel file must hold a JSON object")
     dim_in = _require_positive_int(obj, "dim_in", "channel")
@@ -105,7 +111,8 @@ def channel_from_dict(obj: Any) -> QuantumChannel:
     kraus_obj = obj.get("kraus")
     if not isinstance(kraus_obj, list) or not kraus_obj:
         raise SchemaError("channel: 'kraus' must be a non-empty list")
-    return QuantumChannel(stack_from_wire(kraus_obj, dim_out, dim_in, "kraus"))
+    kraus = stack_from_wire(kraus_obj, dim_out, dim_in, "kraus", boolean_free=boolean_free)
+    return QuantumChannel(kraus)
 
 
 def povm_to_dict(povm: Povm) -> dict:
@@ -115,20 +122,34 @@ def povm_to_dict(povm: Povm) -> dict:
     }
 
 
-def povm_from_dict(obj: Any) -> Povm:
+def povm_from_dict(obj: Any, *, boolean_free: bool = False) -> Povm:
     if not isinstance(obj, dict):
         raise SchemaError("POVM file must hold a JSON object")
     dim = _require_positive_int(obj, "dim", "povm")
     elements_obj = obj.get("elements")
     if not isinstance(elements_obj, list) or not elements_obj:
         raise SchemaError("povm: 'elements' must be a non-empty list")
-    return Povm(stack_from_wire(elements_obj, dim, dim, "elements"))
+    return Povm(stack_from_wire(elements_obj, dim, dim, "elements", boolean_free=boolean_free))
 
 
-def _load_json(path: str) -> Any:
+def _has_boolean_token(text: str) -> bool:
+    """Whether `true` or `false` occurs in the text: two memchr-speed scans for
+    the first letters when they are absent, where `"true" in text` crawls."""
+    for word in ("true", "false"):
+        at = text.find(word[0])
+        while at >= 0:
+            if text.startswith(word, at):
+                return True
+            at = text.find(word[0], at + 1)
+    return False
+
+
+def _load_json(path: str) -> tuple[Any, bool]:
+    """The decoded file, and whether its text is free of JSON booleans."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
+            text = handle.read()
+        return json.loads(text), not _has_boolean_token(text)
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:  # JSONDecodeError, or an integer past int's digit limit
@@ -136,7 +157,8 @@ def _load_json(path: str) -> Any:
 
 
 def load_channel(path: str) -> QuantumChannel:
-    return channel_from_dict(_load_json(path))
+    obj, boolean_free = _load_json(path)
+    return channel_from_dict(obj, boolean_free=boolean_free)
 
 
 def save_channel(path: str, channel: QuantumChannel) -> None:
@@ -146,7 +168,8 @@ def save_channel(path: str, channel: QuantumChannel) -> None:
 
 
 def load_povm(path: str) -> Povm:
-    return povm_from_dict(_load_json(path))
+    obj, boolean_free = _load_json(path)
+    return povm_from_dict(obj, boolean_free=boolean_free)
 
 
 def save_povm(path: str, povm: Povm) -> None:

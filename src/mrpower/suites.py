@@ -3,16 +3,13 @@
 Every suite runs `trials` independent trials, each seeded through
 splitmix64 from the master seed, and records a nonnegative violation per
 trial (inequality slack, or absolute residual for equalities). Trials are
-scheduling-independent, so reports are reproducible for a fixed seed no
-matter the parallelism degree (MRPOWER_THREADS, 0 = auto).
+order-independent, so reports are reproducible for a fixed seed.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -85,27 +82,6 @@ class VerificationReport:
             "passed": self.passed,
             "wall_time_ms": self.wall_time_ms,
         }
-
-
-def thread_count() -> int:
-    raw = os.environ.get("MRPOWER_THREADS")
-    if raw is None or not raw.strip():  # unset or empty: serial
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"MRPOWER_THREADS must be an integer, got {raw!r}") from None
-    if value == 0:
-        return os.cpu_count() or 1
-    return max(1, value)
-
-
-def _map_trials(fn, trials: int) -> list:
-    workers = thread_count()
-    if workers <= 1:
-        return [fn(i) for i in range(trials)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(trials)))
 
 
 def _worst(*violations: float) -> float:
@@ -335,7 +311,7 @@ def run_suite(
             return math.inf, f"{type(exc).__name__}: {exc}"
 
     start = time.perf_counter()
-    outcomes = _map_trials(one, trials)
+    outcomes = [one(i) for i in range(trials)]
     elapsed_ms = int(round((time.perf_counter() - start) * 1000.0))
 
     values = [_worst(v) for v, _ in outcomes]  # NaN read as +inf

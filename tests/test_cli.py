@@ -211,17 +211,6 @@ class TestVerifyCommand:
         assert normalized_a == normalized_b
 
 
-class TestThreading:
-    def test_parallel_map_reproduces_serial_results(self, monkeypatch):
-        serial = mp.run_suite("duality", dim=2, trials=8, seed=11)
-        monkeypatch.setenv("MRPOWER_THREADS", "4")
-        threaded = mp.run_suite("duality", dim=2, trials=8, seed=11)
-        assert threaded.trial_values == serial.trial_values
-        monkeypatch.setenv("MRPOWER_THREADS", "0")  # auto
-        auto = mp.run_suite("duality", dim=2, trials=8, seed=11)
-        assert auto.trial_values == serial.trial_values
-
-
 def write_nan_channel(tmp_path):
     wire = channel_to_dict(mp.dephasing_channel(2))
     wire["kraus"][0][0][0] = [math.nan, 0.0]
@@ -310,16 +299,12 @@ class TestInvalidInputExitCodes:
         assert main(["power", str(path)]) == 2
         assert "not valid JSON" in capsys.readouterr().err
 
-    def test_empty_thread_count_runs_serially(self, monkeypatch, capsys):
-        for raw in ("", "  "):
-            monkeypatch.setenv("MRPOWER_THREADS", raw)
-            assert suites.thread_count() == 1
-            assert main(["verify", "--suite", "duality", "--trials", "2"]) == 0
-
-    def test_bad_thread_count_exits_2(self, monkeypatch, capsys):
-        monkeypatch.setenv("MRPOWER_THREADS", "abc")
-        assert main(["verify", "--suite", "duality", "--trials", "2"]) == 2
-        assert "MRPOWER_THREADS" in capsys.readouterr().err
+    def test_boolean_entry_exits_2(self, tmp_path, capsys):
+        text = json.dumps(channel_to_dict(mp.identity_channel(2))).replace("1.0", "true")
+        path = tmp_path / "boolean.json"
+        path.write_text(text)
+        assert main(["power", str(path)]) == 2
+        assert "[re, im] pair" in capsys.readouterr().err
 
     def test_dimension_cap_is_the_certificate_cap(self, capsys):
         dim = DEFAULT_CONVERSION_DIM_CAP + 1

@@ -81,11 +81,37 @@ class TestChannelWireFormat:
     def test_whole_list_conversion_matches_the_entry_loop(self):
         channel = mp.random_channel(3, 5, "general", mp.SeededRng(504))
         kraus = json.loads(json.dumps(channel_to_dict(channel)))["kraus"]
-        kraus[0][0][0] = [1, True]  # JSON integers and booleans are numbers too
+        kraus[0][0][0] = [1, 0]  # JSON integers are numbers too
         loop = np.array(
             [matrix_from_wire(k, 3, 3, f"kraus[{i}]") for i, k in enumerate(kraus)]
         )
-        assert np.array_equal(stack_from_wire(kraus, 3, 3, "kraus"), loop)
+        assert np.array_equal(stack_from_wire(kraus, 3, 3, "kraus", boolean_free=True), loop)
+
+    @pytest.mark.parametrize("pair", [[True, 0.0], [1.0, False], [True, False]])
+    def test_rejects_boolean_entry(self, pair):
+        wire = json.loads(json.dumps(channel_to_dict(mp.identity_channel(2))))
+        wire["kraus"][0][0][0] = pair
+        with pytest.raises(SchemaError, match=r"kraus\[0\]: entry \(0, 0\)"):
+            channel_from_dict(wire)
+
+    @pytest.mark.parametrize("replacements", [
+        {"1.0": "true"},  # numpy reads [true, 0.0] as a float block
+        {"1.0": "true", "0.0": "false"},  # and [true, false] as a bool block
+    ])
+    def test_rejects_boolean_entry_in_a_file(self, tmp_path, replacements):
+        text = json.dumps(channel_to_dict(mp.identity_channel(2)))
+        for number, word in replacements.items():
+            text = text.replace(number, word)
+        path = tmp_path / "boolean.json"
+        path.write_text(text)
+        with pytest.raises(SchemaError, match="must be a \\[re, im\\] pair"):
+            load_channel(str(path))
+
+    def test_boolean_text_outside_entries_still_loads(self, tmp_path):
+        path = tmp_path / "annotated.json"
+        wire = channel_to_dict(mp.identity_channel(2))
+        path.write_text(json.dumps({"note": "true or false", **wire}))
+        assert mp.choi_distance(load_channel(str(path)), mp.identity_channel(2)) <= 1e-12
 
     def test_invalid_channel_is_not_a_schema_error(self):
         wire = {

@@ -3,7 +3,9 @@
 Valid channel files are mutated (an entry swapped for a non-number, the
 nesting depth changed, a row dropped or duplicated, the text truncated), and
 `power` and `convert` must exit 0, 2 or 3 on every one, never with a
-traceback. A `convert` that fails leaves an existing `--out` unchanged.
+traceback. A file that still holds a `true` is never a channel, so neither
+command exits 0 on it. A `convert` that fails leaves an existing `--out`
+unchanged.
 """
 
 import json
@@ -92,6 +94,7 @@ def test_mutated_channel_files_exit_cleanly(tmp_path, capsys):
     texts += [mutated_text(rng, wires) for _ in range(CASES)]
     path, out = tmp_path / "mutated.json", tmp_path / "converted.json"
     seen = set()
+    booleans = 0
     for case, text in enumerate(texts):
         path.write_text(text, encoding="utf-8")
         power_code = main(["power", str(path)])
@@ -103,5 +106,9 @@ def test_mutated_channel_files_exit_cleanly(tmp_path, capsys):
         assert convert_code in ALLOWED_EXITS, context
         if convert_code != 0:
             assert out.read_text(encoding="utf-8") == "an earlier result", context
+        if "true" in text:
+            assert power_code != 0 and convert_code != 0, context
+            booleans += 1
         seen.add(convert_code)
     assert seen == set(ALLOWED_EXITS)
+    assert booleans > 0
