@@ -41,9 +41,12 @@ from .measures import (
 
 # Input-dimension cap of the conversion certificate, and so of `convert` and
 # the conversion suites. Measured for `convert` on a full-Kraus-rank channel
-# (Python 3.11, numpy 2.4, one BLAS thread, 2-vCPU VM): d = 6 takes 0.21 s,
-# writes 3.4 MB and peaks at 153 MiB RSS; d = 7 takes 0.73-0.82 s, writes
-# 10.1 MB and peaks at 425 MiB. The certificate alone takes 3 ms at d = 6.
+# (Python 3.11, numpy 2.4, one BLAS thread, 2-vCPU VM whose speed varies
+# about 2x between phases): d = 6 takes 0.33-0.46 s with the file read and
+# written, writes 3,447,758 B and peaks at 147 MiB RSS, which the dense
+# d^4 x d^4 Choi matrix of the converted channel sets; in an earlier, faster
+# phase, d = 6 took 0.21 s and d = 7 took 0.73-0.82 s, wrote 10.1 MB and
+# peaked at 425 MiB. The certificate alone takes 3 ms at d = 6.
 DEFAULT_CONVERSION_DIM_CAP = 6
 
 

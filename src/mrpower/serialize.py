@@ -7,11 +7,20 @@ Complex entries travel as [re, im] pairs. A channel file is
 does a `true` or `false` entry, which Python reads as an int; a NaN or
 infinite entry is well-formed JSON to Python but invalid input, and raises
 NonFiniteEntry.
+
+Decoding with `json.loads` and checking entry by entry is the reference.
+A channel file in exactly the layout `save_channel` writes also has a text
+path, which reads every number in one `np.fromstring` pass; it returns only
+what the reference would return, bit for bit, and hands every other file,
+and every error, to the reference.
 """
 
 from __future__ import annotations
 
+import io
 import json
+import re
+import warnings
 from typing import Any
 
 import numpy as np
@@ -55,37 +64,13 @@ def matrix_from_wire(obj: Any, rows: int, cols: int, what: str) -> np.ndarray:
     return out
 
 
-def stack_from_wire(
-    items: list, rows: int, cols: int, what: str, *, boolean_free: bool = False
-) -> np.ndarray:
-    """The matrices of a wire list as one complex (n, rows, cols) array.
-
-    With `boolean_free`, the caller's word that the list holds no bool (it
-    was decoded from JSON text without `true` or `false`), a list that numpy
-    reads as one real (n, rows, cols, 2) block converts in one step: numpy
-    reads True as 1.0, and without bools that block is exactly what the
-    entry-by-entry `matrix_from_wire` accepts. Anything else goes through
-    that loop, which names the matrix and entry at fault.
-    """
-    try:
-        block = np.array(items) if boolean_free else None
-    except ValueError:  # ragged nesting
-        block = None
-    if (
-        block is None
-        or block.shape != (len(items), rows, cols, 2)
-        or block.dtype.kind not in "iuf"
-    ):
-        return np.array(
-            [matrix_from_wire(m, rows, cols, f"{what}[{i}]") for i, m in enumerate(items)]
-        )
-    # each trailing [re, im] pair of float64 is one complex128
-    stack = np.ascontiguousarray(block, dtype=float).view(complex)[..., 0]
-    finite = np.isfinite(stack).all(axis=(1, 2))
-    if not finite.all():
-        bad = int(np.argmin(finite))
-        require_finite(stack[bad], f"{what}[{bad}]")
-    return stack
+def stack_from_wire(items: list, rows: int, cols: int, what: str) -> np.ndarray:
+    """The matrices of a wire list as one complex (n, rows, cols) array,
+    checked entry by entry, so that an error names the matrix and entry at
+    fault."""
+    return np.array(
+        [matrix_from_wire(m, rows, cols, f"{what}[{i}]") for i, m in enumerate(items)]
+    )
 
 
 def _require_positive_int(obj: Any, key: str, what: str) -> int:
@@ -103,7 +88,7 @@ def channel_to_dict(channel: QuantumChannel) -> dict:
     }
 
 
-def channel_from_dict(obj: Any, *, boolean_free: bool = False) -> QuantumChannel:
+def channel_from_dict(obj: Any) -> QuantumChannel:
     if not isinstance(obj, dict):
         raise SchemaError("channel file must hold a JSON object")
     dim_in = _require_positive_int(obj, "dim_in", "channel")
@@ -111,8 +96,7 @@ def channel_from_dict(obj: Any, *, boolean_free: bool = False) -> QuantumChannel
     kraus_obj = obj.get("kraus")
     if not isinstance(kraus_obj, list) or not kraus_obj:
         raise SchemaError("channel: 'kraus' must be a non-empty list")
-    kraus = stack_from_wire(kraus_obj, dim_out, dim_in, "kraus", boolean_free=boolean_free)
-    return QuantumChannel(kraus)
+    return QuantumChannel(stack_from_wire(kraus_obj, dim_out, dim_in, "kraus"))
 
 
 def povm_to_dict(povm: Povm) -> dict:
@@ -122,54 +106,152 @@ def povm_to_dict(povm: Povm) -> dict:
     }
 
 
-def povm_from_dict(obj: Any, *, boolean_free: bool = False) -> Povm:
+def povm_from_dict(obj: Any) -> Povm:
     if not isinstance(obj, dict):
         raise SchemaError("POVM file must hold a JSON object")
     dim = _require_positive_int(obj, "dim", "povm")
     elements_obj = obj.get("elements")
     if not isinstance(elements_obj, list) or not elements_obj:
         raise SchemaError("povm: 'elements' must be a non-empty list")
-    return Povm(stack_from_wire(elements_obj, dim, dim, "elements", boolean_free=boolean_free))
+    return Povm(stack_from_wire(elements_obj, dim, dim, "elements"))
 
 
-def _has_boolean_token(text: str) -> bool:
-    """Whether `true` or `false` occurs in the text: two memchr-speed scans for
-    the first letters when they are absent, where `"true" in text` crawls."""
-    for word in ("true", "false"):
-        at = text.find(word[0])
-        while at >= 0:
-            if text.startswith(word, at):
-                return True
-            at = text.find(word[0], at + 1)
-    return False
+# The layout `save_channel` writes, with `json.dumps` defaults: this prefix,
+# each dimension without a leading zero, the Kraus list, then "}" or "}\n".
+_CHANNEL_PREFIX = rb'\{"dim_in": ([1-9][0-9]{0,8}), "dim_out": ([1-9][0-9]{0,8}), "kraus": '
+_NUMBER_BYTES = b"0123456789.e-"
+_PREFIX_SKELETON = b'{"dim_in": , "dim_out": , "kraus": '
+_TO_SPACES = bytes.maketrans(b"[],", b"   ")
+_WINDOW = 1 << 16  # bytes per checked window, which bounds the check temporaries
 
 
-def _load_json(path: str) -> tuple[Any, bool]:
-    """The decoded file, and whether its text is free of JSON booleans."""
+def _windows(data: bytes, start: int, stop: int):
+    """Cut data[start:stop] into windows of at least _WINDOW bytes, but the
+    last, each ending on the comma of a ", "; yields (start, end) pairs."""
+    while start < stop:
+        end = data.find(b", ", start + _WINDOW, stop) + 1 or stop
+        yield start, end
+        start = end
+
+
+def _kraus_skeleton(n: int, rows: int, cols: int) -> bytes:
+    """What is left of a list of n rows x cols matrices of [re, im] pairs,
+    as `json.dumps` writes it, once the number bytes are deleted."""
+    row = b"[" + b", ".join([b"[, ]"] * cols) + b"]"
+    matrix = b"[" + b", ".join([row] * rows) + b"]"
+    return b"[" + b", ".join([matrix] * n) + b"]"
+
+
+def _numbers_are_json(window: np.ndarray) -> bool:
+    """Whether the numbers in a window of the layout (its bytes, as uint8)
+    read as JSON as they read as strtod: no empty [re, im] slot, no
+    mantissa of '0' and another digit, no integer -0, which JSON reads as 0
+    and strtod as -0.0, and a digit on each side of every '.'."""
+    digit = (window - 48) < 10
+    opens = window == 91  # '[' or ' ', after which a slot starts
+    opens |= window == 32
+    closes = window == 44  # ',' or ']', before which a slot ends
+    closes |= window == 93
+    zero = window == 48
+    dot = window == 46
+    # each flag at the first byte of the pattern it marks
+    bad = opens[:-1] & closes[1:]
+    bad[:-1] |= opens[:-2] & zero[1:-1] & digit[2:]
+    bad[:-2] |= (
+        opens[:-3] & (window[1:-2] == 45) & zero[2:-1] & (digit[3:] | closes[3:])
+    )
+    bad[:-1] |= dot[1:-1] & ~(digit[:-2] & digit[2:])
+    return not bad.any()
+
+
+def _kraus_from_layout(data: bytes) -> np.ndarray | None:
+    """The Kraus stack of a channel file in exactly the layout `save_channel`
+    writes, or None, which hands the file to the JSON reference path.
+
+    Deleting the number bytes must leave the brackets, commas and spaces of
+    n operators of the declared shape. No [re, im] slot may be empty, and
+    every number must be one that JSON reads as strtod does. Then
+    `np.fromstring` must read every token of every window whole, to
+    2 n dim_out dim_in finite values: with no slot empty, a number outside
+    the slots is one too many. Windows end on the comma of a ", ", so no
+    checked pattern spans two of them.
+    """
+    head = re.match(_CHANNEL_PREFIX, data)  # compiled on first use, not on import
+    tail = b"}\n" if data.endswith(b"}\n") else b"}"
+    if head is None or not data.endswith(tail):
+        return None
+    dim_in, dim_out = int(head[1]), int(head[2])
+    skeleton = data.translate(None, _NUMBER_BYTES)
+    per_matrix = 6 * dim_out * dim_in + 2 * dim_out + 2  # with its ", "
+    n, extra = divmod(len(skeleton) - len(_PREFIX_SKELETON) - len(tail), per_matrix)
+    if n < 1 or extra or skeleton != (
+        _PREFIX_SKELETON + _kraus_skeleton(n, dim_out, dim_in) + tail
+    ):
+        return None
+    windows = list(_windows(data, head.end(), len(data) - len(tail)))
+    as_bytes = np.frombuffer(data, np.uint8)
+    if not all(_numbers_are_json(as_bytes[start:end]) for start, end in windows):
+        return None
+    parts = []
+    with warnings.catch_warnings():
+        # numpy 2.4 raises on a token it cannot read whole, older numpy only
+        # warns; this swaps the process-wide filters, safe while no other
+        # thread runs, as in mrpower
+        warnings.simplefilter("error", DeprecationWarning)
+        try:
+            for start, end in windows:
+                parts.append(np.fromstring(data[start:end].translate(_TO_SPACES), sep=" "))
+        except (ValueError, DeprecationWarning):
+            return None
+    values = np.concatenate(parts)
+    if values.size != 2 * n * dim_out * dim_in or not np.isfinite(values).all():
+        return None
+    return values.view(complex).reshape(n, dim_out, dim_in)
+
+
+def _read(path: str) -> bytes:
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
-        return json.loads(text), not _has_boolean_token(text)
+        with open(path, "rb") as handle:
+            return handle.read()
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:  # JSONDecodeError, or an integer past int's digit limit
+
+
+def _decode_json(data: bytes, path: str) -> Any:
+    try:
+        # as a file opened in text mode decodes it: UTF-8, universal newlines
+        return json.loads(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read())
+    except ValueError as exc:  # JSONDecodeError, bad UTF-8, or an integer past int's digit limit
         raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
 
 
+def _load_json(path: str) -> Any:
+    return _decode_json(_read(path), path)
+
+
 def load_channel(path: str) -> QuantumChannel:
-    obj, boolean_free = _load_json(path)
-    return channel_from_dict(obj, boolean_free=boolean_free)
+    data = _read(path)
+    kraus = _kraus_from_layout(data)
+    if kraus is None:
+        return channel_from_dict(_decode_json(data, path))
+    return QuantumChannel(kraus)
 
 
 def save_channel(path: str, channel: QuantumChannel) -> None:
+    """Write json.dumps(channel_to_dict(channel)) + "\\n", one Kraus operator
+    at a time."""
+    kraus = channel.kraus
+    head = f'{{"dim_in": {channel.dim_in}, "dim_out": {channel.dim_out}, "kraus": ['
     with open(path, "w", encoding="utf-8") as handle:
-        # dumps, unlike dump, runs the C encoder
-        handle.write(json.dumps(channel_to_dict(channel)) + "\n")
+        handle.write(head)
+        for i, k in enumerate(kraus):
+            # dumps, unlike dump, runs the C encoder
+            handle.write((", " if i else "") + json.dumps(matrix_to_wire(k)))
+        handle.write("]}\n")
 
 
 def load_povm(path: str) -> Povm:
-    obj, boolean_free = _load_json(path)
-    return povm_from_dict(obj, boolean_free=boolean_free)
+    return povm_from_dict(_load_json(path))
 
 
 def save_povm(path: str, povm: Povm) -> None:

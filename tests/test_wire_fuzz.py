@@ -6,14 +6,20 @@ nesting depth changed, a row dropped or duplicated, the text truncated), and
 traceback. A file that still holds a `true` is never a channel, so neither
 command exits 0 on it. A `convert` that fails leaves an existing `--out`
 unchanged.
+
+The same texts, and texts with one number of the Kraus list swapped for a
+malformed or edge-case number token, must load as the JSON reference
+(`json.loads` and `channel_from_dict`) loads them: to the same Kraus bytes,
+or to the same exception type.
 """
 
 import json
 import random
+import re
 
 import mrpower as mp
 from mrpower.cli import main
-from mrpower.serialize import channel_to_dict
+from mrpower.serialize import SchemaError, channel_from_dict, channel_to_dict, load_channel
 
 FUZZ_SEED = 61
 CASES = 400
@@ -86,12 +92,14 @@ def mutated_text(rng, wires):
     return json.dumps(wire)  # NaN and Infinity as Python's json writes them
 
 
-def test_mutated_channel_files_exit_cleanly(tmp_path, capsys):
-    rng = random.Random(FUZZ_SEED)
-    wires = base_channels()
+def fuzz_texts(rng, wires):
     # the unmutated files first: the mutations start from valid input
     texts = [json.dumps(wire) for wire in wires]
-    texts += [mutated_text(rng, wires) for _ in range(CASES)]
+    return texts + [mutated_text(rng, wires) for _ in range(CASES)]
+
+
+def test_mutated_channel_files_exit_cleanly(tmp_path, capsys):
+    texts = fuzz_texts(random.Random(FUZZ_SEED), base_channels())
     path, out = tmp_path / "mutated.json", tmp_path / "converted.json"
     seen = set()
     booleans = 0
@@ -112,3 +120,51 @@ def test_mutated_channel_files_exit_cleanly(tmp_path, capsys):
         seen.add(convert_code)
     assert seen == set(ALLOWED_EXITS)
     assert booleans > 0
+
+
+# Number tokens that JSON rejects or reads otherwise than strtod, and valid
+# edge cases: wherever one lands, the file loads as the reference loads it.
+NUMBER_TOKENS = (
+    ".5", "5.", "+1", "01", "-01", "00", "-0", "-0.0", "1E5", "1e+5", "1.e5", "1e",
+    "--1", "0x1", "NaN", "Infinity", "1e400", "9" * 5000, "1 2", "",
+)
+CASES_PER_TOKEN = 150
+NUMBER = re.compile(r"-?[0-9][0-9.e+-]*")
+
+
+def swap_number(rng, text, token):
+    spans = [match.span() for match in NUMBER.finditer(text, text.index('"kraus": '))]
+    start, end = rng.choice(spans)
+    return text[:start] + token + text[end:]
+
+
+def reference_outcome(text):
+    try:
+        obj = json.loads(text)
+    except ValueError:
+        return SchemaError
+    try:
+        return channel_from_dict(obj).kraus.tobytes()
+    except Exception as exc:  # the type is the outcome
+        return type(exc)
+
+
+def test_loads_as_the_json_reference(tmp_path):
+    rng = random.Random(FUZZ_SEED)
+    wires = base_channels()
+    texts = fuzz_texts(rng, wires)
+    for token in NUMBER_TOKENS:
+        for _ in range(CASES_PER_TOKEN):
+            text = json.dumps(rng.choice(wires)) + rng.choice(("", "\n"))
+            texts.append(swap_number(rng, text, token))
+    path = tmp_path / "fuzzed.json"
+    loaded = 0
+    for case, text in enumerate(texts):
+        path.write_text(text, encoding="utf-8")
+        try:
+            outcome = load_channel(str(path)).kraus.tobytes()
+            loaded += 1
+        except Exception as exc:
+            outcome = type(exc)
+        assert outcome == reference_outcome(text), f"case {case}: {text[:200]}"
+    assert loaded > len(wires)  # some swaps leave a channel, e.g. -0 for 0.0
