@@ -59,10 +59,12 @@ class QuantumChannel:
             raise DimensionMismatch("kraus must be a non-empty list of equal-shape matrices")
         require_finite(arr, "Kraus operators")
         vecs = arr.reshape(arr.shape[0], -1)
-        self._choi = HermitianOperator(vecs.T @ vecs.conj())
+        choi = vecs.T @ vecs.conj()
+        choi.setflags(write=False)
+        self._choi = choi
         self._dim_out, self._dim_in = arr.shape[1], arr.shape[2]
         residual = _tp_residual(self)
-        if residual > TP_TOL:
+        if not residual <= TP_TOL:  # NaN when finite entries overflow the Choi matrix
             raise NotTracePreserving(
                 f"sum of K^dag K deviates from identity by {residual:.3e}"
             )
@@ -71,9 +73,11 @@ class QuantumChannel:
 
     @classmethod
     def _from_choi(cls, choi: np.ndarray, dim_in: int, dim_out: int) -> "QuantumChannel":
-        """Wrap the Choi matrix of a map already known to be CPTP."""
+        """Hold the complex Choi matrix of a map already known to be CPTP,
+        made read-only in place."""
         channel = cls.__new__(cls)
-        channel._choi = HermitianOperator(choi)
+        choi.setflags(write=False)
+        channel._choi = choi
         channel._dim_in, channel._dim_out = dim_in, dim_out
         channel._kraus = None
         return channel
@@ -87,7 +91,7 @@ class QuantumChannel:
         computed on first access.
         """
         if self._kraus is None:
-            eig, vec = np.linalg.eigh(self._choi.matrix)
+            eig, vec = np.linalg.eigh(self._choi)
             keep = eig > EIG_CLIP
             kraus = (vec[:, keep] * np.sqrt(eig[keep])).T
             kraus = kraus.reshape(-1, self._dim_out, self._dim_in)
@@ -104,7 +108,9 @@ class QuantumChannel:
         return self._dim_out
 
     @property
-    def choi(self) -> HermitianOperator:
+    def choi(self) -> np.ndarray:
+        """The Choi matrix as a read-only complex array, shape
+        (dim_out * dim_in, dim_out * dim_in)."""
         return self._choi
 
     def apply(self, x: HermitianOperator) -> HermitianOperator:
@@ -127,7 +133,7 @@ class QuantumChannel:
 def _blocks(channel: QuantumChannel) -> np.ndarray:
     """The Choi matrix as a view J[a, i, b, j] = E(|i><j|)[a, b]."""
     d_in, d_out = channel.dim_in, channel.dim_out
-    return channel.choi.matrix.reshape(d_out, d_in, d_out, d_in)
+    return channel.choi.reshape(d_out, d_in, d_out, d_in)
 
 
 def _tp_residual(channel: QuantumChannel) -> float:
@@ -218,7 +224,7 @@ def dephased(channel: QuantumChannel, side: str) -> QuantumChannel:
         keep = np.eye(channel.dim_in, dtype=bool)[None, :, None, :]
     else:
         raise ValueError(f"side must be 'in' or 'out', got {side!r}")
-    choi = np.where(keep, _blocks(channel), 0.0).reshape(channel.choi.matrix.shape)
+    choi = np.where(keep, _blocks(channel), 0.0).reshape(channel.choi.shape)
     return QuantumChannel._from_choi(choi, channel.dim_in, channel.dim_out)
 
 
@@ -250,7 +256,7 @@ def mix_channels(a: QuantumChannel, b: QuantumChannel, p: float) -> QuantumChann
         raise DimensionMismatch("mixture requires channels of equal dims")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"mixture weight {p} outside [0, 1]")
-    choi = p * a.choi.matrix + (1.0 - p) * b.choi.matrix
+    choi = p * a.choi + (1.0 - p) * b.choi
     return QuantumChannel._from_choi(choi, a.dim_in, a.dim_out)
 
 
@@ -272,7 +278,7 @@ def channel_from_choi(choi: HermitianOperator, dim_in: int, dim_out: int) -> Qua
 def choi_distance(a: QuantumChannel, b: QuantumChannel) -> float:
     if (a.dim_in, a.dim_out) != (b.dim_in, b.dim_out):
         raise DimensionMismatch("channels act on different spaces")
-    return float(np.max(np.abs(a.choi.matrix - b.choi.matrix)))
+    return float(np.max(np.abs(a.choi - b.choi)))
 
 
 def channels_equal(a: QuantumChannel, b: QuantumChannel, tol: float = CHANNEL_EQ_TOL) -> bool:
@@ -320,7 +326,7 @@ def classify_channel(channel: QuantumChannel, tol: float = CHANNEL_EQ_TOL) -> Ch
     means E(|i><i|) is diagonal, so J[(a, i), (b, i)] = 0 for a != b.
     """
     tp_ok = _tp_residual(channel) <= tol
-    cptp = tp_ok and bool(np.linalg.eigvalsh(channel.choi.matrix)[0] >= -PSD_TOL)
+    cptp = tp_ok and bool(np.linalg.eigvalsh(channel.choi)[0] >= -PSD_TOL)
 
     if channel.dim_in != channel.dim_out:
         return ChannelClass(cptp=cptp, unital=False, dio=False, mio=False)

@@ -54,18 +54,9 @@ def _sig12(value: float) -> float:
     return float(f"{value:.12g}")
 
 
-def _load_square_channel(path: str):
-    channel = load_channel(path)
-    if channel.dim_in != channel.dim_out:
-        raise ToolkitError(
-            f"square CPTP channel required (dim_in {channel.dim_in} != dim_out {channel.dim_out})"
-        )
-    return channel
-
-
 def _cmd_power(args) -> int:
     try:
-        channel = _load_square_channel(args.channel_file)
+        channel = load_channel(args.channel_file)
     except SchemaError as exc:
         return _fail(EXIT_PARSE, str(exc))
     out: dict[str, float] = {}
@@ -94,7 +85,7 @@ def _cmd_convert(args) -> int:
     if problem:
         return _fail(EXIT_PARSE, problem)
     try:
-        channel = _load_square_channel(args.channel_file)
+        channel = load_channel(args.channel_file)
     except SchemaError as exc:
         return _fail(EXIT_PARSE, str(exc))
     certificate = conversion_ent_lower_bound(channel)

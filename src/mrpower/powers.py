@@ -42,11 +42,11 @@ from .measures import (
 # Input-dimension cap of the conversion certificate, and so of `convert` and
 # the conversion suites. Measured for `convert` on a full-Kraus-rank channel
 # (Python 3.11, numpy 2.4, one BLAS thread, 2-vCPU VM whose speed varies
-# about 2x between phases): d = 6 takes 0.33-0.46 s with the file read and
-# written, writes 3,447,758 B and peaks at 147 MiB RSS, which the dense
-# d^4 x d^4 Choi matrix of the converted channel sets; in an earlier, faster
-# phase, d = 6 took 0.21 s and d = 7 took 0.73-0.82 s, wrote 10.1 MB and
-# peaked at 425 MiB. The certificate alone takes 3 ms at d = 6.
+# about 2x between phases): d = 6 takes 0.27-0.34 s with the file read and
+# written, writes 3,448,522 B and peaks at 74 MiB RSS, which building the
+# dense d^4 x d^4 Choi matrix of the converted channel (26 MiB) sets; with
+# the cap raised, d = 7 takes 0.91-0.96 s, writes 10,054,218 B and peaks at
+# 166 MiB. The certificate alone takes 5 ms at d = 6.
 DEFAULT_CONVERSION_DIM_CAP = 6
 
 
@@ -77,7 +77,7 @@ def state_cohering_power(channel: QuantumChannel) -> float:
     """
     d = _require_square(channel)
     # E(|i><i|)[a, b] = J[(a, i), (b, i)]: the d images are one slice of the Choi matrix
-    images = np.einsum("aibi->iab", channel.choi.matrix.reshape(d, d, d, d))
+    images = np.einsum("aibi->iab", channel.choi.reshape(d, d, d, d))
     return float(np.max(coherences_of_states(images)))
 
 
@@ -186,7 +186,7 @@ def composite_ent_lower_bound(
     # acts on the first factor of each Y_n = K^dag(|n><n|):
     # X[n, i, x, j, y] = sum_ab conj(J[a, i, b, j]) Y[n, a, x, b, y]
     y = pulled_back_basis(k).stack.reshape(dd, d, d, d, d)
-    x = np.einsum("aibj,naxby->nixjy", channel.choi.matrix.reshape(d, d, d, d).conj(), y)
+    x = np.einsum("aibj,naxby->nixjy", channel.choi.reshape(d, d, d, d).conj(), y)
     pulled = pullback_povm(l, Povm(x.reshape(dd, dd, dd)))
     return float(np.mean(ere_lower_bounds(pulled.stack, (d, d))))
 

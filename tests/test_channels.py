@@ -54,7 +54,7 @@ class TestConstruction:
                 basis = np.zeros((d, d), dtype=complex)
                 basis[i, j] = 1.0
                 expected += np.kron(image, basis)
-        np.testing.assert_allclose(channel.choi.matrix, expected, atol=1e-12)
+        np.testing.assert_allclose(channel.choi, expected, atol=1e-12)
 
 
 class TestApplyAndAdjoint:
@@ -285,7 +285,7 @@ class TestChoiKrausConsistency:
         rng = mp.SeededRng(222 + dim)
         for i in range(100):
             channel = random_channel_any(dim, rng.spawn(i))
-            rebuilt = mp.channel_from_choi(channel.choi, dim, dim)
+            rebuilt = mp.channel_from_choi(mp.HermitianOperator(channel.choi), dim, dim)
             assert mp.choi_distance(rebuilt, channel) <= 1e-9
 
 
@@ -470,7 +470,7 @@ class TestComposeMatchesKrausProducts:
             second = random_channel_any(dim, rng.spawn(2 * i + 1))
             products = [k2 @ k1 for k2 in second.kraus for k1 in first.kraus]
             composed = mp.compose(second, first)
-            np.testing.assert_allclose(composed.choi.matrix, kraus_choi(products), atol=1e-12)
+            np.testing.assert_allclose(composed.choi, kraus_choi(products), atol=1e-12)
 
     def test_more_than_4096_products(self):
         rng = mp.SeededRng(234)
@@ -479,7 +479,7 @@ class TestComposeMatchesKrausProducts:
         products = [k2 @ k1 for k2 in second.kraus for k1 in first.kraus]
         assert len(products) > 4096
         composed = mp.compose(second, first)
-        np.testing.assert_allclose(composed.choi.matrix, kraus_choi(products), atol=1e-12)
+        np.testing.assert_allclose(composed.choi, kraus_choi(products), atol=1e-12)
 
     def test_non_square_factors(self):
         rng = mp.SeededRng(235)
@@ -488,7 +488,7 @@ class TestComposeMatchesKrausProducts:
         composed = mp.compose(second, first)
         assert (composed.dim_in, composed.dim_out) == (3, 5)
         products = [k2 @ k1 for k2 in second.kraus for k1 in first.kraus]
-        np.testing.assert_allclose(composed.choi.matrix, kraus_choi(products), atol=1e-12)
+        np.testing.assert_allclose(composed.choi, kraus_choi(products), atol=1e-12)
 
 
 class TestLazyKraus:
@@ -518,14 +518,14 @@ class TestChoiAlgebraMatchesKraus:
         b = random_channel_any(3, rng.spawn(1))
         expected = [np.sqrt(0.3) * k for k in a.kraus] + [np.sqrt(0.7) * k for k in b.kraus]
         mixed = mp.mix_channels(a, b, 0.3)
-        np.testing.assert_allclose(mixed.choi.matrix, kraus_choi(expected), atol=1e-12)
+        np.testing.assert_allclose(mixed.choi, kraus_choi(expected), atol=1e-12)
 
     def test_adjoint(self):
         rng = mp.SeededRng(239)
         channel = mp.random_channel(3, 4, "unital", rng)
         adjoint = mp.adjoint_channel(channel)
         expected = [k.conj().T for k in channel.kraus]
-        np.testing.assert_allclose(adjoint.choi.matrix, kraus_choi(expected), atol=1e-12)
+        np.testing.assert_allclose(adjoint.choi, kraus_choi(expected), atol=1e-12)
 
     @pytest.mark.parametrize("side", ["left", "right"])
     def test_extension(self, side):
@@ -535,7 +535,7 @@ class TestChoiAlgebraMatchesKraus:
         expected = [np.kron(k, eye) if side == "right" else np.kron(eye, k) for k in channel.kraus]
         extended = mp.extend_with_identity(channel, 4, side)
         assert (extended.dim_in, extended.dim_out) == (8, 12)
-        np.testing.assert_allclose(extended.choi.matrix, kraus_choi(expected), atol=1e-12)
+        np.testing.assert_allclose(extended.choi, kraus_choi(expected), atol=1e-12)
 
 
 class TestClassifyMatchesKrausReference:
@@ -585,6 +585,12 @@ class TestNonFiniteInput:
         with pytest.raises(NonFiniteEntry):
             mp.QuantumChannel([[[bad, 0.0], [0.0, 1.0]]])
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_channel_rejects_finite_entries_that_overflow_the_choi_matrix(self):
+        # the Choi entries overflow to +-inf, so its partial trace holds NaN
+        with pytest.raises(NotTracePreserving):
+            mp.QuantumChannel([[[1e155, 1e155], [1e155, -1e155]]])
+
     def test_povm_rejects(self):
         with pytest.raises(NonFiniteEntry):
             mp.Povm([np.diag([np.nan, 0.0]), np.diag([0.0, 1.0])])
@@ -592,6 +598,32 @@ class TestNonFiniteInput:
     def test_stochastic_matrix_rejects(self):
         with pytest.raises(NonFiniteEntry):
             mp.StochasticMatrix([[np.nan], [1.0]])
+
+
+# each constructor of a channel: from a Kraus list, and each operation that
+# builds the Choi matrix directly, applied to two random channels a and b
+CHANNEL_BUILDERS = {
+    "kraus": lambda a, b: a,
+    "compose": mp.compose,
+    "mix_channels": lambda a, b: mp.mix_channels(a, b, 0.3),
+    "adjoint_channel": lambda a, b: mp.adjoint_channel(mp.unitary_channel(HADAMARD)),
+    "extend_with_identity": lambda a, b: mp.extend_with_identity(a, 2, "right"),
+    "dephased": lambda a, b: mp.dephased(a, "out"),
+    "channel_from_choi": lambda a, b: mp.channel_from_choi(mp.HermitianOperator(a.choi), 2, 2),
+}
+
+
+class TestReadOnly:
+    @pytest.mark.parametrize("name", list(CHANNEL_BUILDERS))
+    def test_choi_and_kraus_cannot_be_written(self, name):
+        rng = mp.SeededRng(249)
+        channel = CHANNEL_BUILDERS[name](
+            random_channel_any(2, rng.spawn(0)), random_channel_any(2, rng.spawn(1))
+        )
+        for array in (channel.choi, channel.kraus):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 7.0
 
 
 class TestChannelFromChoi:
@@ -641,16 +673,16 @@ class TestDephased:
         for channel in (random_channel_any(dim, rng.spawn(0)), composed_channel(dim, rng.spawn(1))):
             after = mp.compose(mp.dephasing_channel(dim), channel)
             before = mp.compose(channel, mp.dephasing_channel(dim))
-            assert np.array_equal(mp.dephased(channel, "out").choi.matrix, after.choi.matrix)
-            assert np.array_equal(mp.dephased(channel, "in").choi.matrix, before.choi.matrix)
+            assert np.array_equal(mp.dephased(channel, "out").choi, after.choi)
+            assert np.array_equal(mp.dephased(channel, "in").choi, before.choi)
 
     def test_non_square_channel(self):
         rng = mp.SeededRng(259)
         channel = mp.measurement_as_channel(mp.random_povm(3, 5, True, rng))
         after = mp.compose(mp.dephasing_channel(5), channel)
         before = mp.compose(channel, mp.dephasing_channel(3))
-        assert np.array_equal(mp.dephased(channel, "out").choi.matrix, after.choi.matrix)
-        assert np.array_equal(mp.dephased(channel, "in").choi.matrix, before.choi.matrix)
+        assert np.array_equal(mp.dephased(channel, "out").choi, after.choi)
+        assert np.array_equal(mp.dephased(channel, "in").choi, before.choi)
 
     def test_output_dephasing_leaves_the_pulled_back_basis(self):
         channel = composed_channel(3, mp.SeededRng(260))

@@ -65,7 +65,16 @@ class TestPowerCommand:
         rng = mp.SeededRng(601)
         rect = mp.measurement_as_channel(mp.random_povm(2, 3, False, rng))
         path = write_channel(tmp_path, "rect.json", rect)
-        assert main(["power", path]) == 3
+        out = tmp_path / "out.json"
+        out.write_text("an earlier result")
+        for command in (
+            ["power", path],
+            ["power", path, "--what", "c"],
+            ["power", path, "--what", "cg"],
+            ["convert", path, "--out", str(out)],
+        ):
+            assert main(command) == 3, command
+        assert out.read_text() == "an earlier result"
 
 
 class TestConvertCommand:
@@ -227,10 +236,26 @@ def write_overflow_channel(tmp_path):
     return str(path)
 
 
+def write_gram_overflow_channel(tmp_path):
+    """A channel file of one Kraus operator whose finite entries overflow
+    the Choi matrix to +-inf."""
+    path = tmp_path / "gram_overflow.json"
+    path.write_text(json.dumps({
+        "dim_in": 2,
+        "dim_out": 2,
+        "kraus": [[[[1e155, 0.0], [1e155, 0.0]], [[1e155, 0.0], [-1e155, 0.0]]]],
+    }))
+    return str(path)
+
+
 class TestInvalidInputExitCodes:
     def test_power_on_nan_entry_exits_3(self, tmp_path, capsys):
         assert main(["power", write_nan_channel(tmp_path)]) == 3
         assert "NaN" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_power_on_gram_overflow_exits_3(self, tmp_path):
+        assert main(["power", write_gram_overflow_channel(tmp_path)]) == 3
 
     def test_convert_on_nan_entry_exits_3(self, tmp_path):
         out = tmp_path / "out.json"
