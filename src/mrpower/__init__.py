@@ -48,14 +48,7 @@ from .measures import (
 from .operators import (
     HermitianOperator,
     basis_projector,
-    dephase,
-    diagonal_operator,
-    identity,
-    is_psd,
-    partial_trace,
-    projector,
     relative_entropy,
-    tensor_product,
     von_neumann_entropy,
 )
 from .powers import (

@@ -210,7 +210,7 @@ def identity_channel(dim: int) -> QuantumChannel:
 
 
 def dephasing_channel(dim: int) -> QuantumChannel:
-    """Kraus set {|i><i|}; acts as `operators.dephase`."""
+    """Kraus set {|i><i|}: zeroes every off-diagonal entry of its input."""
     return QuantumChannel([basis_projector(i, dim).matrix for i in range(dim)])
 
 
@@ -445,10 +445,6 @@ class StochasticMatrix:
     @property
     def cols(self) -> int:
         return self._entries.shape[1]
-
-    @classmethod
-    def identity(cls, n: int) -> "StochasticMatrix":
-        return cls(np.eye(n))
 
     def __repr__(self) -> str:
         return f"StochasticMatrix(rows={self.rows}, cols={self.cols})"

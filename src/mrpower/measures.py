@@ -8,7 +8,6 @@ incoherent measurements, and an entanglement lower bound for PSD operators.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,13 +25,11 @@ from .errors import (
     UnsupportedScale,
 )
 from .operators import (
-    EIG_CLIP,
-    SUPPORT_TOL,
     HermitianOperator,
     check_psd_spectra,
     entropies,
-    partial_trace,
-    von_neumann_entropy,
+    psd_entropies,
+    relative_entropies,
 )
 
 DENSITY_TRACE_TOL = 1e-9
@@ -72,22 +69,16 @@ def measurement_relative_entropy(m: Povm, n: Povm) -> float:
     The 1/d prefactor uses the measured (input) dimension; this is the
     unique normalization under which the quantity adds over tensor products
     of measurements. Each term is `relative_entropy(M_x, N_x)`, computed for
-    all outcomes at once from one batched eigendecomposition of N's
-    elements and the stored spectra of M's.
+    all outcomes at once by `relative_entropies` from one batched
+    eigendecomposition of N's elements and the stored spectra of M's.
     """
     if m.dim != n.dim or m.n != n.n:
         raise DimensionMismatch(
             f"POVMs differ in dim ({m.dim} vs {n.dim}) or outcomes ({m.n} vs {n.n})"
         )
     n_eig, n_vec = np.linalg.eigh(n.stack)
-    # <v_xj| M_x |v_xj> for each eigenvector of N_x
-    weights = np.einsum("xji,xjk,xki->xi", n_vec.conj(), m.stack, n_vec).real
-    null = n_eig <= EIG_CLIP
-    if (np.where(null, weights, 0.0).sum(axis=1) > SUPPORT_TOL).any():
-        return math.inf
-    tr_x_log_x = -entropies(m.spectra)
-    tr_x_log_y = np.sum(weights * np.log2(np.where(null, 1.0, n_eig)), axis=1)
-    return sum((tr_x_log_x - tr_x_log_y).tolist()) / m.dim  # in outcome order
+    terms = relative_entropies(m.stack, m.spectra, n_eig, n_vec)
+    return sum(terms.tolist()) / m.dim  # in outcome order
 
 
 def measurement_coherence(m: Povm) -> float:
@@ -189,10 +180,7 @@ def ere_lower_bound(x: HermitianOperator, dims: tuple[int, int]) -> float:
     valid lower bounds and clamping would weaken equality certificates built
     on top of this quantity.
     """
-    joint = von_neumann_entropy(x)  # raises NotPsd where applicable
-    s_a = von_neumann_entropy(partial_trace(x, dims, "A"))
-    s_b = von_neumann_entropy(partial_trace(x, dims, "B"))
-    return max(s_a - joint, s_b - joint)
+    return float(ere_lower_bounds(x.matrix[None], dims)[0])
 
 
 def ere_lower_bounds(stack: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
@@ -204,12 +192,7 @@ def ere_lower_bounds(stack: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
         raise DimensionMismatch(f"dim {stack.shape[-1]} is not {d_a} * {d_b}")
     blocks = stack.reshape(-1, d_a, d_b, d_a, d_b)
     joint, s_a, s_b = (
-        _psd_entropies(np.linalg.eigvalsh(ops))
+        psd_entropies(np.linalg.eigvalsh(ops))
         for ops in (stack, np.einsum("xijkj->xik", blocks), np.einsum("xijil->xjl", blocks))
     )
     return np.maximum(s_a - joint, s_b - joint)
-
-
-def _psd_entropies(spectra: np.ndarray) -> np.ndarray:
-    check_psd_spectra(spectra, "entropy argument")
-    return entropies(spectra)

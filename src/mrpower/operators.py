@@ -70,10 +70,6 @@ class HermitianOperator:
         return f"HermitianOperator(dim={self.dim})"
 
 
-def identity(dim: int) -> HermitianOperator:
-    return HermitianOperator(np.eye(dim))
-
-
 def basis_projector(index: int, dim: int) -> HermitianOperator:
     """|i><i| in the incoherent basis."""
     if not 0 <= index < dim:
@@ -81,16 +77,6 @@ def basis_projector(index: int, dim: int) -> HermitianOperator:
     m = np.zeros((dim, dim), dtype=complex)
     m[index, index] = 1.0
     return HermitianOperator(m)
-
-
-def projector(vector) -> HermitianOperator:
-    """|v><v| for an arbitrary (not necessarily normalized) vector."""
-    v = np.asarray(vector, dtype=complex).reshape(-1)
-    return HermitianOperator(np.outer(v, v.conj()))
-
-
-def diagonal_operator(values) -> HermitianOperator:
-    return HermitianOperator(np.diag(np.asarray(values, dtype=float)))
 
 
 def check_psd_spectra(eigenvalues: np.ndarray, what: str, error=NotPsd) -> None:
@@ -109,11 +95,17 @@ def check_psd_spectra(eigenvalues: np.ndarray, what: str, error=NotPsd) -> None:
 
 def entropies(eigenvalues: np.ndarray) -> np.ndarray:
     """-sum_k lambda_k log2 lambda_k along the last axis, over eigenvalues
-    above EIG_CLIP: `von_neumann_entropy` for a stack of spectra, which the
-    caller has already checked for positivity."""
+    above EIG_CLIP, for a stack of spectra that the caller has already
+    checked for positivity (`psd_entropies` checks them first)."""
     kept = np.where(eigenvalues > EIG_CLIP, eigenvalues, 1.0)  # 1 log 1 = 0
     # 0.0 - sum rather than -sum: an all-clipped spectrum gives 0.0, not -0.0
     return 0.0 - np.sum(kept * np.log2(kept), axis=-1)
+
+
+def psd_entropies(spectra: np.ndarray) -> np.ndarray:
+    """`entropies` of a stack of spectra, after checking them for positivity."""
+    check_psd_spectra(spectra, "entropy argument")
+    return entropies(spectra)
 
 
 def von_neumann_entropy(x: HermitianOperator) -> float:
@@ -122,71 +114,38 @@ def von_neumann_entropy(x: HermitianOperator) -> float:
     The operator need not have unit trace (POVM elements are typically
     subnormalized), so the result can be negative. 0 log 0 := 0.
     """
-    eig = np.linalg.eigvalsh(x.matrix)
-    check_psd_spectra(eig, "entropy argument")
-    lam = eig[eig > EIG_CLIP]
-    if lam.size == 0:
-        return 0.0
-    return float(-np.sum(lam * np.log2(lam)))
+    return float(psd_entropies(np.linalg.eigvalsh(x.matrix)))
 
 
-def relative_entropy(x: HermitianOperator, y: HermitianOperator) -> float:
-    """tr[X log2 X] - tr[X log2 Y] in bits, or +inf on support mismatch.
+def relative_entropies(
+    x_stack: np.ndarray, x_spectra: np.ndarray, y_eig: np.ndarray, y_vec: np.ndarray
+) -> np.ndarray:
+    """tr[X_i log2 X_i] - tr[X_i log2 Y_i] in bits for each pair of two
+    (n, d, d) stacks, from the spectra of the X_i and the eigendecompositions
+    (`np.linalg.eigh`) of the Y_i; +inf on each pair whose supports do not
+    match.
 
-    Support inclusion is decided by projecting X onto the null space of Y
-    (eigenvectors with eigenvalue <= EIG_CLIP): more than SUPPORT_TOL of
+    Support inclusion is decided by projecting X_i onto the null space of
+    Y_i (eigenvectors with eigenvalue <= EIG_CLIP): more than SUPPORT_TOL of
     projected mass means +inf. See the module docstring for the
     subnormalized-operator convention.
     """
+    # <v_ij| X_i |v_ij> for each eigenvector of Y_i
+    weights = np.einsum("xji,xjk,xki->xi", y_vec.conj(), x_stack, y_vec).real
+    null = y_eig <= EIG_CLIP
+    outside = np.where(null, weights, 0.0).sum(axis=1)
+    tr_x_log_x = -entropies(x_spectra)
+    tr_x_log_y = np.sum(weights * np.log2(np.where(null, 1.0, y_eig)), axis=1)
+    return np.where(outside > SUPPORT_TOL, math.inf, tr_x_log_x - tr_x_log_y)
+
+
+def relative_entropy(x: HermitianOperator, y: HermitianOperator) -> float:
+    """`relative_entropies` of the one pair (X, Y), after checking that both
+    are PSD of the same dimension."""
     if x.dim != y.dim:
         raise DimensionMismatch(f"operand dims {x.dim} and {y.dim} differ")
     x_eig = np.linalg.eigvalsh(x.matrix)
     check_psd_spectra(x_eig, "first argument")
     y_eig, y_vec = np.linalg.eigh(y.matrix)
     check_psd_spectra(y_eig, "second argument")
-
-    # <v_j| X |v_j> for each eigenvector of Y
-    weights = np.einsum("ji,jk,ki->i", y_vec.conj(), x.matrix, y_vec).real
-    null = y_eig <= EIG_CLIP
-    if float(np.sum(weights[null])) > SUPPORT_TOL:
-        return math.inf
-
-    lam = x_eig[x_eig > EIG_CLIP]
-    tr_x_log_x = float(np.sum(lam * np.log2(lam))) if lam.size else 0.0
-    support = ~null
-    tr_x_log_y = float(np.sum(weights[support] * np.log2(y_eig[support])))
-    return tr_x_log_x - tr_x_log_y
-
-
-def tensor_product(x: HermitianOperator, y: HermitianOperator) -> HermitianOperator:
-    """Kronecker product; |i>_A (x) |j>_B maps to index i*d_B + j."""
-    return HermitianOperator(np.kron(x.matrix, y.matrix))
-
-
-def partial_trace(x: HermitianOperator, dims: tuple[int, int], keep: str) -> HermitianOperator:
-    """Trace out one factor of a bipartite operator.
-
-    dims is (d_A, d_B) under the tensor_product index ordering; keep is
-    "A" or "B" and names the factor that survives.
-    """
-    d_a, d_b = dims
-    if x.dim != d_a * d_b:
-        raise DimensionMismatch(f"dim {x.dim} is not {d_a} * {d_b}")
-    t = x.matrix.reshape(d_a, d_b, d_a, d_b)
-    if keep == "A":
-        out = np.einsum("ijkj->ik", t)
-    elif keep == "B":
-        out = np.einsum("ijil->jl", t)
-    else:
-        raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
-    return HermitianOperator(out)
-
-
-def dephase(x: HermitianOperator) -> HermitianOperator:
-    """Zero all off-diagonal entries (incoherent-basis dephasing)."""
-    return HermitianOperator(np.diag(np.diag(x.matrix)))
-
-
-def is_psd(x: HermitianOperator, tol: float = PSD_TOL) -> bool:
-    eig = np.linalg.eigvalsh(x.matrix)
-    return bool(eig.size == 0 or eig[0] >= -tol)
+    return float(relative_entropies(x.matrix[None], x_eig[None], y_eig[None], y_vec[None])[0])

@@ -57,27 +57,22 @@ class SeededRng:
         return f"SeededRng(master_seed={self.master_seed})"
 
 
-def _ginibre(d: int, rng: SeededRng) -> np.ndarray:
+def _ginibre(rows: int, cols: int, rng: SeededRng) -> np.ndarray:
     return (
-        rng.gen.standard_normal((d, d)) + 1j * rng.gen.standard_normal((d, d))
+        rng.gen.standard_normal((rows, cols)) + 1j * rng.gen.standard_normal((rows, cols))
     ) / np.sqrt(2.0)
 
 
 def haar_unitary(d: int, rng: SeededRng) -> np.ndarray:
-    """Haar-distributed d x d unitary: QR of a Ginibre matrix with the
-    R-diagonal phases absorbed into the columns of Q."""
-    q, r = np.linalg.qr(_ginibre(d, rng))
-    diag = np.diag(r)
-    return q * (diag / np.abs(diag))
+    """Haar-distributed d x d unitary."""
+    return haar_isometry(d, d, rng)
 
 
 def haar_isometry(rows: int, cols: int, rng: SeededRng) -> np.ndarray:
-    """First `cols` columns of a Haar unitary on `rows` dimensions, drawn
-    directly from a tall Ginibre block."""
-    block = (
-        rng.gen.standard_normal((rows, cols)) + 1j * rng.gen.standard_normal((rows, cols))
-    ) / np.sqrt(2.0)
-    q, r = np.linalg.qr(block)
+    """First `cols` columns of a Haar unitary on `rows` dimensions: QR of a
+    tall Ginibre block with the R-diagonal phases absorbed into the columns
+    of Q."""
+    q, r = np.linalg.qr(_ginibre(rows, cols, rng))
     diag = np.diag(r)
     return q * (diag / np.abs(diag))
 
@@ -150,7 +145,7 @@ def random_povm(d: int, n: int, incoherent: bool, rng: SeededRng) -> Povm:
     if incoherent:
         return classical_postprocess(basis_measurement(d), random_stochastic_matrix(n, d, rng))
     for _ in range(10):
-        a = np.array([_ginibre(d, rng) for _ in range(n)])
+        a = np.array([_ginibre(d, d, rng) for _ in range(n)])
         blocks = a @ a.conj().transpose(0, 2, 1)
         eig, vec = np.linalg.eigh(blocks.sum(axis=0))
         if eig[0] > 1e-12:
@@ -168,12 +163,12 @@ def random_density(d: int, rng: SeededRng) -> np.ndarray:
 
 def random_psd(d: int, rng: SeededRng) -> np.ndarray:
     """Random PSD matrix A A^dag (unnormalized)."""
-    a = _ginibre(d, rng)
+    a = _ginibre(d, d, rng)
     return a @ a.conj().T
 
 
 def random_hermitian(d: int, rng: SeededRng) -> np.ndarray:
-    a = _ginibre(d, rng)
+    a = _ginibre(d, d, rng)
     return (a + a.conj().T) / 2.0
 
 

@@ -1,12 +1,11 @@
-"""JSON wire formats for channels, POVMs, and verification reports.
+"""JSON wire format for channel files.
 
 Complex entries travel as [re, im] pairs. A channel file is
-{"dim_in": d, "dim_out": d', "kraus": [matrix, ...]} and a POVM file is
-{"dim": d, "elements": [matrix, ...]} with each matrix a nested list of
-[re, im] pairs of JSON numbers. A malformed file raises SchemaError, and so
-does a `true` or `false` entry, which Python reads as an int; a NaN or
-infinite entry is well-formed JSON to Python but invalid input, and raises
-NonFiniteEntry.
+{"dim_in": d, "dim_out": d', "kraus": [matrix, ...]} with each matrix a
+nested list of [re, im] pairs of JSON numbers. A malformed file raises
+SchemaError, and so does a `true` or `false` entry, which Python reads as
+an int; a NaN or infinite entry is well-formed JSON to Python but invalid
+input, and raises NonFiniteEntry.
 
 Decoding with `json.loads` and checking entry by entry is the reference.
 A channel file in exactly the layout `save_channel` writes also has a text
@@ -25,7 +24,7 @@ from typing import Any
 
 import numpy as np
 
-from .channels import Povm, QuantumChannel
+from .channels import QuantumChannel
 from .errors import NonFiniteEntry
 from .operators import require_finite
 
@@ -97,23 +96,6 @@ def channel_from_dict(obj: Any) -> QuantumChannel:
     if not isinstance(kraus_obj, list) or not kraus_obj:
         raise SchemaError("channel: 'kraus' must be a non-empty list")
     return QuantumChannel(stack_from_wire(kraus_obj, dim_out, dim_in, "kraus"))
-
-
-def povm_to_dict(povm: Povm) -> dict:
-    return {
-        "dim": povm.dim,
-        "elements": matrix_to_wire(povm.stack),
-    }
-
-
-def povm_from_dict(obj: Any) -> Povm:
-    if not isinstance(obj, dict):
-        raise SchemaError("POVM file must hold a JSON object")
-    dim = _require_positive_int(obj, "dim", "povm")
-    elements_obj = obj.get("elements")
-    if not isinstance(elements_obj, list) or not elements_obj:
-        raise SchemaError("povm: 'elements' must be a non-empty list")
-    return Povm(stack_from_wire(elements_obj, dim, dim, "elements"))
 
 
 # The layout `save_channel` writes, with `json.dumps` defaults: this prefix,
@@ -225,10 +207,6 @@ def _decode_json(data: bytes, path: str) -> Any:
         raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _load_json(path: str) -> Any:
-    return _decode_json(_read(path), path)
-
-
 def load_channel(path: str) -> QuantumChannel:
     data = _read(path)
     kraus = _kraus_from_layout(data)
@@ -249,12 +227,3 @@ def save_channel(path: str, channel: QuantumChannel) -> None:
             handle.write((", " if i else "") + json.dumps(matrix_to_wire(k)))
         handle.write("]}\n")
 
-
-def load_povm(path: str) -> Povm:
-    return povm_from_dict(_load_json(path))
-
-
-def save_povm(path: str, povm: Povm) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        # dumps, unlike dump, runs the C encoder
-        handle.write(json.dumps(povm_to_dict(povm)) + "\n")

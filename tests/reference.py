@@ -1,0 +1,128 @@
+"""Independent one-operator implementations kept as references for the
+batched kernels of mrpower, and the operator helpers the tests build
+inputs with.
+
+The entropy filters the spectrum instead of clipping it, the relative
+entropy projects onto the eigenvectors of its second argument one pair at a
+time, and the entanglement bound takes explicit partial traces, so a test
+that compares a batched kernel with these does not compare it with itself.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from mrpower.errors import DimensionMismatch
+from mrpower.operators import (
+    EIG_CLIP,
+    PSD_TOL,
+    SUPPORT_TOL,
+    HermitianOperator,
+    check_psd_spectra,
+)
+
+
+def identity(dim: int) -> HermitianOperator:
+    return HermitianOperator(np.eye(dim))
+
+
+def projector(vector) -> HermitianOperator:
+    """|v><v| for an arbitrary (not necessarily normalized) vector."""
+    v = np.asarray(vector, dtype=complex).reshape(-1)
+    return HermitianOperator(np.outer(v, v.conj()))
+
+
+def diagonal_operator(values) -> HermitianOperator:
+    return HermitianOperator(np.diag(np.asarray(values, dtype=float)))
+
+
+def von_neumann_entropy(x: HermitianOperator) -> float:
+    """-sum_k lambda_k log2 lambda_k over eigenvalues above EIG_CLIP.
+
+    The operator need not have unit trace (POVM elements are typically
+    subnormalized), so the result can be negative. 0 log 0 := 0.
+    """
+    eig = np.linalg.eigvalsh(x.matrix)
+    check_psd_spectra(eig, "entropy argument")
+    lam = eig[eig > EIG_CLIP]
+    if lam.size == 0:
+        return 0.0
+    return float(-np.sum(lam * np.log2(lam)))
+
+
+def relative_entropy(x: HermitianOperator, y: HermitianOperator) -> float:
+    """tr[X log2 X] - tr[X log2 Y] in bits, or +inf on support mismatch.
+
+    Support inclusion is decided by projecting X onto the null space of Y
+    (eigenvectors with eigenvalue <= EIG_CLIP): more than SUPPORT_TOL of
+    projected mass means +inf. See the `mrpower.operators` docstring for the
+    subnormalized-operator convention.
+    """
+    if x.dim != y.dim:
+        raise DimensionMismatch(f"operand dims {x.dim} and {y.dim} differ")
+    x_eig = np.linalg.eigvalsh(x.matrix)
+    check_psd_spectra(x_eig, "first argument")
+    y_eig, y_vec = np.linalg.eigh(y.matrix)
+    check_psd_spectra(y_eig, "second argument")
+
+    # <v_j| X |v_j> for each eigenvector of Y
+    weights = np.einsum("ji,jk,ki->i", y_vec.conj(), x.matrix, y_vec).real
+    null = y_eig <= EIG_CLIP
+    if float(np.sum(weights[null])) > SUPPORT_TOL:
+        return math.inf
+
+    lam = x_eig[x_eig > EIG_CLIP]
+    tr_x_log_x = float(np.sum(lam * np.log2(lam))) if lam.size else 0.0
+    support = ~null
+    tr_x_log_y = float(np.sum(weights[support] * np.log2(y_eig[support])))
+    return tr_x_log_x - tr_x_log_y
+
+
+def tensor_product(x: HermitianOperator, y: HermitianOperator) -> HermitianOperator:
+    """Kronecker product; |i>_A (x) |j>_B maps to index i*d_B + j."""
+    return HermitianOperator(np.kron(x.matrix, y.matrix))
+
+
+def partial_trace(x: HermitianOperator, dims: tuple[int, int], keep: str) -> HermitianOperator:
+    """Trace out one factor of a bipartite operator.
+
+    dims is (d_A, d_B) under the tensor_product index ordering; keep is
+    "A" or "B" and names the factor that survives.
+    """
+    d_a, d_b = dims
+    if x.dim != d_a * d_b:
+        raise DimensionMismatch(f"dim {x.dim} is not {d_a} * {d_b}")
+    t = x.matrix.reshape(d_a, d_b, d_a, d_b)
+    if keep == "A":
+        out = np.einsum("ijkj->ik", t)
+    elif keep == "B":
+        out = np.einsum("ijil->jl", t)
+    else:
+        raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
+    return HermitianOperator(out)
+
+
+def dephase(x: HermitianOperator) -> HermitianOperator:
+    """Zero all off-diagonal entries (incoherent-basis dephasing)."""
+    return HermitianOperator(np.diag(np.diag(x.matrix)))
+
+
+def is_psd(x: HermitianOperator, tol: float = PSD_TOL) -> bool:
+    eig = np.linalg.eigvalsh(x.matrix)
+    return bool(eig.size == 0 or eig[0] >= -tol)
+
+
+def ere_lower_bound(x: HermitianOperator, dims: tuple[int, int]) -> float:
+    """max{S(X_A) - S(X_AB), S(X_B) - S(X_AB)} in bits.
+
+    Lower-bounds the relative entropy of entanglement of a PSD bipartite
+    operator over the (d_A, d_B) split. Returned raw: negative values are
+    valid lower bounds and clamping would weaken equality certificates built
+    on top of this quantity.
+    """
+    joint = von_neumann_entropy(x)  # raises NotPsd where applicable
+    s_a = von_neumann_entropy(partial_trace(x, dims, "A"))
+    s_b = von_neumann_entropy(partial_trace(x, dims, "B"))
+    return max(s_a - joint, s_b - joint)

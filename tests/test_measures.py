@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import mrpower as mp
+import reference as ref
 from mrpower.errors import (
     DimensionMismatch,
     NotDensity,
@@ -15,8 +16,8 @@ from mrpower.measures import ere_lower_bounds
 
 
 def plus_povm():
-    plus = mp.projector(np.array([1.0, 1.0]) / np.sqrt(2.0))
-    minus = mp.projector(np.array([1.0, -1.0]) / np.sqrt(2.0))
+    plus = ref.projector(np.array([1.0, 1.0]) / np.sqrt(2.0))
+    minus = ref.projector(np.array([1.0, -1.0]) / np.sqrt(2.0))
     return mp.Povm([plus, minus])
 
 
@@ -28,19 +29,19 @@ def coherence_grid_oracle(rho, points=10_000):
         cross = np.where(diag[0] > 0, -diag[0] * np.log2(q), 0.0) + np.where(
             diag[1] > 0, -diag[1] * np.log2(1.0 - q), 0.0
         )
-    return -mp.von_neumann_entropy(rho) + float(np.min(cross))
+    return -ref.von_neumann_entropy(rho) + float(np.min(cross))
 
 
 class TestRelativeEntropyOfCoherence:
     def test_plus_state_is_maximal(self):
-        plus = mp.projector(np.array([1.0, 1.0]) / np.sqrt(2.0))
+        plus = ref.projector(np.array([1.0, 1.0]) / np.sqrt(2.0))
         assert mp.relative_entropy_of_coherence(plus) == pytest.approx(1.0)
 
     def test_diagonal_states_vanish(self):
         rng = mp.SeededRng(301)
         for i in range(10):
             w = rng.spawn(i).gen.dirichlet(np.ones(3))
-            rho = mp.diagonal_operator(w)
+            rho = ref.diagonal_operator(w)
             assert mp.relative_entropy_of_coherence(rho) == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_grid_minimum(self):
@@ -52,7 +53,7 @@ class TestRelativeEntropyOfCoherence:
 
     def test_rejects_non_density(self):
         with pytest.raises(NotDensity):
-            mp.relative_entropy_of_coherence(mp.identity(2))
+            mp.relative_entropy_of_coherence(ref.identity(2))
 
 
 class TestMeasurementRelativeEntropy:
@@ -151,7 +152,7 @@ def full_grid_bruteforce(m, grid_steps):
     """The grid oracle over the whole grid_steps x grid_steps grid and its
     np.argmin, kept as the reference for the per-slot minimum."""
     mass = np.clip(np.array([np.diag(el.matrix).real for el in m.elements]), 0.0, None)
-    base = -sum(mp.von_neumann_entropy(el) for el in m.elements)
+    base = -sum(ref.von_neumann_entropy(el) for el in m.elements)
 
     def slot_cost(axis_values, slot):
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -199,12 +200,12 @@ class TestBruteforceOracleMatchesFullGrid:
 
 
 def per_element_coherence(m):
-    entropy = mp.von_neumann_entropy
-    return sum(entropy(mp.dephase(el)) - entropy(el) for el in m.elements) / m.dim
+    entropy = ref.von_neumann_entropy
+    return sum(entropy(ref.dephase(el)) - entropy(el) for el in m.elements) / m.dim
 
 
 def per_element_divergence(m, n):
-    terms = [mp.relative_entropy(a, b) for a, b in zip(m.elements, n.elements)]
+    terms = [ref.relative_entropy(a, b) for a, b in zip(m.elements, n.elements)]
     return math.inf if any(math.isinf(t) for t in terms) else sum(terms) / m.dim
 
 
@@ -257,7 +258,7 @@ class TestBatchedMeasuresMatchPerElementSums:
         rng = mp.SeededRng(317)
         for dim in (2, 3, 4):
             rho = mp.HermitianOperator(mp.random_density(dim, rng))
-            expected = mp.von_neumann_entropy(mp.dephase(rho)) - mp.von_neumann_entropy(rho)
+            expected = ref.von_neumann_entropy(ref.dephase(rho)) - ref.von_neumann_entropy(rho)
             assert mp.relative_entropy_of_coherence(rho) == pytest.approx(expected, abs=1e-12)
 
 
@@ -314,7 +315,7 @@ class TestEreLowerBounds:
     def test_matches_per_operator_bound(self):
         rng = mp.SeededRng(318)
         stack = np.array([mp.random_psd(6, rng) for _ in range(5)] + [np.zeros((6, 6))])
-        expected = [mp.ere_lower_bound(mp.HermitianOperator(x), (2, 3)) for x in stack]
+        expected = [ref.ere_lower_bound(mp.HermitianOperator(x), (2, 3)) for x in stack]
         np.testing.assert_allclose(ere_lower_bounds(stack, (2, 3)), expected, rtol=0, atol=1e-12)
 
     def test_rejects_non_psd_operator(self):
@@ -325,14 +326,14 @@ class TestEreLowerBounds:
 
 class TestEreLowerBound:
     def test_bell_state(self):
-        bell = mp.projector(np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0))
+        bell = ref.projector(np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0))
         assert mp.ere_lower_bound(bell, (2, 2)) == pytest.approx(1.0, abs=1e-12)
 
     def test_product_pure_state(self):
         rng = mp.SeededRng(311)
         u = mp.haar_unitary(2, rng.spawn(0))
         v = mp.haar_unitary(2, rng.spawn(1))
-        state = mp.projector(np.kron(u[:, 0], v[:, 0]))
+        state = ref.projector(np.kron(u[:, 0], v[:, 0]))
         assert mp.ere_lower_bound(state, (2, 2)) == pytest.approx(0.0, abs=1e-10)
 
     def test_maximally_mixed_two_qubits(self):
@@ -349,4 +350,4 @@ class TestEreLowerBound:
             sep_rng = rng.spawn(2 * i + 1)
             for j in range(100):
                 sigma = random_separable(2, 2, trace, sep_rng.spawn(j))
-                assert bound <= mp.relative_entropy(x, sigma) + 1e-9
+                assert bound <= ref.relative_entropy(x, sigma) + 1e-9

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import mrpower as mp
+import reference as ref
 from mrpower.errors import InvalidRank
 
 
@@ -65,7 +66,7 @@ class TestRandomChannel:
         rng = mp.SeededRng(6)
         channel = mp.random_channel(3, 1, "general", rng.spawn(0))
         vec = rng.spawn(1).gen.standard_normal(3) + 1j * rng.spawn(2).gen.standard_normal(3)
-        rho = mp.projector(vec / np.linalg.norm(vec))
+        rho = ref.projector(vec / np.linalg.norm(vec))
         out = channel.apply(rho)
         purity = np.trace(out.matrix @ out.matrix).real
         assert purity == pytest.approx(1.0, abs=1e-10)
@@ -154,14 +155,14 @@ class TestExampleChannels:
     def test_prep_discards_input(self):
         prep = mp.example_channels()["prep"]
         rng = mp.SeededRng(13)
-        plus = mp.projector(np.array([1.0, 1.0]) / np.sqrt(2.0))
+        plus = ref.projector(np.array([1.0, 1.0]) / np.sqrt(2.0))
         for i in range(5):
             rho = mp.HermitianOperator(mp.random_density(2, rng.spawn(i)))
             np.testing.assert_allclose(prep.apply(rho).matrix, plus.matrix, atol=1e-12)
 
     def test_g_measures_in_plus_minus_basis(self):
         g = mp.example_channels()["g"]
-        plus = mp.projector(np.array([1.0, 1.0]) / np.sqrt(2.0))
+        plus = ref.projector(np.array([1.0, 1.0]) / np.sqrt(2.0))
         np.testing.assert_allclose(
             g.apply(plus).matrix, mp.basis_projector(0, 2).matrix, atol=1e-12
         )

@@ -14,8 +14,6 @@ from mrpower.serialize import (
     channel_from_dict,
     channel_to_dict,
     load_channel,
-    povm_from_dict,
-    povm_to_dict,
     save_channel,
     stack_from_wire,
 )
@@ -239,20 +237,3 @@ class TestSaveChannel:
                 channel.kraus.tobytes()
             )
 
-
-class TestPovmWireFormat:
-    def test_round_trip(self):
-        rng = mp.SeededRng(502)
-        povm = mp.random_povm(2, 3, False, rng)
-        rebuilt = povm_from_dict(povm_to_dict(povm))
-        for a, b in zip(rebuilt.elements, povm.elements):
-            np.testing.assert_allclose(a.matrix, b.matrix, atol=1e-15)
-
-    def test_wire_is_json_serializable(self):
-        rng = mp.SeededRng(503)
-        povm = mp.random_povm(2, 2, True, rng)
-        assert json.loads(json.dumps(povm_to_dict(povm)))["dim"] == 2
-
-    def test_rejects_empty_elements(self):
-        with pytest.raises(SchemaError):
-            povm_from_dict({"dim": 2, "elements": []})
