@@ -13,23 +13,17 @@ from .channels import (
     StochasticMatrix,
     adjoint_channel,
     basis_measurement,
-    channel_from_choi,
-    channels_equal,
-    choi_distance,
     classical_postprocess,
     classify_channel,
     compose,
     dephased,
     dephasing_channel,
-    extend_with_identity,
-    identity_channel,
     is_dio,
     is_unital,
     measurement_as_channel,
     mix_channels,
     mix_povm,
     pad_povm,
-    permutation_channel,
     pullback_povm,
     pulled_back_basis,
     tensor_povm,

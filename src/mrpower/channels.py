@@ -4,13 +4,13 @@ predicates.
 A channel is canonically its Choi matrix, and every operation on channels
 works on it directly: application, composition (one matrix product in the
 natural, superoperator representation, which is a reshuffle of the Choi
-matrix), mixtures, adjoints, identity extensions and the class predicates.
-Kraus operators are a view: a channel built from Kraus operators keeps
-them, and any other channel computes a minimal set from the Choi
-eigendecomposition the first time `kraus` is read. That set is a
-deterministic function of the Choi matrix, so instances stay immutable and
-safe to share across workers. Channel equality means max-abs Choi distance
-at most CHANNEL_EQ_TOL, which is representation independent.
+matrix), mixtures, adjoints, dephasing and the class predicates. Kraus
+operators are a view: a channel built from Kraus operators keeps them, and
+any other channel computes a minimal set from the Choi eigendecomposition
+the first time `kraus` is read. That set is a deterministic function of the
+Choi matrix, and both arrays are read-only, so instances are immutable. The
+class predicates compare Choi entries with the identity or zero within
+CHANNEL_EQ_TOL, which is representation independent.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .operators import (
 
 TP_TOL = 1e-9           # max-abs deviation of sum_k K_k^dag K_k from I
 COMPLETENESS_TOL = 1e-9  # max-abs deviation of sum_x M_x from I
-CHANNEL_EQ_TOL = 1e-9    # max-abs Choi distance defining channel equality
+CHANNEL_EQ_TOL = 1e-9    # max-abs Choi deviation the class predicates allow
 STOCHASTIC_TOL = 1e-10   # column-sum deviation allowed in p(x|i)
 
 
@@ -180,33 +180,8 @@ def compose(second: QuantumChannel, first: QuantumChannel) -> QuantumChannel:
     return QuantumChannel._from_choi(choi.reshape(d_out * d_in, d_out * d_in), d_in, d_out)
 
 
-def extend_with_identity(channel: QuantumChannel, d_anc: int, side: str) -> QuantumChannel:
-    """Tensor an identity channel onto one side (E (x) id or id (x) E).
-
-    The extended Choi matrix is J[a, i, b, j] times the identity's Choi
-    matrix delta_xy delta_zw, with the ancilla indices placed on the
-    requested side of both the output and the input factor.
-    """
-    if d_anc < 1:
-        raise DimensionMismatch("ancilla dimension must be at least 1")
-    eye = np.eye(d_anc)
-    if side == "right":
-        layout = "aibj,xy,zw->axiybzjw"
-    elif side == "left":
-        layout = "aibj,xy,zw->xayizbwj"
-    else:
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    d_in, d_out = channel.dim_in * d_anc, channel.dim_out * d_anc
-    choi = np.einsum(layout, _blocks(channel), eye, eye)
-    return QuantumChannel._from_choi(choi.reshape(d_out * d_in, d_out * d_in), d_in, d_out)
-
-
 def unitary_channel(unitary) -> QuantumChannel:
     return QuantumChannel([np.asarray(unitary, dtype=complex)])
-
-
-def identity_channel(dim: int) -> QuantumChannel:
-    return unitary_channel(np.eye(dim))
 
 
 def dephasing_channel(dim: int) -> QuantumChannel:
@@ -226,14 +201,6 @@ def dephased(channel: QuantumChannel, side: str) -> QuantumChannel:
         raise ValueError(f"side must be 'in' or 'out', got {side!r}")
     choi = np.where(keep, _blocks(channel), 0.0).reshape(channel.choi.shape)
     return QuantumChannel._from_choi(choi, channel.dim_in, channel.dim_out)
-
-
-def permutation_channel(perm) -> QuantumChannel:
-    """Unitary channel of the basis permutation |i> -> |perm[i]>."""
-    perm = np.asarray(perm, dtype=int)
-    u = np.zeros((perm.size, perm.size), dtype=complex)
-    u[perm, np.arange(perm.size)] = 1.0
-    return unitary_channel(u)
 
 
 def adjoint_channel(channel: QuantumChannel) -> QuantumChannel:
@@ -260,31 +227,6 @@ def mix_channels(a: QuantumChannel, b: QuantumChannel, p: float) -> QuantumChann
     return QuantumChannel._from_choi(choi, a.dim_in, a.dim_out)
 
 
-def channel_from_choi(choi: HermitianOperator, dim_in: int, dim_out: int) -> QuantumChannel:
-    """Channel with the given Choi matrix, checked for complete positivity
-    (PSD Choi matrix) and trace preservation."""
-    if choi.dim != dim_in * dim_out:
-        raise DimensionMismatch(f"choi dim {choi.dim} is not {dim_out} * {dim_in}")
-    check_psd_spectra(np.linalg.eigvalsh(choi.matrix), "Choi matrix (not completely positive)")
-    channel = QuantumChannel._from_choi(choi.matrix, dim_in, dim_out)
-    residual = _tp_residual(channel)
-    if residual > TP_TOL:
-        raise NotTracePreserving(
-            f"partial trace of the Choi matrix deviates from identity by {residual:.3e}"
-        )
-    return channel
-
-
-def choi_distance(a: QuantumChannel, b: QuantumChannel) -> float:
-    if (a.dim_in, a.dim_out) != (b.dim_in, b.dim_out):
-        raise DimensionMismatch("channels act on different spaces")
-    return float(np.max(np.abs(a.choi - b.choi)))
-
-
-def channels_equal(a: QuantumChannel, b: QuantumChannel, tol: float = CHANNEL_EQ_TOL) -> bool:
-    return choi_distance(a, b) <= tol
-
-
 @dataclass(frozen=True)
 class ChannelClass:
     """Membership flags for the standard channel classes.
@@ -299,25 +241,25 @@ class ChannelClass:
     mio: bool
 
 
-def is_unital(channel: QuantumChannel, tol: float = CHANNEL_EQ_TOL) -> bool:
+def is_unital(channel: QuantumChannel) -> bool:
     """E(I) = I: the Choi matrix's partial trace over the input. False for a
     non-square channel."""
     if channel.dim_in != channel.dim_out:
         return False
-    return _unital_residual(channel) <= tol
+    return _unital_residual(channel) <= CHANNEL_EQ_TOL
 
 
-def is_dio(channel: QuantumChannel, tol: float = CHANNEL_EQ_TOL) -> bool:
+def is_dio(channel: QuantumChannel) -> bool:
     """Detection incoherence, dephase . E = dephase . E . dephase: E(|i><j|)
     has a zero diagonal for i != j, so J[(a, i), (a, j)] = 0. False for a
     non-square channel."""
     if channel.dim_in != channel.dim_out:
         return False
     off = ~np.eye(channel.dim_in, dtype=bool)
-    return _max_abs(np.einsum("aiaj->aij", _blocks(channel))[:, off]) <= tol
+    return _max_abs(np.einsum("aiaj->aij", _blocks(channel))[:, off]) <= CHANNEL_EQ_TOL
 
 
-def classify_channel(channel: QuantumChannel, tol: float = CHANNEL_EQ_TOL) -> ChannelClass:
+def classify_channel(channel: QuantumChannel) -> ChannelClass:
     """Read the class flags off the Choi matrix J[(a, i), (b, j)] = E(|i><j|)[a, b].
 
     Trace preservation and unitality are its two partial traces, complete
@@ -325,17 +267,15 @@ def classify_channel(channel: QuantumChannel, tol: float = CHANNEL_EQ_TOL) -> Ch
     each without that eigendecomposition. Preservation of incoherent states
     means E(|i><i|) is diagonal, so J[(a, i), (b, i)] = 0 for a != b.
     """
-    tp_ok = _tp_residual(channel) <= tol
+    tp_ok = _tp_residual(channel) <= CHANNEL_EQ_TOL
     cptp = tp_ok and bool(np.linalg.eigvalsh(channel.choi)[0] >= -PSD_TOL)
 
     if channel.dim_in != channel.dim_out:
         return ChannelClass(cptp=cptp, unital=False, dio=False, mio=False)
 
     off = ~np.eye(channel.dim_in, dtype=bool)
-    mio = _max_abs(np.einsum("aibi->abi", _blocks(channel))[off]) <= tol
-    return ChannelClass(
-        cptp=cptp, unital=is_unital(channel, tol), dio=is_dio(channel, tol), mio=mio
-    )
+    mio = _max_abs(np.einsum("aibi->abi", _blocks(channel))[off]) <= CHANNEL_EQ_TOL
+    return ChannelClass(cptp=cptp, unital=is_unital(channel), dio=is_dio(channel), mio=mio)
 
 
 class Povm:

@@ -25,7 +25,6 @@ import numpy as np
 
 from .errors import ToolkitError
 from .powers import (
-    DEFAULT_CONVERSION_DIM_CAP,
     conversion_channel,
     conversion_ent_lower_bound,
     measurement_cohering_power,
@@ -35,6 +34,14 @@ from .serialize import SchemaError, load_channel, save_channel
 from .suites import SUITE_NAMES, VerificationReport, run_suite
 
 CONVERT_GAP_TOL = 1e-9
+
+# Largest input dimension of `convert` and of the conversion suites in
+# `verify`. The library takes any dimension; this caps the resources of one
+# command. `convert` on a full-Kraus-rank channel writes up to d^3 operators
+# of size d^2 x d^2 (Python 3.11, numpy 2.4, one BLAS thread, 2 vCPUs, in
+# process): at d = 6 it takes 0.36 s, writes 3.4 MB and peaks at 80 MiB RSS;
+# at d = 7 it takes 1.1 s, writes 10.1 MB and peaks at 172 MiB.
+CONVERSION_DIM_CAP = 6
 
 EXIT_OK = 0
 EXIT_SUITE_FAILURE = 1
@@ -88,6 +95,11 @@ def _cmd_convert(args) -> int:
         channel = load_channel(args.channel_file)
     except SchemaError as exc:
         return _fail(EXIT_PARSE, str(exc))
+    if channel.dim_in > CONVERSION_DIM_CAP:
+        return _fail(
+            EXIT_INVALID_CHANNEL,
+            f"convert is capped at dimension {CONVERSION_DIM_CAP}, got {channel.dim_in}",
+        )
     certificate = conversion_ent_lower_bound(channel)
     converted = conversion_channel(channel)
     save_channel(args.out, converted)
@@ -139,12 +151,10 @@ def _cmd_verify(args) -> int:
         return _fail(EXIT_PARSE, f"--tol must be positive and finite, got {args.tol}")
     if args.suite == "cm_oracle" and args.dim != 2:
         return _fail(EXIT_PARSE, "cm_oracle is defined at dimension 2 only")
-    if args.dim > DEFAULT_CONVERSION_DIM_CAP and args.suite in (
+    if args.dim > CONVERSION_DIM_CAP and args.suite in (
         "all", "conversion_equality", "thm3_proxy"
     ):
-        return _fail(
-            EXIT_PARSE, f"conversion suites are capped at dimension {DEFAULT_CONVERSION_DIM_CAP}"
-        )
+        return _fail(EXIT_PARSE, f"conversion suites are capped at dimension {CONVERSION_DIM_CAP}")
     problem = args.out and _unwritable(args.out)
     if problem:
         return _fail(EXIT_PARSE, problem)

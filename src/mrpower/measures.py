@@ -33,6 +33,7 @@ from .operators import (
 )
 
 DENSITY_TRACE_TOL = 1e-9
+INCOHERENT_TOL = 1e-9  # max-abs off-diagonal entry `decompose_incoherent` accepts
 
 
 def relative_entropy_of_coherence(rho: HermitianOperator) -> float:
@@ -161,10 +162,10 @@ class IncoherentDecomposition:
     residual: float
 
 
-def decompose_incoherent(m: Povm, tol: float = 1e-9) -> IncoherentDecomposition:
+def decompose_incoherent(m: Povm) -> IncoherentDecomposition:
     """Extract p(x|i) = <i|M_x|i> and verify it reconstructs the POVM."""
-    if not is_incoherent_measurement(m, tol):
-        raise NotIncoherent(f"POVM has off-diagonal entries above {tol}")
+    if not is_incoherent_measurement(m, INCOHERENT_TOL):
+        raise NotIncoherent(f"POVM has off-diagonal entries above {INCOHERENT_TOL}")
     probs = np.clip(_diagonals(m.stack), 0.0, None)  # PSD diagonals can carry -1e-16 noise
     post = StochasticMatrix(probs)
     recon = classical_postprocess(basis_measurement(m.dim), post)

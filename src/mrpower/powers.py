@@ -39,15 +39,7 @@ from .measures import (
     measurement_coherence,
 )
 
-# Input-dimension cap of the conversion certificate, and so of `convert` and
-# the conversion suites. Measured for `convert` on a full-Kraus-rank channel
-# (Python 3.11, numpy 2.4, one BLAS thread, 2-vCPU VM whose speed varies
-# about 2x between phases): d = 6 takes 0.27-0.34 s with the file read and
-# written, writes 3,448,522 B and peaks at 74 MiB RSS, which building the
-# dense d^4 x d^4 Choi matrix of the converted channel (26 MiB) sets; with
-# the cap raised, d = 7 takes 0.91-0.96 s, writes 10,054,218 B and peaks at
-# 166 MiB. The certificate alone takes 5 ms at d = 6.
-DEFAULT_CONVERSION_DIM_CAP = 6
+DUALITY_SANDWICH_TOL = 1e-8  # slack on each side of the duality sandwich
 
 
 def _require_square(channel: QuantumChannel) -> int:
@@ -145,10 +137,6 @@ def conversion_ent_lower_bound(channel: QuantumChannel) -> ConversionCertificate
     coherence term exactly.
     """
     d = _require_square(channel)
-    if d > DEFAULT_CONVERSION_DIM_CAP:
-        raise UnsupportedScale(
-            f"conversion certificate capped at dim {DEFAULT_CONVERSION_DIM_CAP}, got {d}"
-        )
     pulled = pulled_back_basis(channel)
     power = measurement_coherence(pulled)
     bounds = ere_lower_bounds(_embedded_elements(pulled), (d, d))
@@ -201,14 +189,15 @@ class DualityCheck:
     sandwich_ok: bool
 
 
-def duality_check(channel: QuantumChannel, tol: float = 1e-8) -> DualityCheck:
-    """Verify c_g / d - tol <= C(adjoint) <= c_g + tol for a unital channel."""
+def duality_check(channel: QuantumChannel) -> DualityCheck:
+    """Verify c_g / d <= C(adjoint) <= c_g, within DUALITY_SANDWICH_TOL on
+    each side, for a unital channel."""
     d = _require_square(channel)
     if not is_unital(channel):
         raise NotUnital("duality check requires a unital channel")
     c_g = state_cohering_power(channel)
     c_adj = measurement_cohering_power(adjoint_channel(channel))
-    ok = (c_g / d - tol) <= c_adj <= (c_g + tol)
+    ok = (c_g / d - DUALITY_SANDWICH_TOL) <= c_adj <= (c_g + DUALITY_SANDWICH_TOL)
     return DualityCheck(c_g=c_g, c_adj=c_adj, sandwich_ok=ok)
 
 

@@ -111,14 +111,12 @@ def random_dio(d: int, unital: bool, rng: SeededRng) -> QuantumChannel:
     if unital:
         terms = 3
         weights = rng.gen.dirichlet(np.ones(terms))
-        kraus = []
-        for w in weights:
-            perm = rng.gen.permutation(d)
-            for j in range(d):
-                op = np.zeros((d, d), dtype=complex)
-                op[perm[j], j] = np.sqrt(w)
-                kraus.append(op)
-        channel = QuantumChannel(kraus)
+        perms = [rng.gen.permutation(d) for _ in weights]
+        # Kraus operator (t, j) is sqrt(w_t) |perm_t[j]><j|
+        j = np.arange(d)
+        kraus = np.zeros((terms, d, d, d), dtype=complex)
+        kraus[np.arange(terms)[:, None], j, perms, j] = np.sqrt(weights)[:, None]
+        channel = QuantumChannel(kraus.reshape(terms * d, d, d))
     else:
         rank = int(rng.gen.integers(1, d * d + 1))
         channel = dephased(random_channel(d, rank, "general", rng), "in")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -70,18 +70,7 @@ class VerificationReport:
     wall_time_ms: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "dim": self.dim,
-            "trials": self.trials,
-            "master_seed": self.master_seed,
-            "tolerance": self.tolerance,
-            "max_violation": self.max_violation,
-            "trial_values": self.trial_values,
-            "failures": self.failures,
-            "passed": self.passed,
-            "wall_time_ms": self.wall_time_ms,
-        }
+        return asdict(self)
 
 
 def _worst(*violations: float) -> float:

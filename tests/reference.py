@@ -1,6 +1,6 @@
 """Independent one-operator implementations kept as references for the
-batched kernels of mrpower, and the operator helpers the tests build
-inputs with.
+batched kernels of mrpower, and the operator and channel helpers the tests
+build inputs and compare results with.
 
 The entropy filters the spectrum instead of clipping it, the relative
 entropy projects onto the eigenvectors of its second argument one pair at a
@@ -14,6 +14,7 @@ import math
 
 import numpy as np
 
+from mrpower.channels import CHANNEL_EQ_TOL, QuantumChannel, unitary_channel
 from mrpower.errors import DimensionMismatch
 from mrpower.operators import (
     EIG_CLIP,
@@ -126,3 +127,31 @@ def ere_lower_bound(x: HermitianOperator, dims: tuple[int, int]) -> float:
     s_a = von_neumann_entropy(partial_trace(x, dims, "A"))
     s_b = von_neumann_entropy(partial_trace(x, dims, "B"))
     return max(s_a - joint, s_b - joint)
+
+
+def identity_channel(dim: int) -> QuantumChannel:
+    return unitary_channel(np.eye(dim))
+
+
+def permutation_channel(perm) -> QuantumChannel:
+    """Unitary channel of the basis permutation |i> -> |perm[i]>."""
+    perm = np.asarray(perm, dtype=int)
+    u = np.zeros((perm.size, perm.size), dtype=complex)
+    u[perm, np.arange(perm.size)] = 1.0
+    return unitary_channel(u)
+
+
+def extend_with_identity(channel: QuantumChannel, d_anc: int) -> QuantumChannel:
+    """E (x) id on a d_anc-dimensional ancilla, from the Kraus set {K (x) I}."""
+    return QuantumChannel([np.kron(k, np.eye(d_anc)) for k in channel.kraus])
+
+
+def choi_distance(a: QuantumChannel, b: QuantumChannel) -> float:
+    if (a.dim_in, a.dim_out) != (b.dim_in, b.dim_out):
+        raise DimensionMismatch("channels act on different spaces")
+    return float(np.max(np.abs(a.choi - b.choi)))
+
+
+def channels_equal(a: QuantumChannel, b: QuantumChannel) -> bool:
+    """Equal Choi matrices within CHANNEL_EQ_TOL, max-abs."""
+    return choi_distance(a, b) <= CHANNEL_EQ_TOL

@@ -9,7 +9,6 @@ from mrpower.errors import (
     InvalidStochasticMatrix,
     NonFiniteEntry,
     NotHermitian,
-    NotPsd,
     NotTracePreserving,
     NotUnital,
 )
@@ -62,7 +61,7 @@ class TestApplyAndAdjoint:
     def test_identity_channel(self):
         rng = mp.SeededRng(203)
         x = mp.HermitianOperator(mp.random_hermitian(3, rng))
-        channel = mp.identity_channel(3)
+        channel = ref.identity_channel(3)
         np.testing.assert_allclose(channel.apply(x).matrix, x.matrix)
         np.testing.assert_allclose(channel.adjoint_apply(x).matrix, x.matrix)
 
@@ -108,19 +107,19 @@ class TestApplyAndAdjoint:
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            mp.identity_channel(2).apply(ref.identity(3))
+            ref.identity_channel(2).apply(ref.identity(3))
 
 
 class TestCompose:
     def test_identity_is_neutral(self):
         rng = mp.SeededRng(207)
         channel = random_channel_any(2, rng)
-        composed = mp.compose(mp.identity_channel(2), channel)
-        assert mp.choi_distance(composed, channel) <= 1e-10
+        composed = mp.compose(ref.identity_channel(2), channel)
+        assert ref.choi_distance(composed, channel) <= 1e-10
 
     def test_dephasing_idempotent(self):
         delta = mp.dephasing_channel(3)
-        assert mp.channels_equal(mp.compose(delta, delta), delta)
+        assert ref.channels_equal(mp.compose(delta, delta), delta)
 
     def test_matches_sequential_application(self):
         rng = mp.SeededRng(208)
@@ -134,40 +133,26 @@ class TestCompose:
 
     def test_inner_dimension_check(self):
         with pytest.raises(DimensionMismatch):
-            mp.compose(mp.identity_channel(3), mp.identity_channel(2))
+            mp.compose(ref.identity_channel(3), ref.identity_channel(2))
 
 
 class TestExtendWithIdentity:
+    """The Kraus-kron extension in `reference`, which the conversion and
+    composite references are built on."""
+
     def test_extended_identity(self):
-        extended = mp.extend_with_identity(mp.identity_channel(2), 3, "right")
-        assert mp.channels_equal(extended, mp.identity_channel(6))
+        extended = ref.extend_with_identity(ref.identity_channel(2), 3)
+        assert ref.channels_equal(extended, ref.identity_channel(6))
 
     def test_acts_locally(self):
         rng = mp.SeededRng(209)
         channel = random_channel_any(2, rng.spawn(0))
         x = mp.HermitianOperator(mp.random_psd(2, rng.spawn(1)))
         y = mp.HermitianOperator(mp.random_psd(3, rng.spawn(2)))
-        extended = mp.extend_with_identity(channel, 3, "right")
+        extended = ref.extend_with_identity(channel, 3)
         lhs = extended.apply(ref.tensor_product(x, y))
         rhs = ref.tensor_product(channel.apply(x), y)
         np.testing.assert_allclose(lhs.matrix, rhs.matrix, atol=1e-11)
-
-    def test_left_side(self):
-        rng = mp.SeededRng(210)
-        channel = random_channel_any(2, rng.spawn(0))
-        x = mp.HermitianOperator(mp.random_psd(3, rng.spawn(1)))
-        y = mp.HermitianOperator(mp.random_psd(2, rng.spawn(2)))
-        extended = mp.extend_with_identity(channel, 3, "left")
-        lhs = extended.apply(ref.tensor_product(x, y))
-        rhs = ref.tensor_product(x, channel.apply(y))
-        np.testing.assert_allclose(lhs.matrix, rhs.matrix, atol=1e-11)
-
-    def test_extension_stays_trace_preserving(self):
-        rng = mp.SeededRng(211)
-        for i in range(10):
-            channel = random_channel_any(3, rng.spawn(i))
-            extended = mp.extend_with_identity(channel, 2, "right")
-            assert mp.classify_channel(extended).cptp
 
 
 class TestClassify:
@@ -255,7 +240,7 @@ class TestPullback:
     def test_identity_channel(self):
         rng = mp.SeededRng(220)
         povm = mp.random_povm(2, 3, False, rng)
-        out = mp.pullback_povm(mp.identity_channel(2), povm)
+        out = mp.pullback_povm(ref.identity_channel(2), povm)
         for a, b in zip(out.elements, povm.elements):
             np.testing.assert_allclose(a.matrix, b.matrix)
 
@@ -278,16 +263,6 @@ class TestPullback:
                 lhs = np.trace(px.matrix @ rho.matrix).real
                 rhs = np.trace(mx.matrix @ channel.apply(rho).matrix).real
                 assert lhs == pytest.approx(rhs, abs=1e-10)
-
-
-class TestChoiKrausConsistency:
-    @pytest.mark.parametrize("dim", [2, 3])
-    def test_rebuild_from_choi(self, dim):
-        rng = mp.SeededRng(222 + dim)
-        for i in range(100):
-            channel = random_channel_any(dim, rng.spawn(i))
-            rebuilt = mp.channel_from_choi(mp.HermitianOperator(channel.choi), dim, dim)
-            assert mp.choi_distance(rebuilt, channel) <= 1e-9
 
 
 class TestIncoherentProbabilityLaw:
@@ -505,7 +480,7 @@ class TestLazyKraus:
         composed = mp.compose(second, first)
         assert composed.kraus.shape == (9, 3, 3)  # rank of a 9 x 9 Choi matrix
         rebuilt = mp.QuantumChannel(composed.kraus)
-        assert mp.choi_distance(rebuilt, composed) <= 1e-12
+        assert ref.choi_distance(rebuilt, composed) <= 1e-12
 
     def test_derived_kraus_follow_choi_rank(self):
         composed = mp.compose(mp.dephasing_channel(3), mp.dephasing_channel(3))
@@ -527,16 +502,6 @@ class TestChoiAlgebraMatchesKraus:
         adjoint = mp.adjoint_channel(channel)
         expected = [k.conj().T for k in channel.kraus]
         np.testing.assert_allclose(adjoint.choi, kraus_choi(expected), atol=1e-12)
-
-    @pytest.mark.parametrize("side", ["left", "right"])
-    def test_extension(self, side):
-        rng = mp.SeededRng(240)
-        channel = mp.measurement_as_channel(mp.random_povm(2, 3, False, rng))
-        eye = np.eye(4)
-        expected = [np.kron(k, eye) if side == "right" else np.kron(eye, k) for k in channel.kraus]
-        extended = mp.extend_with_identity(channel, 4, side)
-        assert (extended.dim_in, extended.dim_out) == (8, 12)
-        np.testing.assert_allclose(extended.choi, kraus_choi(expected), atol=1e-12)
 
 
 class TestClassifyMatchesKrausReference:
@@ -608,9 +573,7 @@ CHANNEL_BUILDERS = {
     "compose": mp.compose,
     "mix_channels": lambda a, b: mp.mix_channels(a, b, 0.3),
     "adjoint_channel": lambda a, b: mp.adjoint_channel(mp.unitary_channel(HADAMARD)),
-    "extend_with_identity": lambda a, b: mp.extend_with_identity(a, 2, "right"),
     "dephased": lambda a, b: mp.dephased(a, "out"),
-    "channel_from_choi": lambda a, b: mp.channel_from_choi(mp.HermitianOperator(a.choi), 2, 2),
 }
 
 
@@ -625,16 +588,6 @@ class TestReadOnly:
             assert not array.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 array[0, 0] = 7.0
-
-
-class TestChannelFromChoi:
-    def test_rejects_non_positive(self):
-        with pytest.raises(NotPsd):
-            mp.channel_from_choi(mp.HermitianOperator(np.diag([1.0, -1.0, 1.0, 1.0])), 2, 2)
-
-    def test_rejects_non_trace_preserving(self):
-        with pytest.raises(NotTracePreserving):
-            mp.channel_from_choi(mp.HermitianOperator(np.eye(4)), 2, 2)
 
 
 def composed_channel(d, rng):
@@ -694,7 +647,7 @@ class TestDephased:
 
     def test_rejects_unknown_side(self):
         with pytest.raises(ValueError):
-            mp.dephased(mp.identity_channel(2), "both")
+            mp.dephased(ref.identity_channel(2), "both")
 
 
 def class_family(kind, dim, rng):

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 import mrpower as mp
+import reference as ref
 from mrpower import cli, suites
 from mrpower.cli import main
 from mrpower.errors import NotDensity
-from mrpower.powers import DEFAULT_CONVERSION_DIM_CAP
 from mrpower.serialize import channel_to_dict, load_channel, save_channel
 
 
@@ -91,14 +91,19 @@ class TestConvertCommand:
         assert mp.classify_channel(converted).cptp
 
     def test_identity_channel(self, tmp_path, capsys):
-        path = write_channel(tmp_path, "id.json", mp.identity_channel(2))
+        path = write_channel(tmp_path, "id.json", ref.identity_channel(2))
         assert main(["convert", path, "--out", str(tmp_path / "out.json")]) == 0
         cert = json.loads(capsys.readouterr().out)
         assert cert["cohering_power"] == pytest.approx(0.0, abs=1e-12)
         assert cert["avg_ere_lower_bound"] == pytest.approx(0.0, abs=1e-12)
 
-    def test_dimension_cap_exits_3(self, tmp_path, capsys):
-        path = write_channel(tmp_path, "big.json", mp.identity_channel(7))
+    def test_dimension_cap_exits_3(self, tmp_path, capsys, monkeypatch):
+        def certificate(channel):
+            raise AssertionError("certificate reached")
+
+        monkeypatch.setattr(cli, "conversion_ent_lower_bound", certificate)
+        dim = cli.CONVERSION_DIM_CAP + 1
+        path = write_channel(tmp_path, "big.json", ref.identity_channel(dim))
         assert main(["convert", path, "--out", str(tmp_path / "out.json")]) == 3
         assert "cap" in capsys.readouterr().err
 
@@ -325,16 +330,16 @@ class TestInvalidInputExitCodes:
         assert "not valid JSON" in capsys.readouterr().err
 
     def test_boolean_entry_exits_2(self, tmp_path, capsys):
-        text = json.dumps(channel_to_dict(mp.identity_channel(2))).replace("1.0", "true")
+        text = json.dumps(channel_to_dict(ref.identity_channel(2))).replace("1.0", "true")
         path = tmp_path / "boolean.json"
         path.write_text(text)
         assert main(["power", str(path)]) == 2
         assert "[re, im] pair" in capsys.readouterr().err
 
-    def test_dimension_cap_is_the_certificate_cap(self, capsys):
-        dim = DEFAULT_CONVERSION_DIM_CAP + 1
+    def test_verify_dimension_cap_is_the_convert_cap(self, capsys):
+        dim = cli.CONVERSION_DIM_CAP + 1
         assert main(["verify", "--suite", "thm3_proxy", "--dim", str(dim)]) == 2
-        assert f"dimension {DEFAULT_CONVERSION_DIM_CAP}" in capsys.readouterr().err
+        assert f"dimension {cli.CONVERSION_DIM_CAP}" in capsys.readouterr().err
 
 
 class TestConvertOutput:

@@ -30,7 +30,7 @@ class TestExampleChannelPowers:
         assert mp.measurement_cohering_power(channel) == pytest.approx(1.0, abs=1e-9)
 
     def test_identity_has_no_power(self):
-        channel = mp.identity_channel(3)
+        channel = ref.identity_channel(3)
         assert mp.measurement_cohering_power(channel) == pytest.approx(0.0, abs=1e-12)
         assert mp.state_cohering_power(channel) == pytest.approx(0.0, abs=1e-12)
 
@@ -72,7 +72,7 @@ class TestCnot:
 
 class TestConversionChannel:
     def test_is_cptp(self):
-        converted = mp.conversion_channel(mp.identity_channel(2))
+        converted = mp.conversion_channel(ref.identity_channel(2))
         assert mp.classify_channel(converted).cptp
 
     def test_output_is_dephased(self):
@@ -80,7 +80,7 @@ class TestConversionChannel:
         channel = mp.random_channel(2, 3, "general", rng)
         converted = mp.conversion_channel(channel)
         redephased = mp.compose(mp.dephasing_channel(4), converted)
-        assert mp.channels_equal(redephased, converted)
+        assert ref.channels_equal(redephased, converted)
 
     def test_free_input_keeps_zero_certificate(self):
         certificate = mp.conversion_ent_lower_bound(mp.dephasing_channel(2))
@@ -93,7 +93,7 @@ def composed_conversion_channel(channel):
     products: the reference for `conversion_channel`."""
     d = channel.dim_in
     pre = mp.unitary_channel(mp.cnot_matrix(d).conj().T)
-    return mp.dephased(mp.compose(mp.extend_with_identity(channel, d, "right"), pre), "out")
+    return mp.dephased(mp.compose(ref.extend_with_identity(channel, d), pre), "out")
 
 
 def conversion_inputs(dim, seed):
@@ -112,7 +112,7 @@ class TestConversionChannelMatchesComposition:
         for name, channel in conversion_inputs(dim, 420 + dim).items():
             converted = mp.conversion_channel(channel)
             reference = composed_conversion_channel(channel)
-            assert mp.choi_distance(converted, reference) <= 1e-12, name
+            assert ref.choi_distance(converted, reference) <= 1e-12, name
             assert converted.kraus.shape[0] == reference.kraus.shape[0], name
             assert converted.kraus.shape[0] <= dim**3, name
 
@@ -137,7 +137,7 @@ class TestConversionCertificate:
         assert certificate.gap <= 1e-9
 
     def test_identity_certificate(self):
-        certificate = mp.conversion_ent_lower_bound(mp.identity_channel(2))
+        certificate = mp.conversion_ent_lower_bound(ref.identity_channel(2))
         assert certificate.cohering_power == pytest.approx(0.0, abs=1e-12)
         assert certificate.avg_ere_lower_bound == pytest.approx(0.0, abs=1e-12)
 
@@ -151,9 +151,11 @@ class TestConversionCertificate:
             assert certificate.gap <= 1e-9
             assert len(certificate.per_element_bounds) == dim * dim
 
-    def test_dimension_cap(self):
-        with pytest.raises(UnsupportedScale):
-            mp.conversion_ent_lower_bound(mp.identity_channel(7))
+    def test_closes_the_gap_above_the_cli_cap(self):
+        channel = mp.random_channel(7, 49, "general", mp.SeededRng(408))
+        certificate = mp.conversion_ent_lower_bound(channel)
+        assert certificate.gap <= 1e-9
+        assert len(certificate.per_element_bounds) == 49
 
 
 def per_element_certificate_bounds(channel):
@@ -194,7 +196,7 @@ class TestBatchedBoundsMatchElementLoops:
             l = mp.random_dio(dd, True, rng.spawn(3 * i + 2))
             composite = mp.compose(
                 mp.dephasing_channel(dd),
-                mp.compose(k, mp.compose(mp.extend_with_identity(channel, dim, "right"), l)),
+                mp.compose(k, mp.compose(ref.extend_with_identity(channel, dim), l)),
             )
             pulled = mp.pullback_povm(composite, mp.basis_measurement(dd))
             expected = np.mean([ref.ere_lower_bound(el, (dim, dim)) for el in pulled.elements])
@@ -216,13 +218,13 @@ class TestBatchedBoundsMatchElementLoops:
 class TestCompositeBound:
     def test_identity_sandwich_of_g(self):
         g = mp.example_channels()["g"]
-        proxy = mp.composite_ent_lower_bound(g, mp.identity_channel(4), mp.identity_channel(4))
+        proxy = mp.composite_ent_lower_bound(g, ref.identity_channel(4), ref.identity_channel(4))
         assert proxy <= mp.measurement_cohering_power(g) + 1e-8
 
     def test_free_core_channel(self):
         rng = mp.SeededRng(405)
         free = mp.random_dio(2, False, rng)
-        proxy = mp.composite_ent_lower_bound(free, mp.identity_channel(4), mp.identity_channel(4))
+        proxy = mp.composite_ent_lower_bound(free, ref.identity_channel(4), ref.identity_channel(4))
         assert proxy <= 1e-8
 
     def test_random_sandwiches(self):
@@ -238,14 +240,14 @@ class TestCompositeBound:
         g = mp.example_channels()["g"]
         coherent = mp.unitary_channel(np.kron(HADAMARD, HADAMARD))
         with pytest.raises(PreconditionViolation):
-            mp.composite_ent_lower_bound(g, coherent, mp.identity_channel(4))
+            mp.composite_ent_lower_bound(g, coherent, ref.identity_channel(4))
 
     def test_rejects_non_unital_l(self):
         g = mp.example_channels()["g"]
         rng = mp.SeededRng(407)
         non_unital = mp.random_dio(4, False, rng)
         with pytest.raises(PreconditionViolation):
-            mp.composite_ent_lower_bound(g, mp.identity_channel(4), non_unital)
+            mp.composite_ent_lower_bound(g, ref.identity_channel(4), non_unital)
 
 
 class TestDuality:
@@ -256,7 +258,7 @@ class TestDuality:
         assert result.sandwich_ok
 
     def test_identity(self):
-        result = mp.duality_check(mp.identity_channel(2))
+        result = mp.duality_check(ref.identity_channel(2))
         assert result.c_g == pytest.approx(0.0, abs=1e-12)
         assert result.c_adj == pytest.approx(0.0, abs=1e-12)
         assert result.sandwich_ok
@@ -317,8 +319,8 @@ class TestMonotoneAxioms:
         for i in range(20):
             dim = 3
             channel = mp.random_channel(dim, 4, "general", rng.spawn(3 * i))
-            left = mp.permutation_channel(rng.spawn(3 * i + 1).gen.permutation(dim))
-            right = mp.permutation_channel(rng.spawn(3 * i + 2).gen.permutation(dim))
+            left = ref.permutation_channel(rng.spawn(3 * i + 1).gen.permutation(dim))
+            right = ref.permutation_channel(rng.spawn(3 * i + 2).gen.permutation(dim))
             wrapped = mp.compose(left, mp.compose(channel, right))
             assert mp.measurement_cohering_power(wrapped) == pytest.approx(
                 mp.measurement_cohering_power(channel), abs=1e-10

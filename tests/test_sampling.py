@@ -168,4 +168,4 @@ class TestExampleChannels:
         )
 
     def test_cnot_entry_matches_generator(self):
-        assert mp.channels_equal(mp.example_channels()["cnot2"], mp.cnot_unitary(2))
+        assert ref.channels_equal(mp.example_channels()["cnot2"], mp.cnot_unitary(2))

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import mrpower as mp
+import reference as ref
 from mrpower import serialize
 from mrpower.errors import NonFiniteEntry, NotTracePreserving
 from mrpower.serialize import (
@@ -24,13 +25,13 @@ class TestChannelWireFormat:
         rng = mp.SeededRng(501)
         channel = mp.random_channel(3, 4, "general", rng)
         rebuilt = channel_from_dict(channel_to_dict(channel))
-        assert mp.choi_distance(rebuilt, channel) <= 1e-12
+        assert ref.choi_distance(rebuilt, channel) <= 1e-12
 
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "channel.json"
         channel = mp.example_channels()["g"]
         save_channel(str(path), channel)
-        assert mp.choi_distance(load_channel(str(path)), channel) <= 1e-12
+        assert ref.choi_distance(load_channel(str(path)), channel) <= 1e-12
 
     def test_rejects_missing_keys(self):
         with pytest.raises(SchemaError):
@@ -41,20 +42,20 @@ class TestChannelWireFormat:
             channel_from_dict({"dim_in": 0, "dim_out": 2, "kraus": [[[ [1, 0] ]]]})
 
     def test_rejects_wrong_shape(self):
-        wire = channel_to_dict(mp.identity_channel(2))
+        wire = channel_to_dict(ref.identity_channel(2))
         wire["dim_out"] = 3
         with pytest.raises(SchemaError):
             channel_from_dict(wire)
 
     def test_rejects_malformed_entry(self):
-        wire = channel_to_dict(mp.identity_channel(2))
+        wire = channel_to_dict(ref.identity_channel(2))
         wire["kraus"][0][0][0] = [1.0]
         with pytest.raises(SchemaError):
             channel_from_dict(wire)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_rejects_non_finite_entry(self, bad):
-        wire = json.loads(json.dumps(channel_to_dict(mp.identity_channel(2))))
+        wire = json.loads(json.dumps(channel_to_dict(ref.identity_channel(2))))
         wire["kraus"][0][1][0] = [0.0, bad]
         with pytest.raises(NonFiniteEntry, match=r"kraus\[0\]"):
             channel_from_dict(wire)
@@ -80,7 +81,7 @@ class TestChannelWireFormat:
 
     @pytest.mark.parametrize("pair", [[True, 0.0], [1.0, False], [True, False]])
     def test_rejects_boolean_entry(self, pair):
-        wire = json.loads(json.dumps(channel_to_dict(mp.identity_channel(2))))
+        wire = json.loads(json.dumps(channel_to_dict(ref.identity_channel(2))))
         wire["kraus"][0][0][0] = pair
         with pytest.raises(SchemaError, match=r"kraus\[0\]: entry \(0, 0\)"):
             channel_from_dict(wire)
@@ -90,7 +91,7 @@ class TestChannelWireFormat:
         {"1.0": "true", "0.0": "false"},  # and [true, false] as a bool block
     ])
     def test_rejects_boolean_entry_in_a_file(self, tmp_path, replacements):
-        text = json.dumps(channel_to_dict(mp.identity_channel(2)))
+        text = json.dumps(channel_to_dict(ref.identity_channel(2)))
         for number, word in replacements.items():
             text = text.replace(number, word)
         path = tmp_path / "boolean.json"
@@ -100,9 +101,9 @@ class TestChannelWireFormat:
 
     def test_boolean_text_outside_entries_still_loads(self, tmp_path):
         path = tmp_path / "annotated.json"
-        wire = channel_to_dict(mp.identity_channel(2))
+        wire = channel_to_dict(ref.identity_channel(2))
         path.write_text(json.dumps({"note": "true or false", **wire}))
-        assert mp.choi_distance(load_channel(str(path)), mp.identity_channel(2)) <= 1e-12
+        assert ref.choi_distance(load_channel(str(path)), ref.identity_channel(2)) <= 1e-12
 
     def test_invalid_channel_is_not_a_schema_error(self):
         wire = {
@@ -185,7 +186,7 @@ class TestTextPath:
         data = layout_text("[[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]]")
         assert serialize._kraus_from_layout(data) is not None
         channel = load_bytes(tmp_path, data)
-        assert channel.kraus.tobytes() == mp.identity_channel(2).kraus.tobytes()
+        assert channel.kraus.tobytes() == ref.identity_channel(2).kraus.tobytes()
 
     def test_malformed_token_at_every_window_edge(self, tmp_path):
         # a full-rank d = 16 file: what matters here is its size, not its channel
