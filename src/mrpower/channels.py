@@ -54,9 +54,7 @@ class QuantumChannel:
     __slots__ = ("_choi", "_dim_in", "_dim_out", "_kraus")
 
     def __init__(self, kraus) -> None:
-        arr = np.array([np.asarray(k, dtype=complex) for k in kraus])
-        if arr.ndim != 3 or arr.shape[0] == 0:
-            raise DimensionMismatch("kraus must be a non-empty list of equal-shape matrices")
+        arr = _matrix_stack(kraus, "Kraus operators")
         require_finite(arr, "Kraus operators")
         vecs = arr.reshape(arr.shape[0], -1)
         choi = vecs.T @ vecs.conj()
@@ -291,7 +289,11 @@ class Povm:
     __slots__ = ("_stack", "_spectra", "_elements")
 
     def __init__(self, elements) -> None:
-        stack = _element_stack(elements)
+        if len(elements) == 0:
+            raise InvalidPovm("a POVM needs at least one element")
+        stack = _matrix_stack(elements, "POVM elements")
+        if stack.shape[1] != stack.shape[2]:
+            raise DimensionMismatch(f"POVM elements must be square, got {stack.shape[1:]}")
         check_hermitian(stack, "POVM elements")
         spectra = np.linalg.eigvalsh(stack)
         check_psd_spectra(spectra, "element", InvalidPovm)
@@ -331,21 +333,20 @@ class Povm:
         return f"Povm(dim={self.dim}, n={self.n})"
 
 
-def _element_stack(elements) -> np.ndarray:
-    """Elements given as an (n, d, d) array or a sequence of matrices or
-    `HermitianOperator`s, copied into one complex (n, d, d) array."""
-    if not isinstance(elements, np.ndarray):
-        elements = [el.matrix if isinstance(el, HermitianOperator) else el for el in elements]
-    if len(elements) == 0:
-        raise InvalidPovm("a POVM needs at least one element")
+def _matrix_stack(matrices, what: str) -> np.ndarray:
+    """Matrices given as an (n, rows, cols) array or a sequence of matrices
+    or `HermitianOperator`s, copied into one complex (n, rows, cols) array
+    with no side of size zero."""
+    if not isinstance(matrices, np.ndarray):
+        matrices = [m.matrix if isinstance(m, HermitianOperator) else m for m in matrices]
     try:
-        stack = np.array(elements, dtype=complex)
+        stack = np.array(matrices, dtype=complex)
     except ValueError:  # ragged: tell a shape mismatch from a bad entry
-        shapes = {np.shape(np.array(el, dtype=complex)) for el in elements}
-        raise DimensionMismatch(f"POVM elements have mixed shapes {sorted(shapes)}") from None
-    if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or stack.shape[1] < 1:
+        shapes = {np.shape(np.array(m, dtype=complex)) for m in matrices}
+        raise DimensionMismatch(f"{what} have mixed shapes {sorted(shapes)}") from None
+    if stack.ndim != 3 or stack.size == 0:
         raise DimensionMismatch(
-            f"POVM elements must be square matrices of one shape, got {stack.shape[1:]}"
+            f"{what} must be non-empty matrices of one shape, got shape {stack.shape}"
         )
     return stack
 

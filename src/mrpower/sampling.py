@@ -88,7 +88,7 @@ def random_channel(d: int, kraus_rank: int, kind: str, rng: SeededRng) -> Quantu
         raise InvalidRank(f"kraus_rank must lie in 1..{d * d}, got {kraus_rank}")
     if kind == "general":
         isometry = haar_isometry(d * kraus_rank, d, rng)
-        kraus = [isometry[k * d : (k + 1) * d, :] for k in range(kraus_rank)]
+        kraus = isometry.reshape(kraus_rank, d, d)
     elif kind == "unital":
         weights = rng.gen.dirichlet(np.ones(kraus_rank))
         kraus = [np.sqrt(w) * haar_unitary(d, rng) for w in weights]

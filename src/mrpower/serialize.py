@@ -9,9 +9,10 @@ input, and raises NonFiniteEntry.
 
 Decoding with `json.loads` and checking entry by entry is the reference.
 A channel file in exactly the layout `save_channel` writes also has a text
-path, which reads every number in one `np.fromstring` pass; it returns only
-what the reference would return, bit for bit, and hands every other file,
-and every error, to the reference.
+path, which converts its numbers window by window with Python's `float`,
+as `json.loads` converts JSON floats; it returns only what the reference
+would return, bit for bit, and hands every other file, and every error, to
+the reference.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from __future__ import annotations
 import io
 import json
 import re
-import warnings
 from typing import Any
 
 import numpy as np
@@ -126,9 +126,9 @@ def _kraus_skeleton(n: int, rows: int, cols: int) -> bytes:
 
 def _numbers_are_json(window: np.ndarray) -> bool:
     """Whether the numbers in a window of the layout (its bytes, as uint8)
-    read as JSON as they read as strtod: no empty [re, im] slot, no
+    read as JSON as they read as `float`: no empty [re, im] slot, no
     mantissa of '0' and another digit, no integer -0, which JSON reads as 0
-    and strtod as -0.0, and a digit on each side of every '.'."""
+    and `float` as -0.0, and a digit on each side of every '.'."""
     digit = (window - 48) < 10
     opens = window == 91  # '[' or ' ', after which a slot starts
     opens |= window == 32
@@ -151,12 +151,12 @@ def _kraus_from_layout(data: bytes) -> np.ndarray | None:
     writes, or None, which hands the file to the JSON reference path.
 
     Deleting the number bytes must leave the brackets, commas and spaces of
-    n operators of the declared shape. No [re, im] slot may be empty, and
-    every number must be one that JSON reads as strtod does. Then
-    `np.fromstring` must read every token of every window whole, to
-    2 n dim_out dim_in finite values: with no slot empty, a number outside
-    the slots is one too many. Windows end on the comma of a ", ", so no
-    checked pattern spans two of them.
+    n operators of the declared shape. In one pass over the windows, every
+    number must be one that JSON reads as `float` does, with no [re, im]
+    slot empty, and `float` must read every token whole. The values must
+    come to 2 n dim_out dim_in finite numbers: with no slot empty, a number
+    outside the slots is one too many. Windows end on the comma of a ", ",
+    so no checked pattern spans two of them.
     """
     head = re.match(_CHANNEL_PREFIX, data)  # compiled on first use, not on import
     tail = b"}\n" if data.endswith(b"}\n") else b"}"
@@ -170,20 +170,14 @@ def _kraus_from_layout(data: bytes) -> np.ndarray | None:
         _PREFIX_SKELETON + _kraus_skeleton(n, dim_out, dim_in) + tail
     ):
         return None
-    windows = list(_windows(data, head.end(), len(data) - len(tail)))
     as_bytes = np.frombuffer(data, np.uint8)
-    if not all(_numbers_are_json(as_bytes[start:end]) for start, end in windows):
-        return None
     parts = []
-    with warnings.catch_warnings():
-        # numpy 2.4 raises on a token it cannot read whole, older numpy only
-        # warns; this swaps the process-wide filters, safe while no other
-        # thread runs, as in mrpower
-        warnings.simplefilter("error", DeprecationWarning)
+    for start, end in _windows(data, head.end(), len(data) - len(tail)):
+        if not _numbers_are_json(as_bytes[start:end]):
+            return None
         try:
-            for start, end in windows:
-                parts.append(np.fromstring(data[start:end].translate(_TO_SPACES), sep=" "))
-        except (ValueError, DeprecationWarning):
+            parts.append(np.array(data[start:end].translate(_TO_SPACES).split(), dtype=float))
+        except ValueError:  # a token that float cannot read whole
             return None
     values = np.concatenate(parts)
     if values.size != 2 * n * dim_out * dim_in or not np.isfinite(values).all():

@@ -318,6 +318,23 @@ class TestValidation:
         np.testing.assert_allclose(padded.elements[2].matrix, np.zeros((3, 3)))
 
 
+INVALID_KRAUS = [
+    ("ragged", [np.eye(2), np.eye(3)], DimensionMismatch),
+    ("zero size", [np.zeros((2, 0))], DimensionMismatch),
+    ("empty", [], DimensionMismatch),
+    ("NaN", [[[np.nan, 0.0], [0.0, 1.0]]], NonFiniteEntry),
+    ("not trace preserving", [0.5 * np.eye(2)], NotTracePreserving),
+]
+
+
+@pytest.mark.parametrize(
+    "kraus, error", [case[1:] for case in INVALID_KRAUS], ids=[case[0] for case in INVALID_KRAUS]
+)
+def test_channel_rejects_invalid_kraus(kraus, error):
+    with pytest.raises(error):
+        mp.QuantumChannel(kraus)
+
+
 INVALID_POVMS = [
     ("empty", [], InvalidPovm),
     ("non-square", [np.ones((2, 3)) / 2, np.ones((2, 3)) / 2], DimensionMismatch),

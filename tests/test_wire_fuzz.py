@@ -122,11 +122,13 @@ def test_mutated_channel_files_exit_cleanly(tmp_path, capsys):
     assert booleans > 0
 
 
-# Number tokens that JSON rejects or reads otherwise than strtod, and valid
-# edge cases: wherever one lands, the file loads as the reference loads it.
+# Number tokens that JSON rejects or reads otherwise than `float`, tokens
+# that `float` rejects whole but strtod reads in part, and valid edge cases:
+# wherever one lands, the file loads as the reference loads it.
 NUMBER_TOKENS = (
     ".5", "5.", "+1", "01", "-01", "00", "-0", "-0.0", "1E5", "1e+5", "1.e5", "1e",
     "--1", "0x1", "NaN", "Infinity", "1e400", "9" * 5000, "1 2", "",
+    "1-2", "1.2.3", "1e5e5", "-",
 )
 CASES_PER_TOKEN = 150
 NUMBER = re.compile(r"-?[0-9][0-9.e+-]*")
