@@ -30,6 +30,7 @@ from .operators import (
     EIG_CLIP,
     PSD_TOL,
     HermitianOperator,
+    as_array,
     basis_projector,
     check_hermitian,
     check_psd_spectra,
@@ -54,7 +55,7 @@ class QuantumChannel:
     __slots__ = ("_choi", "_dim_in", "_dim_out", "_kraus")
 
     def __init__(self, kraus) -> None:
-        arr = _matrix_stack(kraus, "Kraus operators")
+        arr = as_array(kraus, 3, "Kraus operators")
         require_finite(arr, "Kraus operators")
         vecs = arr.reshape(arr.shape[0], -1)
         choi = vecs.T @ vecs.conj()
@@ -179,7 +180,7 @@ def compose(second: QuantumChannel, first: QuantumChannel) -> QuantumChannel:
 
 
 def unitary_channel(unitary) -> QuantumChannel:
-    return QuantumChannel([np.asarray(unitary, dtype=complex)])
+    return QuantumChannel([unitary])
 
 
 def dephasing_channel(dim: int) -> QuantumChannel:
@@ -209,7 +210,7 @@ def adjoint_channel(channel: QuantumChannel) -> QuantumChannel:
         raise DimensionMismatch("adjoint channel requires a square channel")
     d = channel.dim_in
     residual = _unital_residual(channel)
-    if residual > TP_TOL:
+    if not residual <= TP_TOL:
         raise NotUnital(f"channel is not unital: E(I) deviates from identity by {residual:.3e}")
     choi = _blocks(channel).conj().transpose(1, 0, 3, 2).reshape(d * d, d * d)
     return QuantumChannel._from_choi(choi, d, d)
@@ -291,7 +292,7 @@ class Povm:
     def __init__(self, elements) -> None:
         if len(elements) == 0:
             raise InvalidPovm("a POVM needs at least one element")
-        stack = _matrix_stack(elements, "POVM elements")
+        stack = as_array(elements, 3, "POVM elements")
         if stack.shape[1] != stack.shape[2]:
             raise DimensionMismatch(f"POVM elements must be square, got {stack.shape[1:]}")
         check_hermitian(stack, "POVM elements")
@@ -333,24 +334,6 @@ class Povm:
         return f"Povm(dim={self.dim}, n={self.n})"
 
 
-def _matrix_stack(matrices, what: str) -> np.ndarray:
-    """Matrices given as an (n, rows, cols) array or a sequence of matrices
-    or `HermitianOperator`s, copied into one complex (n, rows, cols) array
-    with no side of size zero."""
-    if not isinstance(matrices, np.ndarray):
-        matrices = [m.matrix if isinstance(m, HermitianOperator) else m for m in matrices]
-    try:
-        stack = np.array(matrices, dtype=complex)
-    except ValueError:  # ragged: tell a shape mismatch from a bad entry
-        shapes = {np.shape(np.array(m, dtype=complex)) for m in matrices}
-        raise DimensionMismatch(f"{what} have mixed shapes {sorted(shapes)}") from None
-    if stack.ndim != 3 or stack.size == 0:
-        raise DimensionMismatch(
-            f"{what} must be non-empty matrices of one shape, got shape {stack.shape}"
-        )
-    return stack
-
-
 class StochasticMatrix:
     """Column-stochastic conditional distribution p(x|i).
 
@@ -362,9 +345,7 @@ class StochasticMatrix:
     __slots__ = ("_entries",)
 
     def __init__(self, entries) -> None:
-        arr = np.array(entries, dtype=float)
-        if arr.ndim != 2:
-            raise InvalidStochasticMatrix(f"expected a 2-d array, got shape {arr.shape}")
+        arr = as_array(entries, 2, "stochastic matrix", float)
         require_finite(arr, "stochastic matrix")
         if float(arr.min(initial=0.0)) < -STOCHASTIC_TOL:
             raise InvalidStochasticMatrix(f"negative entry {arr.min():.3e}")

@@ -5,10 +5,11 @@ Subcommands:
   convert  build the conversion channel and print its equality certificate
   verify   run randomized verification suites and emit JSON/CSV reports
 
-Exit codes: 0 success; 1 suite failure (verify); 2 parse/flag errors;
-3 invalid channel input (any ToolkitError or LinAlgError a command lets
-through); 4 conversion certificate gap above tolerance; 5 internal error
-(any other exception a command lets through).
+Exit codes: 0 success; 1 suite failure (verify); 2 parse/flag errors and
+unreadable or malformed channel files (SchemaError); 3 invalid channel input
+(any ToolkitError or LinAlgError a command lets through); 4 conversion
+certificate gap above tolerance; 5 internal error (any other exception a
+command lets through). `main` maps exceptions to codes 2, 3 and 5.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import numpy as np
 
 from .errors import ToolkitError
 from .powers import (
+    CONVERSION_GAP_TOL,
     conversion_channel,
     conversion_ent_lower_bound,
     measurement_cohering_power,
@@ -32,8 +34,6 @@ from .powers import (
 )
 from .serialize import SchemaError, load_channel, save_channel
 from .suites import SUITE_NAMES, VerificationReport, run_suite
-
-CONVERT_GAP_TOL = 1e-9
 
 # Largest input dimension of `convert` and of the conversion suites in
 # `verify`. The library takes any dimension; this caps the resources of one
@@ -62,10 +62,7 @@ def _sig12(value: float) -> float:
 
 
 def _cmd_power(args) -> int:
-    try:
-        channel = load_channel(args.channel_file)
-    except SchemaError as exc:
-        return _fail(EXIT_PARSE, str(exc))
+    channel = load_channel(args.channel_file)
     out: dict[str, float] = {}
     if args.what in ("c", "both"):
         out["c"] = _sig12(measurement_cohering_power(channel))
@@ -91,10 +88,7 @@ def _cmd_convert(args) -> int:
     problem = _unwritable(args.out)
     if problem:
         return _fail(EXIT_PARSE, problem)
-    try:
-        channel = load_channel(args.channel_file)
-    except SchemaError as exc:
-        return _fail(EXIT_PARSE, str(exc))
+    channel = load_channel(args.channel_file)
     if channel.dim_in > CONVERSION_DIM_CAP:
         return _fail(
             EXIT_INVALID_CHANNEL,
@@ -112,10 +106,10 @@ def _cmd_convert(args) -> int:
             }
         )
     )
-    if certificate.gap > CONVERT_GAP_TOL:
+    if certificate.gap > CONVERSION_GAP_TOL:
         return _fail(
             EXIT_GAP,
-            f"certificate gap {certificate.gap:.3e} exceeds {CONVERT_GAP_TOL} "
+            f"certificate gap {certificate.gap:.3e} exceeds {CONVERSION_GAP_TOL} "
             "(internal-consistency failure)",
         )
     return EXIT_OK
@@ -241,8 +235,10 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.handler(args)
+    except SchemaError as exc:  # an unreadable or malformed channel file
+        return _fail(EXIT_PARSE, str(exc))
     except (ToolkitError, np.linalg.LinAlgError) as exc:
-        # invalid input found past loading, e.g. by the certificate or a power
+        # a channel that fails validation, or a precondition of a power or the certificate
         return _fail(EXIT_INVALID_CHANNEL, str(exc))
     except Exception as exc:  # a fault in the program, never a suite failure
         frame = traceback.extract_tb(exc.__traceback__)[-1]

@@ -43,17 +43,41 @@ def check_hermitian(matrices: np.ndarray, what: str) -> None:
         raise NotHermitian(f"max deviation from Hermiticity {deviation:.3e} exceeds {HERM_TOL}")
 
 
+def as_array(values, ndim: int, what: str, dtype=complex) -> np.ndarray:
+    """`values` copied into a new `dtype` array with `ndim` axes, none of size
+    zero; in a list or tuple, a `HermitianOperator` stands for its matrix.
+
+    A ragged nesting, or any other shape, raises DimensionMismatch; an entry
+    that is not a number raises numpy's ValueError.
+    """
+    if isinstance(values, (list, tuple)):
+        values = [v.matrix if isinstance(v, HermitianOperator) else v for v in values]
+    try:
+        array = np.array(values, dtype=dtype)
+    except ValueError:
+        try:
+            cells = np.array(values, dtype=object)
+        except ValueError:  # a nesting numpy cannot hold even as objects
+            cells = None
+        if cells is not None and cells.ndim == ndim and not any(map(np.ndim, cells.flat)):
+            raise  # every entry in place, and one of them is not a number
+        raise DimensionMismatch(f"{what}: ragged nesting, expected {ndim} axes") from None
+    if array.ndim != ndim or array.size == 0:
+        raise DimensionMismatch(
+            f"{what}: expected {ndim} axes, none of size zero, got shape {array.shape}"
+        )
+    return array
+
+
 class HermitianOperator:
     """Immutable square complex matrix, validated Hermitian on construction."""
 
     __slots__ = ("_matrix",)
 
     def __init__(self, matrix) -> None:
-        m = np.array(matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        m = as_array(matrix, 2, "operator")
+        if m.shape[0] != m.shape[1]:
             raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
-        if m.shape[0] < 1:
-            raise DimensionMismatch("dimension must be at least 1")
         check_hermitian(m, "operator")
         m.setflags(write=False)
         self._matrix = m
@@ -81,14 +105,14 @@ def basis_projector(index: int, dim: int) -> HermitianOperator:
 
 def check_psd_spectra(eigenvalues: np.ndarray, what: str, error=NotPsd) -> None:
     """Raise `error` when an ascending spectrum, or any spectrum of an (n, d)
-    stack of them, has an eigenvalue below -PSD_TOL; for a stack the message
-    names the first operator at fault."""
+    stack of them, has a lowest eigenvalue below -PSD_TOL or NaN; for a stack
+    the message names the first operator at fault."""
     if eigenvalues.size == 0:
         return
     lowest = eigenvalues[..., 0]
-    if lowest.min() < -PSD_TOL:
+    if not lowest.min() >= -PSD_TOL:  # a NaN fails every comparison
         if lowest.ndim:
-            x = int(np.argmax(lowest < -PSD_TOL))
+            x = int(np.argmax(~(lowest >= -PSD_TOL)))
             what, lowest = f"{what} {x} is not PSD", lowest[x]
         raise error(f"{what}: minimum eigenvalue {lowest:.3e} below -{PSD_TOL}")
 

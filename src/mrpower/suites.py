@@ -35,6 +35,7 @@ from .measures import (
 )
 from .operators import basis_projector
 from .powers import (
+    CONVERSION_GAP_TOL,
     composite_ent_lower_bound,
     conversion_ent_lower_bound,
     duality_check,
@@ -255,7 +256,7 @@ SUITES = {
     "structure_lemma": (_trial_structure_lemma, 1e-10, 4),
     "power_monotone": (_trial_power_monotone, 1e-8, 5),
     "power_convexity": (_trial_power_convexity, 1e-8, 6),
-    "conversion_equality": (_trial_conversion_equality, 1e-9, 7),
+    "conversion_equality": (_trial_conversion_equality, CONVERSION_GAP_TOL, 7),
     "thm3_proxy": (_trial_thm3_proxy, 1e-8, 8),
     "duality": (_trial_duality, 1e-8, 9),
     "thm7_reduction": (_trial_thm7_reduction, 1e-9, 10),

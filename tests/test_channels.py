@@ -324,6 +324,7 @@ INVALID_KRAUS = [
     ("empty", [], DimensionMismatch),
     ("NaN", [[[np.nan, 0.0], [0.0, 1.0]]], NonFiniteEntry),
     ("not trace preserving", [0.5 * np.eye(2)], NotTracePreserving),
+    ("ragged operator", [[[1.0, 0.0], [0.0]]], DimensionMismatch),
 ]
 
 
@@ -345,6 +346,7 @@ INVALID_POVMS = [
     ("inf", [np.diag([np.inf, 0.0]), np.diag([0.0, 1.0])], NonFiniteEntry),
     ("not PSD", [np.diag([1.5, 0.5]), np.diag([-0.5, 0.5])], InvalidPovm),
     ("incomplete", [np.eye(2) / 2, np.eye(2) / 4], InvalidPovm),
+    ("ragged element", [np.eye(2), [[1.0, 0.0], [0.0]]], DimensionMismatch),
 ]
 
 

@@ -6,7 +6,7 @@ import pytest
 import mrpower as mp
 import reference as ref
 from mrpower.errors import DimensionMismatch, NonFiniteEntry, NotHermitian, NotPsd
-from mrpower.operators import relative_entropies
+from mrpower.operators import check_psd_spectra, psd_entropies, relative_entropies
 
 
 def plus_state():
@@ -44,6 +44,44 @@ class TestHermitianOperator:
     def test_tolerates_rounding_noise(self):
         m = np.array([[1.0, 0.3 + 1e-12j], [0.3, 1.0]])
         assert mp.HermitianOperator(m).dim == 2
+
+
+# input that the shared array converter turns away, for each constructor that
+# takes a matrix: the Kraus and POVM cases are in tests/test_channels.py
+INVALID_MATRICES = [
+    ("operator ragged", mp.HermitianOperator, [[1.0, 0.0], [0.0]], DimensionMismatch),
+    ("operator 1-d", mp.HermitianOperator, [1.0, 0.0], DimensionMismatch),
+    ("operator 3-d", mp.HermitianOperator, np.zeros((1, 2, 2)), DimensionMismatch),
+    ("operator zero size", mp.HermitianOperator, np.zeros((0, 0)), DimensionMismatch),
+    ("operator entry 'a'", mp.HermitianOperator, [[1.0, "a"], [0.0, 1.0]], ValueError),
+    ("stochastic ragged", mp.StochasticMatrix, [[1.0, 0.0], [0.0]], DimensionMismatch),
+    ("stochastic 1-d", mp.StochasticMatrix, [1.0], DimensionMismatch),
+]
+
+
+@pytest.mark.parametrize(
+    "construct, values, error",
+    [case[1:] for case in INVALID_MATRICES],
+    ids=[case[0] for case in INVALID_MATRICES],
+)
+def test_constructor_rejects_invalid_matrix(construct, values, error):
+    with pytest.raises(error):
+        construct(values)
+
+
+@pytest.mark.parametrize(
+    "check",
+    [lambda spectra: check_psd_spectra(spectra, "x"), psd_entropies],
+    ids=["check_psd_spectra", "psd_entropies"],
+)
+@pytest.mark.parametrize(
+    "spectra",
+    [np.array([np.nan, 0.5]), np.array([[0.0, 1.0], [np.nan, 1.0]])],
+    ids=["one spectrum", "stack"],
+)
+def test_nan_spectrum_is_not_psd(check, spectra):
+    with pytest.raises(NotPsd):
+        check(spectra)
 
 
 class TestVonNeumannEntropy:
