@@ -1,0 +1,159 @@
+"""Per-call timings of every layer of mrpower on fixed seeds.
+
+Each row of ROWS is a (layer, operation, case); `call` builds the row's
+inputs before any timing and returns the call to time. Case "dN" is the
+full-Kraus-rank random channel E on dimension N drawn from
+SeededRng(SEED).spawn(N), or what is derived from it. With M the basis
+measurement pulled back through E and P = E^dag(M) the same pulled back
+once more:
+
+- operators: the entropy kernel on the spectra of P and the relative-entropy
+  kernel on the pairs (M_x, P_x); the scalar entropy and relative entropy
+  are one-operator views of these kernels.
+- channels: construction from E's Kraus set, E after E, the class flags of
+  E, and the pull-back of M through E.
+- measures: the coherence of M, D(M || P), and the entanglement lower bounds
+  of the d^2 pulled-back elements of E's conversion channel.
+- powers: C, C_g, the certificate and the conversion channel of E, and the
+  bound of the composite of E between a detection-incoherent K and a unital
+  detection-incoherent L on dimension N^2, drawn from spawn(1) and spawn(2)
+  of E's generator. `conversion_channel+kraus` also reads the Kraus set,
+  which `convert` writes, so a construction that defers its Kraus set
+  cannot look faster than it is.
+- wire: `load_channel` on E's file, on the Hadamard example, and on the
+  d = 16 file written with `json.dumps(..., indent=1)`, a layout only the
+  JSON reference path reads; `save_channel` of E and of the conversion
+  channels of E, the files `convert` writes. Files are written to a
+  temporary directory before the timed calls.
+- suites: one trial per call, each with the next seed from a counter, so
+  the median is taken over distinct trials: a trial's cost depends on the
+  ranks it draws, and one fixed trial would not represent the suite.
+
+Each row is timed in a fresh interpreter, as `benchtiming` describes.
+
+Usage: PYTHONPATH=src python scripts/bench_layers.py [--out BENCH_layers.json]
+"""
+
+from __future__ import annotations
+
+import argparse
+import itertools
+import json
+import os
+import sys
+import tempfile
+
+import numpy as np
+
+import mrpower as mp
+from benchtiming import measure_in_fresh_interpreter, per_call_ms, write_record
+from mrpower.measures import ere_lower_bounds
+from mrpower.operators import psd_entropies, relative_entropies
+from mrpower.serialize import channel_to_dict, load_channel, save_channel
+
+SEED = 20241018
+
+
+def _rows(layer: str, operations, dims) -> tuple:
+    return tuple((layer, operation, f"d{d}") for d in dims for operation in operations)
+
+
+# (layer, operation, case), in output order
+ROWS = (
+    *_rows("operators", ("psd_entropies", "relative_entropies"), (2, 4)),
+    *_rows("channels", ("construct", "compose", "classify_channel", "pullback_povm"), (2, 4)),
+    *_rows("measures", ("measurement_coherence", "measurement_relative_entropy",
+                        "ere_lower_bounds"), (2, 4)),
+    *_rows("powers", ("C", "C_g", "certificate", "conversion_channel",
+                      "conversion_channel+kraus"), (2, 4, 6)),
+    *_rows("powers", ("composite_bound",), (2, 3, 4)),
+    *(("wire", "load", case) for case in ("d2", "d4", "d8", "d16", "hadamard", "d16-indent1")),
+    *(("wire", "save", case) for case in ("d16", "conversion-d4", "conversion-d6")),
+    *_rows("suites", [name for name in mp.SUITE_NAMES if name != "cm_oracle"], (2, 3, 4, 5, 6)),
+    ("suites", "cm_oracle", "d2"),
+)
+
+
+def random_full_rank(d: int) -> mp.QuantumChannel:
+    return mp.random_channel(d, d * d, "general", mp.SeededRng(SEED).spawn(d))
+
+
+def wire_call(operation: str, case: str, workdir: str):
+    if case == "hadamard":
+        channel = mp.example_channels()["hadamard"]
+    elif case.startswith("conversion-d"):
+        channel = mp.conversion_channel(random_full_rank(int(case[len("conversion-d"):])))
+    else:
+        channel = random_full_rank(int(case.split("-")[0][1:]))
+    path = os.path.join(workdir, f"{case}.json")
+    if operation == "save":
+        return lambda: save_channel(path, channel)
+    with open(path, "w", encoding="utf-8") as handle:
+        if case.endswith("-indent1"):
+            handle.write(json.dumps(channel_to_dict(channel), indent=1) + "\n")
+        else:
+            save_channel(path, channel)
+    return lambda: load_channel(path)
+
+
+def call(layer: str, operation: str, case: str, workdir: str):
+    """Build the inputs of one row and return the zero-argument call to time."""
+    if layer == "wire":
+        return wire_call(operation, case, workdir)
+    d = int(case[1:])
+    if layer == "suites":
+        seeds = itertools.count(SEED)
+        return lambda: mp.run_suite(operation, dim=d, trials=1, seed=next(seeds))
+    e = random_full_rank(d)
+    if operation == "composite_bound":
+        rng = mp.SeededRng(SEED).spawn(d)
+        k = mp.random_dio(d * d, False, rng.spawn(1))
+        l = mp.random_dio(d * d, True, rng.spawn(2))
+        return lambda: mp.composite_ent_lower_bound(e, k, l)
+    if operation == "ere_lower_bounds":
+        elements = mp.pulled_back_basis(mp.conversion_channel(e)).stack
+        return lambda: ere_lower_bounds(elements, (d, d))
+    m = mp.pulled_back_basis(e)
+    p = mp.pullback_povm(e, m)
+    p_eig, p_vec = np.linalg.eigh(p.stack)
+    return {
+        "psd_entropies": lambda: psd_entropies(p.spectra),
+        "relative_entropies": lambda: relative_entropies(m.stack, m.spectra, p_eig, p_vec),
+        "construct": lambda: mp.QuantumChannel(e.kraus),
+        "compose": lambda: mp.compose(e, e),
+        "classify_channel": lambda: mp.classify_channel(e),
+        "pullback_povm": lambda: mp.pullback_povm(e, m),
+        "measurement_coherence": lambda: mp.measurement_coherence(m),
+        "measurement_relative_entropy": lambda: mp.measurement_relative_entropy(m, p),
+        "C": lambda: mp.measurement_cohering_power(e),
+        "C_g": lambda: mp.state_cohering_power(e),
+        "certificate": lambda: mp.conversion_ent_lower_bound(e),
+        "conversion_channel": lambda: mp.conversion_channel(e),
+        "conversion_channel+kraus": lambda: mp.conversion_channel(e).kraus,
+    }[operation]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", default="BENCH_layers.json", help="output path")
+    parser.add_argument("--measure", nargs=3, metavar=("LAYER", "OPERATION", "CASE"),
+                        help="time one row and print the times")
+    args = parser.parse_args(argv)
+    if args.measure:
+        with tempfile.TemporaryDirectory() as workdir:
+            print(json.dumps(per_call_ms(call(*args.measure, workdir))))
+        return 0
+
+    results = []
+    for layer, operation, case in ROWS:
+        row = {"layer": layer, "operation": operation, "case": case, "seed": SEED,
+               **measure_in_fresh_interpreter(__file__, layer, operation, case)}
+        print(f"{layer:>9} {operation:>28} {case:>14}  median {row['median_ms']:9.3f} ms  "
+              f"IQR {row['iqr_ms']:8.3f} ms  ({row['calls']} calls)", file=sys.stderr)
+        results.append(row)
+    write_record(args.out, "layers", results)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

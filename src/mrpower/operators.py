@@ -104,13 +104,13 @@ def basis_projector(index: int, dim: int) -> HermitianOperator:
 
 
 def check_psd_spectra(eigenvalues: np.ndarray, what: str, error=NotPsd) -> None:
-    """Raise `error` when an ascending spectrum, or any spectrum of an (n, d)
-    stack of them, has a lowest eigenvalue below -PSD_TOL or NaN; for a stack
-    the message names the first operator at fault."""
+    """Raise `error` when a spectrum, or any spectrum of an (n, d) stack of
+    them, has an eigenvalue below -PSD_TOL or NaN; for a stack the message
+    names the first operator at fault."""
     if eigenvalues.size == 0:
         return
-    lowest = eigenvalues[..., 0]
-    if not lowest.min() >= -PSD_TOL:  # a NaN fails every comparison
+    if not eigenvalues.min() >= -PSD_TOL:  # min carries a NaN from anywhere
+        lowest = eigenvalues.min(axis=-1)
         if lowest.ndim:
             x = int(np.argmax(~(lowest >= -PSD_TOL)))
             what, lowest = f"{what} {x} is not PSD", lowest[x]

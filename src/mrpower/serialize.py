@@ -41,10 +41,11 @@ def matrix_to_wire(matrix: np.ndarray) -> list:
 def matrix_from_wire(obj: Any, rows: int, cols: int, what: str) -> np.ndarray:
     if not isinstance(obj, list) or len(obj) != rows:
         raise SchemaError(f"{what}: expected {rows} rows")
-    out = np.empty((rows, cols), dtype=complex)
-    for i, row in enumerate(obj):
+    for i, row in enumerate(obj):  # before allocating by the declared size
         if not isinstance(row, list) or len(row) != cols:
             raise SchemaError(f"{what}: row {i} must have {cols} entries")
+    out = np.empty((rows, cols), dtype=complex)
+    for i, row in enumerate(obj):
         for j, entry in enumerate(row):
             if (
                 not isinstance(entry, list)
@@ -197,7 +198,9 @@ def _decode_json(data: bytes, path: str) -> Any:
     try:
         # as a file opened in text mode decodes it: UTF-8, universal newlines
         return json.loads(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read())
-    except ValueError as exc:  # JSONDecodeError, bad UTF-8, or an integer past int's digit limit
+    # JSONDecodeError, bad UTF-8, an integer past int's digit limit, or
+    # arrays or objects nested past the recursion limit
+    except (ValueError, RecursionError) as exc:
         raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
 
 

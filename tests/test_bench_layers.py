@@ -1,0 +1,33 @@
+"""Smoke test of the timing table in `scripts/bench_layers.py`: a renamed or
+re-signed mrpower function fails here rather than in the next timing run."""
+
+import importlib
+from pathlib import Path
+
+import pytest
+
+from mrpower import SUITE_NAMES
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+@pytest.fixture(scope="module")
+def bench_layers():
+    with pytest.MonkeyPatch.context() as patch:
+        patch.syspath_prepend(str(SCRIPTS))  # the script imports `benchtiming` beside it
+        yield importlib.import_module("bench_layers")
+
+
+def test_rows_cover_every_layer_and_suite(bench_layers):
+    layers = {layer for layer, _, _ in bench_layers.ROWS}
+    assert layers == {"operators", "channels", "measures", "powers", "wire", "suites"}
+    suites = {operation for layer, operation, _ in bench_layers.ROWS if layer == "suites"}
+    assert suites == set(SUITE_NAMES)
+
+
+def test_each_operation_runs_at_its_first_case(bench_layers, tmp_path):
+    first = {}
+    for layer, operation, case in bench_layers.ROWS:
+        first.setdefault((layer, operation), case)
+    for (layer, operation), case in first.items():
+        bench_layers.call(layer, operation, case, str(tmp_path))()

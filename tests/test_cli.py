@@ -322,12 +322,23 @@ class TestInvalidInputExitCodes:
         json.dumps(channel_to_dict(mp.dephasing_channel(2))).replace("1.0", "1" + "0" * 5000, 1)
         .encode(),
         b"\xff\xfe{}",  # not UTF-8
+        pytest.param(b"[" * 5000 + b"]" * 5000, id="nested 5000 deep"),
+        pytest.param(b'{"dim_in": 1, "dim_out": 1, "kraus": ' + b"[" * 5000 + b"]" * 5000 + b"}",
+                     id="kraus nested 5000 deep"),
     ])
     def test_unparsable_file_exits_2(self, tmp_path, capsys, content):
         path = tmp_path / "unparsable.json"
         path.write_bytes(content)
         assert main(["power", str(path)]) == 2
         assert "not valid JSON" in capsys.readouterr().err
+
+    def test_rows_shorter_than_declared_dim_in_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "huge_dim.json"
+        path.write_text('{"dim_in": 1' + "0" * 30 + ', "dim_out": 1, "kraus": [[[[1.0, 0.0]]]]}')
+        assert main(["power", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: kraus[0]: row 0 must have 1" + "0" * 30 + " entries")
+        assert err.count("\n") == 1
 
     def test_boolean_entry_exits_2(self, tmp_path, capsys):
         text = json.dumps(channel_to_dict(ref.identity_channel(2))).replace("1.0", "true")

@@ -76,8 +76,13 @@ def test_constructor_rejects_invalid_matrix(construct, values, error):
 )
 @pytest.mark.parametrize(
     "spectra",
-    [np.array([np.nan, 0.5]), np.array([[0.0, 1.0], [np.nan, 1.0]])],
-    ids=["one spectrum", "stack"],
+    [
+        np.array([np.nan, 0.5]),
+        np.array([[0.0, 1.0], [np.nan, 1.0]]),
+        np.array([0.5, np.nan]),
+        np.array([[0.0, 1.0], [0.5, np.nan]]),
+    ],
+    ids=["one spectrum", "stack", "one spectrum, NaN last", "stack, NaN last"],
 )
 def test_nan_spectrum_is_not_psd(check, spectra):
     with pytest.raises(NotPsd):

@@ -47,6 +47,13 @@ class TestChannelWireFormat:
         with pytest.raises(SchemaError):
             channel_from_dict(wire)
 
+    def test_rejects_rows_shorter_than_declared_dim_in_before_allocating(self):
+        # numpy refuses a 10**30-column array, so this passes only if the rows
+        # are checked before the declared size is allocated
+        wire = {"dim_in": 10**30, "dim_out": 1, "kraus": [[[[1.0, 0.0]]]]}
+        with pytest.raises(SchemaError, match="row 0 must have"):
+            channel_from_dict(wire)
+
     def test_rejects_malformed_entry(self):
         wire = channel_to_dict(ref.identity_channel(2))
         wire["kraus"][0][0][0] = [1.0]
