@@ -52,17 +52,22 @@ def measure_in_fresh_interpreter(script: str, *row: str) -> dict:
             "iqr_ms": q3 - q1}
 
 
+def environment() -> dict:
+    """The Python and numpy versions, CPU count, BLAS threads and machine."""
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "cpu_count": os.cpu_count(),
+        "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+        "machine": platform.machine(),
+    }
+
+
 def write_record(path: str, benchmark: str, results: list[dict]) -> None:
     """Write the rows with the environment and the timing parameters."""
     record = {
         "benchmark": benchmark,
-        "environment": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "cpu_count": os.cpu_count(),
-            "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
-            "machine": platform.machine(),
-        },
+        "environment": environment(),
         "timing": {"min_calls": MIN_CALLS, "min_seconds": MIN_SECONDS, "max_calls": MAX_CALLS},
         "results": results,
     }

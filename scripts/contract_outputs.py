@@ -94,17 +94,27 @@ def record_channel_commands(outdir: str, name: str) -> None:
                                                  "--out", out))
 
 
+def untimed_stdout(stdout: str) -> str:
+    """`verify` stdout without the per-suite "(N ms)"."""
+    return re.sub(r" \(\d+ ms\)$", "", stdout, flags=re.MULTILINE)
+
+
+def untimed_report(text: str) -> str:
+    """A `verify --suite all` JSON report without `wall_time_ms`."""
+    reports = json.loads(text)
+    for entry in reports:
+        del entry["wall_time_ms"]
+    return json.dumps(reports, indent=2) + "\n"
+
+
 def record_verify(outdir: str, case: str, dim: int, report_format: str) -> None:
     report = f"{case}/report.{report_format}"
     stdout = run(outdir, case, "verify", "--suite", "all", "--trials", "100", "--seed", "42",
                  "--dim", str(dim), "--out", report, "--format", report_format)
-    write(outdir, f"{case}/stdout", re.sub(r" \(\d+ ms\)$", "", stdout, flags=re.MULTILINE))
+    write(outdir, f"{case}/stdout", untimed_stdout(stdout))
     if report_format == "json":
         with open(os.path.join(outdir, report), encoding="utf-8") as handle:
-            reports = json.load(handle)
-        for entry in reports:
-            del entry["wall_time_ms"]
-        write(outdir, report, json.dumps(reports, indent=2) + "\n")
+            write(outdir, report, untimed_report(handle.read()))
 
 
 def main(argv=None) -> int:
