@@ -25,9 +25,16 @@ once more:
   JSON reference path reads; `save_channel` of E and of the conversion
   channels of E, the files `convert` writes. Files are written to a
   temporary directory before the timed calls.
-- suites: one trial per call, each with the next seed from a counter, so
-  the median is taken over distinct trials: a trial's cost depends on the
-  ranks it draws, and one fixed trial would not represent the suite.
+- sampling: the full-Kraus-rank unital and general random channels, the
+  coherent random POVM with N outcomes, and the unital and non-unital random
+  detection-incoherent channels. Each call draws from its own copy of
+  SeededRng(SEED).spawn(N), made before the timed calls, so every call draws
+  the same instance: a sampler's cost depends on the ranks it draws.
+- suites: `run_suite` on the same block of SUITE_TRIALS trials (seed SEED)
+  on every call, reported in ms per trial. A fixed block makes the spread
+  the machine's, not the draws': a trial's cost depends on the ranks it
+  draws, so timing one fresh trial per call gave the `thm3_proxy` rows an
+  IQR above their median.
 
 Each row is timed in a fresh interpreter, as `benchtiming` describes.
 
@@ -37,7 +44,6 @@ Usage: PYTHONPATH=src python scripts/bench_layers.py [--out BENCH_layers.json]
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
 import sys
@@ -46,12 +52,21 @@ import tempfile
 import numpy as np
 
 import mrpower as mp
-from benchtiming import measure_in_fresh_interpreter, per_call_ms, write_record
+from benchtiming import MAX_CALLS, measure_in_fresh_interpreter, per_call_ms, write_record
 from mrpower.measures import ere_lower_bounds
 from mrpower.operators import psd_entropies, relative_entropies
 from mrpower.serialize import channel_to_dict, load_channel, save_channel
 
 SEED = 20241018
+SUITE_TRIALS = 5  # trials per timed `run_suite` call; keeps the script under 2 minutes
+
+SAMPLERS = {
+    "random_channel_unital": lambda d, rng: mp.random_channel(d, d * d, "unital", rng),
+    "random_channel_general": lambda d, rng: mp.random_channel(d, d * d, "general", rng),
+    "random_povm_coherent": lambda d, rng: mp.random_povm(d, d, False, rng),
+    "random_dio_unital": lambda d, rng: mp.random_dio(d, True, rng),
+    "random_dio_general": lambda d, rng: mp.random_dio(d, False, rng),
+}
 
 
 def _rows(layer: str, operations, dims) -> tuple:
@@ -67,6 +82,7 @@ ROWS = (
     *_rows("powers", ("C", "C_g", "certificate", "conversion_channel",
                       "conversion_channel+kraus"), (2, 4, 6)),
     *_rows("powers", ("composite_bound",), (2, 3, 4)),
+    *_rows("sampling", tuple(SAMPLERS), (2, 3, 4)),
     *(("wire", "load", case) for case in ("d2", "d4", "d8", "d16", "hadamard", "d16-indent1")),
     *(("wire", "save", case) for case in ("d16", "conversion-d4", "conversion-d6")),
     *_rows("suites", [name for name in mp.SUITE_NAMES if name != "cm_oracle"], (2, 3, 4, 5, 6)),
@@ -102,8 +118,10 @@ def call(layer: str, operation: str, case: str, workdir: str):
         return wire_call(operation, case, workdir)
     d = int(case[1:])
     if layer == "suites":
-        seeds = itertools.count(SEED)
-        return lambda: mp.run_suite(operation, dim=d, trials=1, seed=next(seeds))
+        return lambda: mp.run_suite(operation, dim=d, trials=SUITE_TRIALS, seed=SEED)
+    if layer == "sampling":
+        rngs = iter([mp.SeededRng(SEED).spawn(d) for _ in range(MAX_CALLS + 1)])
+        return lambda: SAMPLERS[operation](d, next(rngs))
     e = random_full_rank(d)
     if operation == "composite_bound":
         rng = mp.SeededRng(SEED).spawn(d)
@@ -140,8 +158,10 @@ def main(argv=None) -> int:
                         help="time one row and print the times")
     args = parser.parse_args(argv)
     if args.measure:
+        per_call = SUITE_TRIALS if args.measure[0] == "suites" else 1
         with tempfile.TemporaryDirectory() as workdir:
-            print(json.dumps(per_call_ms(call(*args.measure, workdir))))
+            times = per_call_ms(call(*args.measure, workdir))
+        print(json.dumps([t / per_call for t in times]))
         return 0
 
     results = []

@@ -18,6 +18,7 @@ from .channels import (
     compose,
     dephased,
     dephasing_channel,
+    images,
     is_dio,
     is_unital,
     measurement_as_channel,

@@ -15,6 +15,7 @@ CHANNEL_EQ_TOL, which is representation independent.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,11 +114,8 @@ class QuantumChannel:
         return self._choi
 
     def apply(self, x: HermitianOperator) -> HermitianOperator:
-        """E(X)[a, b] = sum_ij J[(a, i), (b, j)] X[i, j]."""
-        if x.dim != self.dim_in:
-            raise DimensionMismatch(f"operator dim {x.dim} != channel input dim {self.dim_in}")
-        image = _superoperator(self) @ x.matrix.reshape(-1)
-        return HermitianOperator(image.reshape(self.dim_out, self.dim_out))
+        """E(X), the Schroedinger-picture map (`images` of one operator)."""
+        return HermitianOperator(images(self, x.matrix))
 
     def adjoint_apply(self, x: HermitianOperator) -> HermitianOperator:
         """E^dag(X), the Heisenberg-picture map; sends the identity to the identity."""
@@ -138,17 +136,37 @@ def _blocks(channel: QuantumChannel) -> np.ndarray:
 def _tp_residual(channel: QuantumChannel) -> float:
     """Max-abs deviation from the identity of the Choi matrix's partial trace
     over the output, tr E(|i><j|) = sum_k K_k^dag K_k."""
-    return _max_abs(np.einsum("aiaj->ij", _blocks(channel)) - np.eye(channel.dim_in))
+    return _max_abs(np.einsum("aiaj->ij", _blocks(channel)) - _identity(channel.dim_in))
 
 
 def _unital_residual(channel: QuantumChannel) -> float:
     """Max-abs deviation from the identity of the Choi matrix's partial trace
     over the input, E(I)."""
-    return _max_abs(np.einsum("aibi->ab", _blocks(channel)) - np.eye(channel.dim_out))
+    return _max_abs(np.einsum("aibi->ab", _blocks(channel)) - _identity(channel.dim_out))
+
+
+@functools.cache
+def _identity(dim: int) -> np.ndarray:
+    """The dim x dim identity as a read-only array shared by every caller."""
+    eye = np.eye(dim)
+    eye.setflags(write=False)
+    return eye
 
 
 def _max_abs(values: np.ndarray) -> float:
     return float(np.max(np.abs(values), initial=0.0))
+
+
+def images(channel: QuantumChannel, matrices: np.ndarray) -> np.ndarray:
+    """E(X)[a, b] = sum_ij J[(a, i), (b, j)] X[i, j] for one matrix or a
+    stack of them along the leading axis."""
+    if matrices.shape[-2:] != (channel.dim_in, channel.dim_in):
+        raise DimensionMismatch(
+            f"operator shape {matrices.shape[-2:]} != channel input dim {channel.dim_in}"
+        )
+    lead = matrices.shape[:-2]
+    flat = matrices.reshape(*lead, -1) @ _superoperator(channel).T
+    return flat.reshape(*lead, channel.dim_out, channel.dim_out)
 
 
 def _adjoint_images(channel: QuantumChannel, matrices: np.ndarray) -> np.ndarray:
@@ -298,7 +316,7 @@ class Povm:
         check_hermitian(stack, "POVM elements")
         spectra = np.linalg.eigvalsh(stack)
         check_psd_spectra(spectra, "element", InvalidPovm)
-        residual = _max_abs(stack.sum(axis=0) - np.eye(stack.shape[1]))
+        residual = _max_abs(stack.sum(axis=0) - _identity(stack.shape[1]))
         if residual > COMPLETENESS_TOL:
             raise InvalidPovm(f"elements sum to identity only within {residual:.3e}")
         stack.setflags(write=False)
@@ -372,8 +390,10 @@ class StochasticMatrix:
         return f"StochasticMatrix(rows={self.rows}, cols={self.cols})"
 
 
+@functools.cache
 def basis_measurement(dim: int) -> Povm:
-    """The incoherent-basis measurement {|i><i|}."""
+    """The incoherent-basis measurement {|i><i|}, one immutable instance per
+    dimension shared by every caller."""
     stack = np.zeros((dim, dim, dim), dtype=complex)
     stack[np.arange(dim), np.arange(dim), np.arange(dim)] = 1.0
     return Povm(stack)

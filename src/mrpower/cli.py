@@ -141,6 +141,8 @@ def _cmd_verify(args) -> int:
         return _fail(EXIT_PARSE, f"--dim must be at least 2, got {args.dim}")
     if args.trials < 1:
         return _fail(EXIT_PARSE, f"--trials must be at least 1, got {args.trials}")
+    if not 0 <= args.seed < 1 << 64:
+        return _fail(EXIT_PARSE, f"--seed must lie in 0..2**64-1, got {args.seed}")
     if args.tol is not None and not (math.isfinite(args.tol) and args.tol > 0):
         return _fail(EXIT_PARSE, f"--tol must be positive and finite, got {args.tol}")
     if args.suite == "cm_oracle" and args.dim != 2:

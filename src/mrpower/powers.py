@@ -9,6 +9,7 @@ composites, and the adjoint-duality check for unital channels.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,14 +70,17 @@ def state_cohering_power(channel: QuantumChannel) -> float:
     return float(np.max(coherences_of_states(images)))
 
 
+@functools.cache
 def cnot_matrix(d: int) -> np.ndarray:
-    """Unitary sum_ij |i, i+j mod d><i, j| on the d^2-dimensional space."""
+    """Unitary sum_ij |i, i+j mod d><i, j| on the d^2-dimensional space, as
+    one read-only array per d shared by every caller."""
     if d < 2:
         raise DimensionMismatch(f"control dimension must be at least 2, got {d}")
     u = np.zeros((d * d, d * d), dtype=complex)
     for i in range(d):
         for j in range(d):
             u[i * d + (i + j) % d, i * d + j] = 1.0
+    u.setflags(write=False)
     return u
 
 

@@ -57,10 +57,12 @@ class SeededRng:
         return f"SeededRng(master_seed={self.master_seed})"
 
 
-def _ginibre(rows: int, cols: int, rng: SeededRng) -> np.ndarray:
-    return (
-        rng.gen.standard_normal((rows, cols)) + 1j * rng.gen.standard_normal((rows, cols))
-    ) / np.sqrt(2.0)
+def _ginibre(rows: int, cols: int, rng: SeededRng, count: tuple[int, ...] = ()) -> np.ndarray:
+    """Complex Gaussian rows x cols blocks, a stack of shape (*count, rows, cols),
+    from one draw that takes each block's real part, then its imaginary part,
+    block by block."""
+    parts = rng.gen.standard_normal((*count, 2, rows, cols))
+    return (parts[..., 0, :, :] + 1j * parts[..., 1, :, :]) / np.sqrt(2.0)
 
 
 def haar_unitary(d: int, rng: SeededRng) -> np.ndarray:
@@ -68,13 +70,16 @@ def haar_unitary(d: int, rng: SeededRng) -> np.ndarray:
     return haar_isometry(d, d, rng)
 
 
-def haar_isometry(rows: int, cols: int, rng: SeededRng) -> np.ndarray:
+def haar_isometry(
+    rows: int, cols: int, rng: SeededRng, count: tuple[int, ...] = ()
+) -> np.ndarray:
     """First `cols` columns of a Haar unitary on `rows` dimensions: QR of a
     tall Ginibre block with the R-diagonal phases absorbed into the columns
-    of Q."""
-    q, r = np.linalg.qr(_ginibre(rows, cols, rng))
-    diag = np.diag(r)
-    return q * (diag / np.abs(diag))
+    of Q. `count` draws a stack of shape (*count, rows, cols) of independent
+    isometries, the same as drawing them one after another."""
+    q, r = np.linalg.qr(_ginibre(rows, cols, rng, count))
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[..., None, :]
 
 
 def random_channel(d: int, kraus_rank: int, kind: str, rng: SeededRng) -> QuantumChannel:
@@ -91,7 +96,7 @@ def random_channel(d: int, kraus_rank: int, kind: str, rng: SeededRng) -> Quantu
         kraus = isometry.reshape(kraus_rank, d, d)
     elif kind == "unital":
         weights = rng.gen.dirichlet(np.ones(kraus_rank))
-        kraus = [np.sqrt(w) * haar_unitary(d, rng) for w in weights]
+        kraus = np.sqrt(weights)[:, None, None] * haar_isometry(d, d, rng, (kraus_rank,))
     else:
         raise ValueError(f"kind must be 'general' or 'unital', got {kind!r}")
     return QuantumChannel(kraus)
@@ -143,7 +148,7 @@ def random_povm(d: int, n: int, incoherent: bool, rng: SeededRng) -> Povm:
     if incoherent:
         return classical_postprocess(basis_measurement(d), random_stochastic_matrix(n, d, rng))
     for _ in range(10):
-        a = np.array([_ginibre(d, d, rng) for _ in range(n)])
+        a = _ginibre(d, d, rng, (n,))
         blocks = a @ a.conj().transpose(0, 2, 1)
         eig, vec = np.linalg.eigh(blocks.sum(axis=0))
         if eig[0] > 1e-12:

@@ -15,8 +15,10 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .channels import (
+    basis_measurement,
     classical_postprocess,
     compose,
+    images,
     is_dio,
     mix_channels,
     mix_povm,
@@ -26,14 +28,13 @@ from .channels import (
 )
 from .errors import UnsupportedScale
 from .measures import (
+    coherences_of_states,
     decompose_incoherent,
     is_incoherent_measurement,
     measurement_coherence,
     measurement_coherence_bruteforce,
     measurement_relative_entropy,
-    relative_entropy_of_coherence,
 )
-from .operators import basis_projector
 from .powers import (
     CONVERSION_GAP_TOL,
     composite_ent_lower_bound,
@@ -226,10 +227,9 @@ def _trial_duality(dim: int, rng: SeededRng, tol: float):
     channel = random_channel(dim, int(rng.gen.integers(1, dim * dim + 1)), "unital", rng)
     result = duality_check(channel)
     violation = _worst(0.0, result.c_g / dim - result.c_adj, result.c_adj - result.c_g)
-    average = sum(
-        relative_entropy_of_coherence(channel.apply(basis_projector(i, dim)))
-        for i in range(dim)
-    ) / dim
+    # coherence of E(|i><i|) for each i, summed in index order
+    coherences = coherences_of_states(images(channel, basis_measurement(dim).stack))
+    average = sum(coherences.tolist()) / dim
     identity_residual = abs(result.c_adj - average)
     violation = _worst(violation, identity_residual)
     detail = None
@@ -275,8 +275,9 @@ def run_suite(
     """Run one named suite and assemble its report.
 
     `tol` of None selects the suite's default tolerance; any other value
-    must be positive and finite. The oracle suite is defined at dimension 2
-    only.
+    must be positive and finite. `seed` must lie in 0..2**64-1, so that the
+    report's `master_seed` names its trials. The oracle suite is defined at
+    dimension 2 only.
     """
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}")
@@ -284,6 +285,8 @@ def run_suite(
         raise ValueError(f"dimension must be at least 2, got {dim}")
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
+    if not 0 <= seed < 1 << 64:  # SeededRng would alias it to seed mod 2**64
+        raise ValueError(f"seed must lie in 0..2**64-1, got {seed}")
     if name == "cm_oracle" and dim != 2:
         raise UnsupportedScale("cm_oracle is defined at dimension 2 only")
     trial_fn, default_tol, stream = SUITES[name]

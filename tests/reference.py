@@ -129,6 +129,33 @@ def ere_lower_bound(x: HermitianOperator, dims: tuple[int, int]) -> float:
     return max(s_a - joint, s_b - joint)
 
 
+def ginibre(rows: int, cols: int, rng) -> np.ndarray:
+    """One complex Gaussian block from two draws: real part, then imaginary."""
+    return (
+        rng.gen.standard_normal((rows, cols)) + 1j * rng.gen.standard_normal((rows, cols))
+    ) / np.sqrt(2.0)
+
+
+def haar_isometry(rows: int, cols: int, rng) -> np.ndarray:
+    """One Haar isometry: QR of one Ginibre block, R-diagonal phases absorbed."""
+    q, r = np.linalg.qr(ginibre(rows, cols, rng))
+    diag = np.diag(r)
+    return q * (diag / np.abs(diag))
+
+
+def unital_kraus(d: int, kraus_rank: int, rng) -> np.ndarray:
+    """The Kraus set that `random_channel(d, kraus_rank, "unital", rng)`
+    draws, one Haar unitary after another."""
+    weights = rng.gen.dirichlet(np.ones(kraus_rank))
+    return np.array([np.sqrt(w) * haar_isometry(d, d, rng) for w in weights])
+
+
+def coherent_povm_blocks(d: int, n: int, rng) -> np.ndarray:
+    """The n Ginibre blocks of a coherent `random_povm(d, n, False, rng)`
+    draw, one block after another."""
+    return np.array([ginibre(d, d, rng) for _ in range(n)])
+
+
 def identity_channel(dim: int) -> QuantumChannel:
     return unitary_channel(np.eye(dim))
 

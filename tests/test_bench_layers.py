@@ -20,7 +20,8 @@ def bench_layers():
 
 def test_rows_cover_every_layer_and_suite(bench_layers):
     layers = {layer for layer, _, _ in bench_layers.ROWS}
-    assert layers == {"operators", "channels", "measures", "powers", "wire", "suites"}
+    assert layers == {"operators", "channels", "measures", "powers", "sampling", "wire",
+                      "suites"}
     suites = {operation for layer, operation, _ in bench_layers.ROWS if layer == "suites"}
     assert suites == set(SUITE_NAMES)
 

@@ -609,6 +609,35 @@ class TestReadOnly:
                 array[0, 0] = 7.0
 
 
+class TestSharedConstants:
+    def test_basis_measurement_is_built_once(self):
+        assert mp.basis_measurement(3) is mp.basis_measurement(3)
+        assert not mp.basis_measurement(3).stack.flags.writeable
+
+    def test_cnot_matrix_cannot_be_written(self):
+        with pytest.raises(ValueError, match="read-only"):
+            mp.cnot_matrix(3)[0, 0] = 7.0
+
+
+class TestImages:
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_stack_matches_apply_and_kraus_reference(self, dim):
+        rng = mp.SeededRng(260 + dim)
+        channel = random_channel_any(dim, rng.spawn(0))
+        stack = np.array([mp.random_hermitian(dim, rng.spawn(1 + i)) for i in range(4)])
+        out = mp.images(channel, stack)
+        assert out.shape == (4, dim, dim)
+        for x, image in zip(stack, out):
+            np.testing.assert_allclose(image, channel.apply(mp.HermitianOperator(x)).matrix,
+                                       atol=1e-12)
+            kraus_image = sum(k @ x @ k.conj().T for k in channel.kraus)
+            np.testing.assert_allclose(image, kraus_image, atol=1e-12)
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            mp.images(ref.identity_channel(2), np.zeros((4, 3, 3)))
+
+
 def composed_channel(d, rng):
     """A channel held only as a Choi matrix: the product of two random ones."""
     return mp.compose(random_channel_any(d, rng.spawn(0)), random_channel_any(d, rng.spawn(1)))

@@ -169,6 +169,26 @@ class TestVerifyCommand:
         with pytest.raises(ValueError, match="tolerance"):
             mp.run_suite("duality", dim=2, trials=2, seed=1, tol=tol)
 
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+    def test_seed_outside_64_bits_exits_2(self, seed, capsys):
+        # SeededRng would run seed mod 2**64 while the report records seed
+        args = ["verify", "--suite", "structure_lemma", "--trials", "3", f"--seed={seed}"]
+        assert main(args) == 2
+        streams = capsys.readouterr()
+        assert streams.err == f"error: --seed must lie in 0..2**64-1, got {seed}\n"
+        assert streams.out == ""  # no suite ran
+
+    @pytest.mark.parametrize("seed", ["0", "18446744073709551615"])
+    def test_seed_at_either_end_of_its_range_runs(self, seed, capsys):
+        args = ["verify", "--suite", "structure_lemma", "--trials", "3", f"--seed={seed}"]
+        assert main(args) == 0
+        assert f" seed={seed} " in capsys.readouterr().out
+
+    @pytest.mark.parametrize("seed", [-1, 1 << 64])
+    def test_run_suite_rejects_a_seed_outside_64_bits(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            mp.run_suite("structure_lemma", dim=2, trials=1, seed=seed)
+
     def test_unexpected_exception_exits_5(self, monkeypatch, capsys):
         def crash(*args, **kwargs):
             raise RuntimeError("unexpected\nstate")

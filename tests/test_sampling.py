@@ -3,6 +3,7 @@ import pytest
 
 import mrpower as mp
 import reference as ref
+from mrpower import sampling
 from mrpower.errors import InvalidRank
 
 
@@ -74,6 +75,45 @@ class TestRandomChannel:
     def test_invalid_rank(self):
         with pytest.raises(InvalidRank):
             mp.random_channel(2, 5, "general", mp.SeededRng(7))
+
+
+class TestBatchedDrawsMatchOneByOne:
+    """The batched Haar and Ginibre draws give the same bytes as drawing one
+    matrix after another, and leave the stream at the same position."""
+
+    @staticmethod
+    def assert_same_draws_and_stream(batched, one_by_one, seed):
+        rng, ref_rng = mp.SeededRng(seed), mp.SeededRng(seed)
+        assert batched(rng).tobytes() == one_by_one(ref_rng).tobytes()
+        assert rng.gen.standard_normal() == ref_rng.gen.standard_normal()
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_unital_channel_kraus(self, d):
+        for rank in range(1, d * d + 1):
+            for seed in range(20):
+                self.assert_same_draws_and_stream(
+                    lambda rng: mp.random_channel(d, rank, "unital", rng).kraus,
+                    lambda rng: ref.unital_kraus(d, rank, rng),
+                    1000 * d + 50 * rank + seed,
+                )
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_coherent_povm_blocks(self, d):
+        for n in range(2, d * d + 1):
+            for seed in range(20):
+                self.assert_same_draws_and_stream(
+                    lambda rng: sampling._ginibre(d, d, rng, (n,)),
+                    lambda rng: ref.coherent_povm_blocks(d, n, rng),
+                    2000 * d + 50 * n + seed,
+                )
+
+    def test_isometry_stack_of_any_shape(self):
+        self.assert_same_draws_and_stream(
+            lambda rng: mp.haar_isometry(5, 2, rng, (2, 3)),
+            lambda rng: np.array([[ref.haar_isometry(5, 2, rng) for _ in range(3)]
+                                  for _ in range(2)]),
+            7,
+        )
 
 
 class TestRandomDio:
