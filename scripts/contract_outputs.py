@@ -50,15 +50,19 @@ ENV = {**os.environ, "PYTHONPATH": PACKAGE_ROOT, "OPENBLAS_NUM_THREADS": "1",
 ENV.pop("MRPOWER_THREADS", None)
 
 
+def full_rank_channel(d: int) -> mp.QuantumChannel:
+    """The seeded full-Kraus-rank input `full-rank-d<d>`."""
+    return mp.random_channel(d, d * d, "general", mp.SeededRng(SEED).spawn(2 * d))
+
+
 def write_inputs(outdir: str) -> list[str]:
     """Write the channel files to `outdir/inputs` and return their names."""
     rng = mp.SeededRng(SEED)
     channels = dict(mp.example_channels())
     for d in RANDOM_DIMS:
-        channels[f"full-rank-d{d}"] = mp.random_channel(d, d * d, "general", rng.spawn(2 * d))
+        channels[f"full-rank-d{d}"] = full_rank_channel(d)
         channels[f"unital-d{d}"] = mp.random_channel(d, d, "unital", rng.spawn(2 * d + 1))
-    d = OVER_CAP_DIM
-    channels[f"full-rank-d{d}"] = mp.random_channel(d, d * d, "general", rng.spawn(2 * d))
+    channels[f"full-rank-d{OVER_CAP_DIM}"] = full_rank_channel(OVER_CAP_DIM)
     os.makedirs(os.path.join(outdir, "inputs"))
     for name, channel in channels.items():
         save_channel(os.path.join(outdir, "inputs", f"{name}.json"), channel)

@@ -4,8 +4,9 @@ that `scripts/contract_outputs.py` records, recomputed in process through
 
 The subset is `verify --suite all --dim 2 --trials 100 --seed 42` (the JSON
 report without `wall_time_ms`, stdout without the per-suite ms), and
-`power --what both` and `convert --out` on the five example channels
-(stdout and the `--out` bytes); every command's stderr and exit code too.
+`power --what both` and `convert --out` on the five example channels and
+on the seeded full-Kraus-rank input at d = 3, `full-rank-d3` (stdout and
+the `--out` bytes); every command's stderr and exit code too.
 The recorded environment is `benchtiming`'s; digests are only comparable
 under the same numpy on the same machine type, so a run under another
 fails and names both environments.
@@ -61,8 +62,9 @@ def contract_outputs() -> dict[str, str]:
     """Each output of the subset, by its path in `contract_outputs.py`'s tree."""
     contract = load_script("contract_outputs")
     outputs: dict[str, str] = {}
+    channels = {**mp.example_channels(), "full-rank-d3": contract.full_rank_channel(3)}
     with tempfile.TemporaryDirectory() as workdir:
-        for name, channel in mp.example_channels().items():
+        for name, channel in channels.items():
             path = os.path.join(workdir, f"{name}.json")
             save_channel(path, channel)
             case = f"power/{name}"
