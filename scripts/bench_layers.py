@@ -37,8 +37,14 @@ once more:
   IQR above their median.
 
 Each row is timed in a fresh interpreter, as `benchtiming` describes.
+With `--baseline SRC`, each row is also timed in fresh interpreters with
+PYTHONPATH=SRC, the `src` directory of another checkout; the two sides
+alternate which goes first from row to row, so that the machine's drift
+over the run reaches both alike, and each row records the baseline's
+summary under "baseline" beside its own.
 
 Usage: PYTHONPATH=src python scripts/bench_layers.py [--out BENCH_layers.json]
+                                                     [--baseline SRC]
 """
 
 from __future__ import annotations
@@ -156,6 +162,9 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default="BENCH_layers.json", help="output path")
     parser.add_argument("--measure", nargs=3, metavar=("LAYER", "OPERATION", "CASE"),
                         help="time one row and print the times")
+    parser.add_argument("--baseline", metavar="SRC",
+                        help="also time each row with PYTHONPATH=SRC, alternating which "
+                             "side goes first, and record both")
     args = parser.parse_args(argv)
     if args.measure:
         per_call = SUITE_TRIALS if args.measure[0] == "suites" else 1
@@ -165,13 +174,22 @@ def main(argv=None) -> int:
         return 0
 
     results = []
-    for layer, operation, case in ROWS:
+    sides = [("tree", None)] + ([("baseline", args.baseline)] if args.baseline else [])
+    for index, (layer, operation, case) in enumerate(ROWS):
+        timed = {side: measure_in_fresh_interpreter(__file__, layer, operation, case,
+                                                    pythonpath=path)
+                 for side, path in (sides if index % 2 else sides[::-1])}  # taking turns
         row = {"layer": layer, "operation": operation, "case": case, "seed": SEED,
-               **measure_in_fresh_interpreter(__file__, layer, operation, case)}
-        print(f"{layer:>9} {operation:>28} {case:>14}  median {row['median_ms']:9.3f} ms  "
-              f"IQR {row['iqr_ms']:8.3f} ms  ({row['calls']} calls)", file=sys.stderr)
+               **timed["tree"]}
+        line = (f"{layer:>9} {operation:>28} {case:>14}  median {row['median_ms']:9.3f} ms  "
+                f"IQR {row['iqr_ms']:8.3f} ms  ({row['calls']} calls)")
+        if args.baseline:
+            row["baseline"] = timed["baseline"]
+            line += f"  baseline median {timed['baseline']['median_ms']:9.3f} ms"
+        print(line, file=sys.stderr)
         results.append(row)
-    write_record(args.out, "layers", results)
+    fields = {"baseline_src": args.baseline} if args.baseline else {}
+    write_record(args.out, "layers", results, **fields)
     return 0
 
 

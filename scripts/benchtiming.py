@@ -41,12 +41,13 @@ def per_call_ms(call) -> list[float]:
     return times
 
 
-def measure_in_fresh_interpreter(script: str, *row: str) -> dict:
-    """Run `script --measure *row` in a new interpreter and summarize the
-    per-call times it prints."""
+def measure_in_fresh_interpreter(script: str, *row: str, pythonpath: str | None = None) -> dict:
+    """Run `script --measure *row` in a new interpreter, with PYTHONPATH set
+    to `pythonpath` if given, and summarize the per-call times it prints."""
     command = [sys.executable, script, "--measure", *row]
+    env = None if pythonpath is None else {**os.environ, "PYTHONPATH": pythonpath}
     times = json.loads(subprocess.run(command, check=True, capture_output=True,
-                                      text=True).stdout)
+                                      text=True, env=env).stdout)
     q1, median, q3 = statistics.quantiles(times, n=4, method="inclusive")
     return {"calls": len(times), "median_ms": median, "q1_ms": q1, "q3_ms": q3,
             "iqr_ms": q3 - q1}
@@ -63,12 +64,14 @@ def environment() -> dict:
     }
 
 
-def write_record(path: str, benchmark: str, results: list[dict]) -> None:
-    """Write the rows with the environment and the timing parameters."""
+def write_record(path: str, benchmark: str, results: list[dict], **fields) -> None:
+    """Write the rows with the environment, the timing parameters and any
+    further top-level `fields`."""
     record = {
         "benchmark": benchmark,
         "environment": environment(),
         "timing": {"min_calls": MIN_CALLS, "min_seconds": MIN_SECONDS, "max_calls": MAX_CALLS},
+        **fields,
         "results": results,
     }
     with open(path, "w", encoding="utf-8") as handle:

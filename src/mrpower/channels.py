@@ -5,12 +5,14 @@ A channel is canonically its Choi matrix, and every operation on channels
 works on it directly: application, composition (one matrix product in the
 natural, superoperator representation, which is a reshuffle of the Choi
 matrix), mixtures, adjoints, dephasing and the class predicates. Kraus
-operators are a view: a channel built from Kraus operators keeps them, and
-any other channel computes a minimal set from the Choi eigendecomposition
-the first time `kraus` is read. That set is a deterministic function of the
-Choi matrix, and both arrays are read-only, so instances are immutable. The
-class predicates compare Choi entries with the identity or zero within
-CHANNEL_EQ_TOL, which is representation independent.
+operators are a view: a channel built from Kraus operators holds them and
+builds its Choi matrix the first time `choi` is read, so a channel that is
+only written out never builds it; any other channel computes a minimal
+Kraus set from the Choi eigendecomposition the first time `kraus` is read.
+Either derived array is a deterministic function of the other, and both are
+read-only, so instances are immutable. The class predicates compare Choi
+entries with the identity or zero within CHANNEL_EQ_TOL, which is
+representation independent.
 """
 
 from __future__ import annotations
@@ -45,12 +47,15 @@ STOCHASTIC_TOL = 1e-10   # column-sum deviation allowed in p(x|i)
 
 
 class QuantumChannel:
-    """Completely positive trace-preserving map, held as its Choi matrix.
+    """Completely positive trace-preserving map, canonically its Choi matrix.
 
     The Choi matrix is sum_ij E(|i><j|) (x) |i><j| (unnormalized, output
     factor first, input factor second), so its entry [(a, i), (b, j)] is
     E(|i><j|)[a, b]. Complete positivity is automatic for any Kraus list,
-    so construction validates finiteness and trace preservation only.
+    so construction validates finiteness and trace preservation only, the
+    latter on the dim_in x dim_in Gram matrix sum_k K_k^dag K_k. A channel
+    built from Kraus operators holds them and builds its Choi matrix on the
+    first `choi` read.
     """
 
     __slots__ = ("_choi", "_dim_in", "_dim_out", "_kraus")
@@ -58,18 +63,19 @@ class QuantumChannel:
     def __init__(self, kraus) -> None:
         arr = as_array(kraus, 3, "Kraus operators")
         require_finite(arr, "Kraus operators")
-        vecs = arr.reshape(arr.shape[0], -1)
-        choi = vecs.T @ vecs.conj()
-        choi.setflags(write=False)
-        self._choi = choi
         self._dim_out, self._dim_in = arr.shape[1], arr.shape[2]
-        residual = _tp_residual(self)
-        if not residual <= TP_TOL:  # NaN when finite entries overflow the Choi matrix
+        rows = arr.reshape(-1, self._dim_in)  # every row of every K_k
+        # finite entries can overflow the Gram matrix to inf and NaN, which
+        # the comparison below rejects without a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            residual = _max_abs(rows.conj().T @ rows - _identity(self._dim_in))
+        if not residual <= TP_TOL:
             raise NotTracePreserving(
                 f"sum of K^dag K deviates from identity by {residual:.3e}"
             )
         arr.setflags(write=False)
         self._kraus = arr
+        self._choi = None
 
     @classmethod
     def _from_choi(cls, choi: np.ndarray, dim_in: int, dim_out: int) -> "QuantumChannel":
@@ -110,7 +116,13 @@ class QuantumChannel:
     @property
     def choi(self) -> np.ndarray:
         """The Choi matrix as a read-only complex array, shape
-        (dim_out * dim_in, dim_out * dim_in)."""
+        (dim_out * dim_in, dim_out * dim_in); for a channel built from Kraus
+        operators, sum_k vec(K_k) vec(K_k)^dag, computed on first access."""
+        if self._choi is None:
+            vecs = self._kraus.reshape(self._kraus.shape[0], -1)
+            choi = vecs.T @ vecs.conj()
+            choi.setflags(write=False)
+            self._choi = choi
         return self._choi
 
     def apply(self, x: HermitianOperator) -> HermitianOperator:

@@ -214,13 +214,28 @@ def load_channel(path: str) -> QuantumChannel:
 
 def save_channel(path: str, channel: QuantumChannel) -> None:
     """Write json.dumps(channel_to_dict(channel)) + "\\n", one Kraus operator
-    at a time."""
+    at a time.
+
+    An operator with a row of +0.0 entries only (every bit zero, so -0.0
+    keeps its own text), such as a row of the measurement channels that
+    `conversion_channel` builds, has each such row written from one string
+    and each other row dumped alone; any other operator is dumped whole.
+    """
     kraus = channel.kraus
-    head = f'{{"dim_in": {channel.dim_in}, "dim_out": {channel.dim_out}, "kraus": ['
+    n, dim_out, dim_in = kraus.shape
+    bits = np.ascontiguousarray(kraus).view(np.uint64).reshape(n, dim_out, 2 * dim_in)
+    zero_rows = (~bits.any(axis=2)).tolist()
+    zero_row = json.dumps([[0.0, 0.0]] * dim_in)
+    head = f'{{"dim_in": {dim_in}, "dim_out": {dim_out}, "kraus": ['
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(head)
-        for i, k in enumerate(kraus):
+        for i, (k, zeros) in enumerate(zip(kraus, zero_rows)):
             # dumps, unlike dump, runs the C encoder
-            handle.write((", " if i else "") + json.dumps(matrix_to_wire(k)))
+            if any(zeros):
+                text = "[" + ", ".join([zero_row if zero else json.dumps(matrix_to_wire(row))
+                                        for row, zero in zip(k, zeros)]) + "]"
+            else:
+                text = json.dumps(matrix_to_wire(k))
+            handle.write((", " if i else "") + text)
         handle.write("]}\n")
 

@@ -2,6 +2,7 @@
 re-signed mrpower function fails here rather than in the next timing run."""
 
 import importlib
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -32,3 +33,12 @@ def test_each_operation_runs_at_its_first_case(bench_layers, tmp_path):
         first.setdefault((layer, operation), case)
     for (layer, operation), case in first.items():
         bench_layers.call(layer, operation, case, str(tmp_path))()
+
+
+def test_baseline_rows_import_mrpower_from_the_given_src(bench_layers, tmp_path):
+    script, row = bench_layers.__file__, ("channels", "construct", "d2")
+    src = Path(__file__).resolve().parents[1] / "src"
+    summary = bench_layers.measure_in_fresh_interpreter(script, *row, pythonpath=str(src))
+    assert summary["q1_ms"] <= summary["median_ms"] <= summary["q3_ms"]
+    with pytest.raises(subprocess.CalledProcessError):  # no mrpower under tmp_path
+        bench_layers.measure_in_fresh_interpreter(script, *row, pythonpath=str(tmp_path))

@@ -506,6 +506,38 @@ class TestLazyKraus:
         assert composed.kraus.shape[0] == 3
 
 
+class TestLazyChoi:
+    @pytest.mark.parametrize("excess, accepted", [(2e-9, False), (5e-10, True)])
+    def test_trace_preservation_is_checked_on_the_gram_matrix(self, excess, accepted):
+        kraus = random_channel_any(3, mp.SeededRng(238)).kraus * np.sqrt(1.0 + excess)
+        if accepted:
+            mp.QuantumChannel(kraus)
+        else:
+            with pytest.raises(NotTracePreserving):
+                mp.QuantumChannel(kraus)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_choi_is_built_once_on_first_read(self, order):
+        kraus = np.array(random_channel_any(3, mp.SeededRng(239)).kraus, order=order)
+        channel = mp.QuantumChannel(kraus)
+        assert channel._choi is None
+        vecs = np.ascontiguousarray(kraus).reshape(kraus.shape[0], -1)
+        choi = channel.choi
+        assert choi.tobytes() == (vecs.T @ vecs.conj()).tobytes()
+        assert not choi.flags.writeable
+        assert channel.choi is choi
+
+    def test_choi_built_channel_derives_its_kraus_as_before(self):
+        composed = mp.compose(*(random_channel_any(3, mp.SeededRng(240).spawn(i))
+                                for i in range(2)))
+        choi = composed.choi
+        eig, vec = np.linalg.eigh(choi)
+        keep = eig > mp.operators.EIG_CLIP
+        expected = (vec[:, keep] * np.sqrt(eig[keep])).T.reshape(-1, 3, 3)
+        assert composed.kraus.tobytes() == expected.tobytes()
+        assert composed.choi is choi
+
+
 class TestChoiAlgebraMatchesKraus:
     def test_mixture(self):
         rng = mp.SeededRng(238)

@@ -228,14 +228,32 @@ class TestTextPath:
                     load_bytes(tmp_path, bad)
 
 
+def signed_zero_rows_channel() -> mp.QuantumChannel:
+    """Two Kraus operators: one with a row of -0.0 entries, a row that mixes
+    +0.0 and -0.0, and a row of +0.0 entries, and one dense."""
+    sparse = np.zeros((5, 2), dtype=complex)
+    sparse[0, 0] = sparse[3, 1] = np.sqrt(0.5)
+    sparse[1] = complex(-0.0, -0.0)
+    sparse[2] = [complex(0.0, -0.0), complex(-0.0, 0.0)]
+    dense = np.sqrt(0.5) * mp.haar_isometry(5, 2, mp.SeededRng(507))
+    channel = mp.QuantumChannel(np.array([sparse, dense]))  # no product to drop a sign
+    assert np.signbit(channel.kraus[0, 1].view(float)).all()
+    return channel
+
+
 class TestSaveChannel:
     def test_writes_the_bytes_of_one_json_dumps(self, tmp_path):
         rng = mp.SeededRng(506)
         channels = [mp.random_channel(d, d * d, "general", rng.spawn(d)) for d in (2, 3, 4, 16)]
         channels += list(mp.example_channels().values())
-        for d in (2, 4):
+        for d in (2, 3, 4, 5):
             general = mp.random_channel(d, d * d, "general", rng.spawn(10 + d))
             channels.append(mp.conversion_channel(general))
+        # non-C-contiguous stacks: the dense d = 3 one and the d = 5 conversion
+        channels += [mp.QuantumChannel(np.asfortranarray(c.kraus))
+                     for c in (channels[1], channels[-1])]
+        assert not any(c.kraus.flags.c_contiguous for c in channels[-2:])
+        channels.append(signed_zero_rows_channel())
         path = tmp_path / "saved.json"
         for channel in channels:
             save_channel(str(path), channel)
