@@ -14,10 +14,10 @@ Writes under OUTDIR:
   report of the same run at d = 2.
 
 Every command runs as `python -m mrpower.cli` in an interpreter of its own,
-started in OUTDIR, with one BLAS thread and serial suites, and imports the
-mrpower package that this script imported from PYTHONPATH. To compare two
-versions of the package, run the same copy of the script against each and
-diff the results:
+started in OUTDIR, with one BLAS thread, and imports the mrpower package
+that this script imported from PYTHONPATH. To compare two versions of the
+package, run the same copy of the script against each and diff the
+results:
 
     PYTHONPATH=<other checkout>/src python scripts/contract_outputs.py /tmp/before
     PYTHONPATH=src python scripts/contract_outputs.py /tmp/after
@@ -43,11 +43,10 @@ VERIFY_DIMS = (2, 3, 4)
 OVER_CAP_DIM = 7
 
 # the commands import the mrpower this script imported, whatever their working
-# directory; one BLAS thread and serial suites make every run sum in one order
+# directory; one BLAS thread makes every run sum in one order
 PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(mp.__file__)))
 ENV = {**os.environ, "PYTHONPATH": PACKAGE_ROOT, "OPENBLAS_NUM_THREADS": "1",
        "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
-ENV.pop("MRPOWER_THREADS", None)
 
 
 def full_rank_channel(d: int) -> mp.QuantumChannel:

@@ -2,8 +2,9 @@
 that `scripts/contract_outputs.py` records, recomputed in process through
 `cli.main` and compared with `CONTRACT_DIGESTS.json` at the repo root.
 
-The subset is `verify --suite all --dim 2 --trials 100 --seed 42` (the JSON
-report without `wall_time_ms`, stdout without the per-suite ms), and
+The subset is `verify --suite all --trials 100 --seed 42` at d = 2 and
+d = 3 (the JSON report without `wall_time_ms`, stdout without the
+per-suite ms), and
 `power --what both` and `convert --out` on the five example channels and
 on the seeded full-Kraus-rank input at d = 3, `full-rank-d3` (stdout and
 the `--out` bytes); every command's stderr and exit code too.
@@ -15,6 +16,10 @@ A change that alters an output on purpose regenerates the file, and its
 diff names every output that changed:
 
     PYTHONPATH=src python tests/test_contract_digests.py --write
+
+`--write` runs itself again under the one-thread BLAS settings of
+`contract_outputs.ENV` when the caller's differ, so that the environment
+it records is the one the digests were computed under.
 """
 
 from __future__ import annotations
@@ -36,6 +41,8 @@ from mrpower.serialize import save_channel
 ROOT = Path(__file__).resolve().parents[1]
 DIGESTS = ROOT / "CONTRACT_DIGESTS.json"
 PINNED = ("numpy", "machine")  # environment entries the digests depend on
+VERIFY_DIMS = (2, 3)
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def load_script(name: str):
@@ -72,12 +79,13 @@ def contract_outputs() -> dict[str, str]:
             case, out = f"convert/{name}", os.path.join(workdir, f"{name}-out.json")
             outputs[f"{case}/stdout"] = run_cli(outputs, case, "convert", path, "--out", out)
             outputs[f"{case}/out.json"] = Path(out).read_text(encoding="utf-8")
-        case, report = "verify/d2", os.path.join(workdir, "report.json")
-        stdout = run_cli(outputs, case, "verify", "--suite", "all", "--dim", "2",
-                         "--trials", "100", "--seed", "42", "--out", report)
-        outputs[f"{case}/stdout"] = contract.untimed_stdout(stdout)
-        outputs[f"{case}/report.json"] = contract.untimed_report(
-            Path(report).read_text(encoding="utf-8"))
+        for dim in VERIFY_DIMS:
+            case, report = f"verify/d{dim}", os.path.join(workdir, f"report-d{dim}.json")
+            stdout = run_cli(outputs, case, "verify", "--suite", "all", "--dim", str(dim),
+                             "--trials", "100", "--seed", "42", "--out", report)
+            outputs[f"{case}/stdout"] = contract.untimed_stdout(stdout)
+            outputs[f"{case}/report.json"] = contract.untimed_report(
+                Path(report).read_text(encoding="utf-8"))
     return outputs
 
 
@@ -102,6 +110,10 @@ def test_cli_outputs_match_recorded_digests():
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit(f"usage: PYTHONPATH=src python {sys.argv[0]} --write")
+    env = load_script("contract_outputs").ENV
+    if any(os.environ.get(key) != env[key] for key in BLAS_THREADS):
+        # numpy fixed its BLAS threads at import: run again under ENV's
+        os.execve(sys.executable, [sys.executable, *sys.argv], env)
     record = {"environment": load_script("benchtiming").environment(),
               "digests": contract_digests()}
     DIGESTS.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
