@@ -22,7 +22,6 @@ from .channels import (
     is_dio,
     is_unital,
     measurement_as_channel,
-    mix_channels,
     mix_povm,
     pad_povm,
     pullback_povm,
@@ -42,7 +41,6 @@ from .measures import (
 )
 from .operators import (
     HermitianOperator,
-    basis_projector,
     relative_entropy,
     von_neumann_entropy,
 )
@@ -65,11 +63,8 @@ from .sampling import (
     haar_isometry,
     haar_unitary,
     random_channel,
-    random_density,
     random_dio,
-    random_hermitian,
     random_povm,
-    random_psd,
     random_stochastic_matrix,
     splitmix64,
 )

@@ -4,7 +4,7 @@ predicates.
 A channel is canonically its Choi matrix, and every operation on channels
 works on it directly: application, composition (one matrix product in the
 natural, superoperator representation, which is a reshuffle of the Choi
-matrix), mixtures, adjoints, dephasing and the class predicates. Kraus
+matrix), adjoints, dephasing and the class predicates. Kraus
 operators are a view: a channel built from Kraus operators holds them and
 builds its Choi matrix the first time `choi` is read, so a channel that is
 only written out never builds it; any other channel computes a minimal
@@ -32,9 +32,7 @@ from .errors import (
 from .operators import (
     EIG_CLIP,
     PSD_TOL,
-    HermitianOperator,
     as_array,
-    basis_projector,
     check_hermitian,
     check_psd_spectra,
     require_finite,
@@ -125,16 +123,6 @@ class QuantumChannel:
             self._choi = choi
         return self._choi
 
-    def apply(self, x: HermitianOperator) -> HermitianOperator:
-        """E(X), the Schroedinger-picture map (`images` of one operator)."""
-        return HermitianOperator(images(self, x.matrix))
-
-    def adjoint_apply(self, x: HermitianOperator) -> HermitianOperator:
-        """E^dag(X), the Heisenberg-picture map; sends the identity to the identity."""
-        if x.dim != self.dim_out:
-            raise DimensionMismatch(f"operator dim {x.dim} != channel output dim {self.dim_out}")
-        return HermitianOperator(_adjoint_images(self, x.matrix))
-
     def __repr__(self) -> str:
         return f"QuantumChannel(dim_in={self.dim_in}, dim_out={self.dim_out})"
 
@@ -214,20 +202,15 @@ def unitary_channel(unitary) -> QuantumChannel:
 
 
 def dephasing_channel(dim: int) -> QuantumChannel:
-    """Kraus set {|i><i|}: zeroes every off-diagonal entry of its input."""
-    return QuantumChannel([basis_projector(i, dim).matrix for i in range(dim)])
+    """Kraus set {|i><i|}, the basis-measurement stack: zeroes every
+    off-diagonal entry of its input."""
+    return QuantumChannel(basis_measurement(dim).stack)
 
 
-def dephased(channel: QuantumChannel, side: str) -> QuantumChannel:
-    """dephase . E (side "out") or E . dephase (side "in"), the same channel
-    as composing with `dephasing_channel`: the Choi matrix with
-    J[(a, i), (b, j)] zeroed for a != b, or for i != j."""
-    if side == "out":
-        keep = np.eye(channel.dim_out, dtype=bool)[:, None, :, None]
-    elif side == "in":
-        keep = np.eye(channel.dim_in, dtype=bool)[None, :, None, :]
-    else:
-        raise ValueError(f"side must be 'in' or 'out', got {side!r}")
+def dephased(channel: QuantumChannel) -> QuantumChannel:
+    """E . dephase, the same channel as `compose(channel, dephasing_channel(d))`:
+    the Choi matrix with J[(a, i), (b, j)] zeroed for i != j."""
+    keep = np.eye(channel.dim_in, dtype=bool)[None, :, None, :]
     choi = np.where(keep, _blocks(channel), 0.0).reshape(channel.choi.shape)
     return QuantumChannel._from_choi(choi, channel.dim_in, channel.dim_out)
 
@@ -244,16 +227,6 @@ def adjoint_channel(channel: QuantumChannel) -> QuantumChannel:
         raise NotUnital(f"channel is not unital: E(I) deviates from identity by {residual:.3e}")
     choi = _blocks(channel).conj().transpose(1, 0, 3, 2).reshape(d * d, d * d)
     return QuantumChannel._from_choi(choi, d, d)
-
-
-def mix_channels(a: QuantumChannel, b: QuantumChannel, p: float) -> QuantumChannel:
-    """Convex mixture p*a + (1-p)*b, the same mixture of the Choi matrices."""
-    if (a.dim_in, a.dim_out) != (b.dim_in, b.dim_out):
-        raise DimensionMismatch("mixture requires channels of equal dims")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"mixture weight {p} outside [0, 1]")
-    choi = p * a.choi + (1.0 - p) * b.choi
-    return QuantumChannel._from_choi(choi, a.dim_in, a.dim_out)
 
 
 @dataclass(frozen=True)
@@ -313,11 +286,10 @@ class Povm:
     The elements are held as one read-only complex (n, d, d) stack together
     with their ascending spectra, shape (n, d), from the single batched
     eigendecomposition that the positivity check needs. Measures read both
-    directly; `elements` wraps each slice of the stack as a
-    `HermitianOperator` on first access.
+    directly.
     """
 
-    __slots__ = ("_stack", "_spectra", "_elements")
+    __slots__ = ("_stack", "_spectra")
 
     def __init__(self, elements) -> None:
         if len(elements) == 0:
@@ -333,7 +305,7 @@ class Povm:
             raise InvalidPovm(f"elements sum to identity only within {residual:.3e}")
         stack.setflags(write=False)
         spectra.setflags(write=False)
-        self._stack, self._spectra, self._elements = stack, spectra, None
+        self._stack, self._spectra = stack, spectra
 
     @property
     def stack(self) -> np.ndarray:
@@ -344,12 +316,6 @@ class Povm:
     def spectra(self) -> np.ndarray:
         """Ascending eigenvalues of each element, shape (n, d)."""
         return self._spectra
-
-    @property
-    def elements(self) -> tuple[HermitianOperator, ...]:
-        if self._elements is None:
-            self._elements = tuple(HermitianOperator(m) for m in self._stack)
-        return self._elements
 
     @property
     def dim(self) -> int:

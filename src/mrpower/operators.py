@@ -94,15 +94,6 @@ class HermitianOperator:
         return f"HermitianOperator(dim={self.dim})"
 
 
-def basis_projector(index: int, dim: int) -> HermitianOperator:
-    """|i><i| in the incoherent basis."""
-    if not 0 <= index < dim:
-        raise DimensionMismatch(f"basis index {index} out of range for dim {dim}")
-    m = np.zeros((dim, dim), dtype=complex)
-    m[index, index] = 1.0
-    return HermitianOperator(m)
-
-
 def check_psd_spectra(eigenvalues: np.ndarray, what: str, error=NotPsd) -> None:
     """Raise `error` when a spectrum, or any spectrum of an (n, d) stack of
     them, has an eigenvalue below -PSD_TOL or NaN; for a stack the message

@@ -124,7 +124,7 @@ def random_dio(d: int, unital: bool, rng: SeededRng) -> QuantumChannel:
         channel = QuantumChannel(kraus.reshape(terms * d, d, d))
     else:
         rank = int(rng.gen.integers(1, d * d + 1))
-        channel = dephased(random_channel(d, rank, "general", rng), "in")
+        channel = dephased(random_channel(d, rank, "general", rng))
     if not is_dio(channel) or (unital and not is_unital(channel)):
         raise ConstructionFailed("sampled channel failed its class predicate")
     return channel
@@ -155,24 +155,6 @@ def random_povm(d: int, n: int, incoherent: bool, rng: SeededRng) -> Povm:
             inv_sqrt = (vec / np.sqrt(eig)) @ vec.conj().T
             return Povm(inv_sqrt @ blocks @ inv_sqrt)
     raise SingularTotal("total of sampled blocks stayed singular after 10 redraws")
-
-
-def random_density(d: int, rng: SeededRng) -> np.ndarray:
-    """Random density matrix with Dirichlet spectrum in a Haar eigenbasis."""
-    u = haar_unitary(d, rng)
-    w = rng.gen.dirichlet(np.ones(d))
-    return (u * w) @ u.conj().T
-
-
-def random_psd(d: int, rng: SeededRng) -> np.ndarray:
-    """Random PSD matrix A A^dag (unnormalized)."""
-    a = _ginibre(d, d, rng)
-    return a @ a.conj().T
-
-
-def random_hermitian(d: int, rng: SeededRng) -> np.ndarray:
-    a = _ginibre(d, d, rng)
-    return (a + a.conj().T) / 2.0
 
 
 def example_channels() -> dict[str, QuantumChannel]:

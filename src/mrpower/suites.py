@@ -20,9 +20,9 @@ from .channels import (
     compose,
     images,
     is_dio,
-    mix_channels,
     mix_povm,
     pullback_povm,
+    pulled_back_basis,
     tensor_povm,
     unitary_channel,
 )
@@ -197,8 +197,10 @@ def _trial_power_convexity(dim: int, rng: SeededRng, tol: float):
     first = random_channel(dim, int(rng.gen.integers(1, dim * dim + 1)), "general", rng)
     second = random_channel(dim, int(rng.gen.integers(1, dim * dim + 1)), "general", rng)
     p = float(rng.gen.uniform())
-    mixed = measurement_cohering_power(mix_channels(first, second, p))
-    bound = p * measurement_cohering_power(first) + (1.0 - p) * measurement_cohering_power(second)
+    # pulling back through the mixture mixes the pulled-back bases
+    pa, pb = pulled_back_basis(first), pulled_back_basis(second)
+    mixed = measurement_coherence(mix_povm(pa, pb, p))
+    bound = p * measurement_coherence(pa) + (1.0 - p) * measurement_coherence(pb)
     return _worst(0.0, mixed - bound), None
 
 

@@ -1,6 +1,6 @@
 """Independent one-operator implementations kept as references for the
-batched kernels of mrpower, and the operator and channel helpers the tests
-build inputs and compare results with.
+batched kernels of mrpower, and the operator and channel helpers, random
+operators among them, that the tests build inputs and compare results with.
 
 The entropy filters the spectrum instead of clipping it, the relative
 entropy projects onto the eigenvectors of its second argument one pair at a
@@ -27,6 +27,13 @@ from mrpower.operators import (
 
 def identity(dim: int) -> HermitianOperator:
     return HermitianOperator(np.eye(dim))
+
+
+def basis_projector(index: int, dim: int) -> HermitianOperator:
+    """|i><i| in the incoherent basis."""
+    m = np.zeros((dim, dim), dtype=complex)
+    m[index, index] = 1.0
+    return HermitianOperator(m)
 
 
 def projector(vector) -> HermitianOperator:
@@ -143,6 +150,24 @@ def haar_isometry(rows: int, cols: int, rng) -> np.ndarray:
     return q * (diag / np.abs(diag))
 
 
+def random_density(d: int, rng) -> np.ndarray:
+    """Random density matrix with Dirichlet spectrum in a Haar eigenbasis."""
+    u = haar_isometry(d, d, rng)
+    w = rng.gen.dirichlet(np.ones(d))
+    return (u * w) @ u.conj().T
+
+
+def random_psd(d: int, rng) -> np.ndarray:
+    """Random PSD matrix A A^dag (unnormalized)."""
+    a = ginibre(d, d, rng)
+    return a @ a.conj().T
+
+
+def random_hermitian(d: int, rng) -> np.ndarray:
+    a = ginibre(d, d, rng)
+    return (a + a.conj().T) / 2.0
+
+
 def unital_kraus(d: int, kraus_rank: int, rng) -> np.ndarray:
     """The Kraus set that `random_channel(d, kraus_rank, "unital", rng)`
     draws, one Haar unitary after another."""
@@ -166,6 +191,13 @@ def permutation_channel(perm) -> QuantumChannel:
     u = np.zeros((perm.size, perm.size), dtype=complex)
     u[perm, np.arange(perm.size)] = 1.0
     return unitary_channel(u)
+
+
+def mix_channels(a: QuantumChannel, b: QuantumChannel, p: float) -> QuantumChannel:
+    """Convex mixture p a + (1 - p) b, held as the same mixture of the Choi
+    matrices."""
+    choi = p * a.choi + (1.0 - p) * b.choi
+    return QuantumChannel._from_choi(choi, a.dim_in, a.dim_out)
 
 
 def extend_with_identity(channel: QuantumChannel, d_anc: int) -> QuantumChannel:

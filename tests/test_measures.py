@@ -47,7 +47,7 @@ class TestRelativeEntropyOfCoherence:
     def test_matches_grid_minimum(self):
         rng = mp.SeededRng(302)
         for i in range(20):
-            rho = mp.HermitianOperator(mp.random_density(2, rng.spawn(i)))
+            rho = mp.HermitianOperator(ref.random_density(2, rng.spawn(i)))
             closed = mp.relative_entropy_of_coherence(rho)
             assert closed == pytest.approx(coherence_grid_oracle(rho), abs=2e-3)
 
@@ -94,7 +94,7 @@ class TestMeasurementRelativeEntropy:
 
     def test_support_mismatch_propagates(self):
         basis = mp.basis_measurement(2)
-        swapped = mp.Povm([basis.elements[1], basis.elements[0]])
+        swapped = mp.Povm(basis.stack[::-1])
         assert math.isinf(mp.measurement_relative_entropy(basis, swapped))
 
     def test_outcome_count_mismatch(self):
@@ -148,11 +148,16 @@ class TestBruteforceOracle:
             mp.measurement_coherence_bruteforce(mp.random_povm(2, 3, False, rng), 1000)
 
 
+def operators(m):
+    """The elements of a POVM as the operators the references take."""
+    return [mp.HermitianOperator(el) for el in m.stack]
+
+
 def full_grid_bruteforce(m, grid_steps):
     """The grid oracle over the whole grid_steps x grid_steps grid and its
     np.argmin, kept as the reference for the per-slot minimum."""
-    mass = np.clip(np.array([np.diag(el.matrix).real for el in m.elements]), 0.0, None)
-    base = -sum(ref.von_neumann_entropy(el) for el in m.elements)
+    mass = np.clip(np.array([np.diag(el).real for el in m.stack]), 0.0, None)
+    base = -sum(ref.von_neumann_entropy(el) for el in operators(m))
 
     def slot_cost(axis_values, slot):
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -201,11 +206,11 @@ class TestBruteforceOracleMatchesFullGrid:
 
 def per_element_coherence(m):
     entropy = ref.von_neumann_entropy
-    return sum(entropy(ref.dephase(el)) - entropy(el) for el in m.elements) / m.dim
+    return sum(entropy(ref.dephase(el)) - entropy(el) for el in operators(m)) / m.dim
 
 
 def per_element_divergence(m, n):
-    terms = [ref.relative_entropy(a, b) for a, b in zip(m.elements, n.elements)]
+    terms = [ref.relative_entropy(a, b) for a, b in zip(operators(m), operators(n))]
     return math.inf if any(math.isinf(t) for t in terms) else sum(terms) / m.dim
 
 
@@ -257,7 +262,7 @@ class TestBatchedMeasuresMatchPerElementSums:
     def test_state_coherence_matches_entropy_difference(self):
         rng = mp.SeededRng(317)
         for dim in (2, 3, 4):
-            rho = mp.HermitianOperator(mp.random_density(dim, rng))
+            rho = mp.HermitianOperator(ref.random_density(dim, rng))
             expected = ref.von_neumann_entropy(ref.dephase(rho)) - ref.von_neumann_entropy(rho)
             assert mp.relative_entropy_of_coherence(rho) == pytest.approx(expected, abs=1e-12)
 
@@ -307,14 +312,14 @@ def random_separable(d_a, d_b, trace, rng):
     terms = int(rng.gen.integers(1, 4))
     total = np.zeros((d_a * d_b, d_a * d_b), dtype=complex)
     for _ in range(terms):
-        total += np.kron(mp.random_psd(d_a, rng), mp.random_psd(d_b, rng))
+        total += np.kron(ref.random_psd(d_a, rng), ref.random_psd(d_b, rng))
     return mp.HermitianOperator(total * (trace / np.trace(total).real))
 
 
 class TestEreLowerBounds:
     def test_matches_per_operator_bound(self):
         rng = mp.SeededRng(318)
-        stack = np.array([mp.random_psd(6, rng) for _ in range(5)] + [np.zeros((6, 6))])
+        stack = np.array([ref.random_psd(6, rng) for _ in range(5)] + [np.zeros((6, 6))])
         expected = [ref.ere_lower_bound(mp.HermitianOperator(x), (2, 3)) for x in stack]
         np.testing.assert_allclose(ere_lower_bounds(stack, (2, 3)), expected, rtol=0, atol=1e-12)
 
@@ -344,7 +349,7 @@ class TestEreLowerBound:
         # 500 random trace-matched separable references
         rng = mp.SeededRng(312)
         for i in range(5):
-            x = mp.HermitianOperator(mp.random_psd(4, rng.spawn(2 * i)))
+            x = mp.HermitianOperator(ref.random_psd(4, rng.spawn(2 * i)))
             bound = mp.ere_lower_bound(x, (2, 2))
             trace = np.trace(x.matrix).real
             sep_rng = rng.spawn(2 * i + 1)

@@ -94,10 +94,10 @@ class TestVonNeumannEntropy:
         assert mp.von_neumann_entropy(mp.HermitianOperator(np.eye(2) / 2)) == pytest.approx(1.0)
 
     def test_pure_state(self):
-        assert mp.von_neumann_entropy(mp.basis_projector(0, 2)) == pytest.approx(0.0, abs=1e-12)
+        assert mp.von_neumann_entropy(ref.basis_projector(0, 2)) == pytest.approx(0.0, abs=1e-12)
 
     def test_subnormalized_can_be_negative(self):
-        x = mp.HermitianOperator(2.0 * mp.basis_projector(0, 2).matrix)
+        x = mp.HermitianOperator(2.0 * ref.basis_projector(0, 2).matrix)
         assert mp.von_neumann_entropy(x) == pytest.approx(-2.0)
 
     def test_rejects_negative_operator(self):
@@ -109,15 +109,15 @@ class TestRelativeEntropy:
     def test_identical_arguments_vanish(self):
         rng = mp.SeededRng(101)
         for i in range(10):
-            rho = mp.HermitianOperator(mp.random_density(3, rng.spawn(i)))
+            rho = mp.HermitianOperator(ref.random_density(3, rng.spawn(i)))
             assert mp.relative_entropy(rho, rho) == pytest.approx(0.0, abs=1e-12)
 
     def test_pure_vs_maximally_mixed(self):
-        value = mp.relative_entropy(mp.basis_projector(0, 2), mp.HermitianOperator(np.eye(2) / 2))
+        value = mp.relative_entropy(ref.basis_projector(0, 2), mp.HermitianOperator(np.eye(2) / 2))
         assert value == pytest.approx(1.0)
 
     def test_support_mismatch_is_infinite(self):
-        value = mp.relative_entropy(mp.basis_projector(0, 2), mp.basis_projector(1, 2))
+        value = mp.relative_entropy(ref.basis_projector(0, 2), ref.basis_projector(1, 2))
         assert math.isinf(value)
 
     def test_dimension_mismatch(self):
@@ -138,22 +138,22 @@ class TestTensorAndPartialTrace:
         np.testing.assert_allclose(out.matrix, np.eye(4))
 
     def test_basis_ordering(self):
-        out = ref.tensor_product(mp.basis_projector(0, 2), mp.basis_projector(1, 2))
-        np.testing.assert_allclose(out.matrix, mp.basis_projector(1, 4).matrix)
+        out = ref.tensor_product(ref.basis_projector(0, 2), ref.basis_projector(1, 2))
+        np.testing.assert_allclose(out.matrix, ref.basis_projector(1, 4).matrix)
 
     def test_trace_multiplicativity(self):
         rng = mp.SeededRng(102)
         for i in range(20):
-            x = mp.HermitianOperator(mp.random_psd(2, rng.spawn(2 * i)))
-            y = mp.HermitianOperator(mp.random_psd(3, rng.spawn(2 * i + 1)))
+            x = mp.HermitianOperator(ref.random_psd(2, rng.spawn(2 * i)))
+            y = mp.HermitianOperator(ref.random_psd(3, rng.spawn(2 * i + 1)))
             lhs = np.trace(ref.tensor_product(x, y).matrix)
             rhs = np.trace(x.matrix) * np.trace(y.matrix)
             assert lhs == pytest.approx(rhs)
 
     def test_partial_trace_of_product(self):
         rng = mp.SeededRng(103)
-        x = mp.HermitianOperator(mp.random_psd(2, rng.spawn(0)))
-        y = mp.HermitianOperator(mp.random_psd(3, rng.spawn(1)))
+        x = mp.HermitianOperator(ref.random_psd(2, rng.spawn(0)))
+        y = mp.HermitianOperator(ref.random_psd(3, rng.spawn(1)))
         kept = ref.partial_trace(ref.tensor_product(x, y), (2, 3), "A")
         np.testing.assert_allclose(kept.matrix, np.trace(y.matrix) * x.matrix, atol=1e-12)
 
@@ -165,7 +165,7 @@ class TestTensorAndPartialTrace:
     def test_trace_preservation(self):
         rng = mp.SeededRng(104)
         for i in range(20):
-            x = mp.HermitianOperator(mp.random_psd(6, rng.spawn(i)))
+            x = mp.HermitianOperator(ref.random_psd(6, rng.spawn(i)))
             reduced = ref.partial_trace(x, (2, 3), "B")
             assert np.trace(reduced.matrix) == pytest.approx(np.trace(x.matrix).real)
 
@@ -185,7 +185,7 @@ class TestDephase:
     def test_idempotence(self):
         rng = mp.SeededRng(105)
         for i in range(20):
-            x = mp.HermitianOperator(mp.random_hermitian(4, rng.spawn(i)))
+            x = mp.HermitianOperator(ref.random_hermitian(4, rng.spawn(i)))
             once = ref.dephase(x)
             np.testing.assert_allclose(ref.dephase(once).matrix, once.matrix)
 
@@ -210,8 +210,8 @@ class TestEntropyIdentities:
         # S(X (x) Y) = tr(Y) S(X) + tr(X) S(Y)
         rng = mp.SeededRng(107)
         for i in range(100):
-            x = mp.HermitianOperator(mp.random_psd(2, rng.spawn(2 * i)))
-            y = mp.HermitianOperator(mp.random_psd(3, rng.spawn(2 * i + 1)))
+            x = mp.HermitianOperator(ref.random_psd(2, rng.spawn(2 * i)))
+            y = mp.HermitianOperator(ref.random_psd(3, rng.spawn(2 * i + 1)))
             lhs = mp.von_neumann_entropy(ref.tensor_product(x, y))
             rhs = np.trace(y.matrix).real * mp.von_neumann_entropy(x) + np.trace(
                 x.matrix
@@ -222,7 +222,7 @@ class TestEntropyIdentities:
         # D(X || dephase(X)) = S(dephase(X)) - S(X)
         rng = mp.SeededRng(108)
         for i in range(50):
-            x = mp.HermitianOperator(mp.random_psd(3, rng.spawn(i)))
+            x = mp.HermitianOperator(ref.random_psd(3, rng.spawn(i)))
             lhs = mp.relative_entropy(x, ref.dephase(x))
             rhs = mp.von_neumann_entropy(ref.dephase(x)) - mp.von_neumann_entropy(x)
             assert lhs == pytest.approx(rhs, abs=1e-8)
@@ -231,8 +231,8 @@ class TestEntropyIdentities:
         # D(X || dephase(Y)) = S(dephase(X)) - S(X) + D(dephase(X) || dephase(Y))
         rng = mp.SeededRng(109)
         for i in range(50):
-            x = mp.HermitianOperator(mp.random_psd(3, rng.spawn(2 * i)))
-            y = mp.HermitianOperator(mp.random_psd(3, rng.spawn(2 * i + 1)))
+            x = mp.HermitianOperator(ref.random_psd(3, rng.spawn(2 * i)))
+            y = mp.HermitianOperator(ref.random_psd(3, rng.spawn(2 * i + 1)))
             lhs = mp.relative_entropy(x, ref.dephase(y))
             rhs = (
                 mp.von_neumann_entropy(ref.dephase(x))
@@ -244,8 +244,8 @@ class TestEntropyIdentities:
     def test_partial_trace_round_trip(self):
         rng = mp.SeededRng(110)
         for i in range(20):
-            x = mp.HermitianOperator(mp.random_psd(3, rng.spawn(2 * i)))
-            y = mp.HermitianOperator(mp.random_psd(2, rng.spawn(2 * i + 1)))
+            x = mp.HermitianOperator(ref.random_psd(3, rng.spawn(2 * i)))
+            y = mp.HermitianOperator(ref.random_psd(2, rng.spawn(2 * i + 1)))
             normalized = mp.HermitianOperator(y.matrix / np.trace(y.matrix).real)
             back = ref.partial_trace(ref.tensor_product(x, normalized), (3, 2), "A")
             np.testing.assert_allclose(back.matrix, x.matrix, atol=1e-10)
