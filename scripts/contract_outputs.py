@@ -1,40 +1,53 @@
 """Record the CLI outputs that a refactor must keep byte for byte.
 
-Writes under OUTDIR:
-- `inputs/`: the channel files, written by `save_channel`: the five example
-  channels, seeded full-Kraus-rank and unital random channels at d = 2, 3, 4
-  and 6, a file with a NaN entry, and a full-rank d = 7 file, above the
-  conversion cap.
+Writes under OUTDIR, which must not exist yet:
+- `inputs/`: the channel files: the five example channels, seeded
+  full-Kraus-rank and unital random channels at d = 2, 3, 4 and 6, and a
+  full-rank d = 7 file, above the conversion cap, written by `save_channel`;
+  a file with a NaN entry; `truncated.json`, the first half of the Hadamard
+  file; and `wrong-dim.json`, the Hadamard file with `dim_out` = 3.
 - `power/<input>/` and `convert/<input>/`: stdout, stderr and the exit code
   of `power --what both` and `convert --out` on each input; for `convert`,
   also the bytes written to `--out`.
 - `verify/d<d>/`: `verify --suite all --trials 100 --seed 42` at d = 2, 3
   and 4: stdout without the per-suite "(N ms)", stderr, the exit code, and
   the JSON report without `wall_time_ms`; `verify/d2-csv/` holds the CSV
-  report of the same run at d = 2.
+  report of the same run at d = 2, and `verify/d7/` the refusal of d = 7,
+  above the conversion cap.
 
-Every command runs as `python -m mrpower.cli` in an interpreter of its own,
-started in OUTDIR, with one BLAS thread, and imports the mrpower package
-that this script imported from PYTHONPATH. To compare two versions of the
-package, run the same copy of the script against each and diff the
-results:
+Every command runs in this process through `mrpower.cli.main`, in OUTDIR,
+with its streams redirected, under one BLAS thread: the script runs itself
+again under those settings before numpy loads. It uses the mrpower package
+on PYTHONPATH, so to compare two versions of the package, run the same copy
+of the script against each and diff the results (about 5 s a run):
 
     PYTHONPATH=<other checkout>/src python scripts/contract_outputs.py /tmp/before
     PYTHONPATH=src python scripts/contract_outputs.py /tmp/after
     diff -r /tmp/before /tmp/after
+
+`tests/test_contract_digests.py` pins the sha256 of every file it writes.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import math
 import os
-import re
-import subprocess
 import sys
 
+# one BLAS thread makes every run sum in one order; numpy fixes its thread
+# count when it loads
+BLAS_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+if __name__ == "__main__" and any(os.environ.get(k) != v for k, v in BLAS_ENV.items()):
+    os.execve(sys.executable, [sys.executable, *sys.argv], {**os.environ, **BLAS_ENV})
+
+import argparse
+import contextlib
+import io
+import json
+import math
+import re
+
 import mrpower as mp
+from mrpower.cli import main as cli_main
 from mrpower.serialize import channel_to_dict, save_channel
 
 SEED = 20241019
@@ -42,59 +55,55 @@ RANDOM_DIMS = (2, 3, 4, 6)
 VERIFY_DIMS = (2, 3, 4)
 OVER_CAP_DIM = 7
 
-# the commands import the mrpower this script imported, whatever their working
-# directory; one BLAS thread makes every run sum in one order
-PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(mp.__file__)))
-ENV = {**os.environ, "PYTHONPATH": PACKAGE_ROOT, "OPENBLAS_NUM_THREADS": "1",
-       "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
-
 
 def full_rank_channel(d: int) -> mp.QuantumChannel:
     """The seeded full-Kraus-rank input `full-rank-d<d>`."""
     return mp.random_channel(d, d * d, "general", mp.SeededRng(SEED).spawn(2 * d))
 
 
-def write_inputs(outdir: str) -> list[str]:
-    """Write the channel files to `outdir/inputs` and return their names."""
+def write_inputs() -> list[str]:
+    """Write the channel files to `inputs/` and return their names."""
     rng = mp.SeededRng(SEED)
     channels = dict(mp.example_channels())
     for d in RANDOM_DIMS:
         channels[f"full-rank-d{d}"] = full_rank_channel(d)
         channels[f"unital-d{d}"] = mp.random_channel(d, d, "unital", rng.spawn(2 * d + 1))
     channels[f"full-rank-d{OVER_CAP_DIM}"] = full_rank_channel(OVER_CAP_DIM)
-    os.makedirs(os.path.join(outdir, "inputs"))
+    os.mkdir("inputs")
     for name, channel in channels.items():
-        save_channel(os.path.join(outdir, "inputs", f"{name}.json"), channel)
-    wire = channel_to_dict(mp.dephasing_channel(2))
-    wire["kraus"][0][0][0] = [math.nan, 0.0]
-    with open(os.path.join(outdir, "inputs", "nan-entry.json"), "w", encoding="utf-8") as handle:
-        handle.write(json.dumps(wire))
-    return [*channels, "nan-entry"]
+        save_channel(f"inputs/{name}.json", channel)
+    nan_entry = channel_to_dict(mp.dephasing_channel(2))
+    nan_entry["kraus"][0][0][0] = [math.nan, 0.0]
+    write("inputs/nan-entry.json", json.dumps(nan_entry))
+    with open("inputs/hadamard.json", encoding="utf-8") as handle:
+        hadamard = handle.read()
+    write("inputs/truncated.json", hadamard[: len(hadamard) // 2])
+    write("inputs/wrong-dim.json", json.dumps({**json.loads(hadamard), "dim_out": 3}))
+    return [*channels, "nan-entry", "truncated", "wrong-dim"]
 
 
-def run(outdir: str, case: str, *args: str) -> str:
-    """Run one CLI command in OUTDIR, write its stderr and exit code to
-    `outdir/case`, and return its stdout."""
-    os.makedirs(os.path.join(outdir, case))
-    result = subprocess.run([sys.executable, "-m", "mrpower.cli", *args], cwd=outdir,
-                            env=ENV, capture_output=True, text=True)
-    write(outdir, f"{case}/stderr", result.stderr)
-    write(outdir, f"{case}/exit_code", f"{result.returncode}\n")
-    return result.stdout
+def run(case: str, *args: str) -> str:
+    """Run one CLI command, write its stderr and exit code to `case/`, and
+    return its stdout."""
+    os.makedirs(case)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli_main(list(args))
+    write(f"{case}/stderr", stderr.getvalue())
+    write(f"{case}/exit_code", f"{code}\n")
+    return stdout.getvalue()
 
 
-def write(outdir: str, path: str, text: str) -> None:
-    with open(os.path.join(outdir, path), "w", encoding="utf-8") as handle:
+def write(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8") as handle:
         handle.write(text)
 
 
-def record_channel_commands(outdir: str, name: str) -> None:
+def record_channel_commands(name: str) -> None:
     path = f"inputs/{name}.json"
-    write(outdir, f"power/{name}/stdout", run(outdir, f"power/{name}", "power", path,
-                                               "--what", "both"))
+    write(f"power/{name}/stdout", run(f"power/{name}", "power", path, "--what", "both"))
     out = f"convert/{name}/out.json"
-    write(outdir, f"convert/{name}/stdout", run(outdir, f"convert/{name}", "convert", path,
-                                                 "--out", out))
+    write(f"convert/{name}/stdout", run(f"convert/{name}", "convert", path, "--out", out))
 
 
 def untimed_stdout(stdout: str) -> str:
@@ -102,33 +111,34 @@ def untimed_stdout(stdout: str) -> str:
     return re.sub(r" \(\d+ ms\)$", "", stdout, flags=re.MULTILINE)
 
 
-def untimed_report(text: str) -> str:
-    """A `verify --suite all` JSON report without `wall_time_ms`."""
-    reports = json.loads(text)
-    for entry in reports:
-        del entry["wall_time_ms"]
-    return json.dumps(reports, indent=2) + "\n"
-
-
-def record_verify(outdir: str, case: str, dim: int, report_format: str) -> None:
+def record_verify(case: str, dim: int, report_format: str) -> None:
     report = f"{case}/report.{report_format}"
-    stdout = run(outdir, case, "verify", "--suite", "all", "--trials", "100", "--seed", "42",
+    stdout = run(case, "verify", "--suite", "all", "--trials", "100", "--seed", "42",
                  "--dim", str(dim), "--out", report, "--format", report_format)
-    write(outdir, f"{case}/stdout", untimed_stdout(stdout))
+    write(f"{case}/stdout", untimed_stdout(stdout))
     if report_format == "json":
-        with open(os.path.join(outdir, report), encoding="utf-8") as handle:
-            write(outdir, report, untimed_report(handle.read()))
+        with open(report, encoding="utf-8") as handle:
+            reports = json.load(handle)
+        for entry in reports:
+            del entry["wall_time_ms"]
+        write(report, json.dumps(reports, indent=2) + "\n")
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("outdir", help="new directory for the outputs")
-    outdir = os.path.abspath(parser.parse_args(argv).outdir)
-    for name in write_inputs(outdir):
-        record_channel_commands(outdir, name)
+    outdir = parser.parse_args(argv).outdir
+    if os.path.exists(outdir):
+        print(f"error: {outdir} already exists; give a new directory", file=sys.stderr)
+        return 2
+    os.makedirs(outdir)
+    os.chdir(outdir)
+    for name in write_inputs():
+        record_channel_commands(name)
     for dim in VERIFY_DIMS:
-        record_verify(outdir, f"verify/d{dim}", dim, "json")
-    record_verify(outdir, "verify/d2-csv", 2, "csv")
+        record_verify(f"verify/d{dim}", dim, "json")
+    record_verify("verify/d2-csv", 2, "csv")
+    write("verify/d7/stdout", run("verify/d7", "verify", "--suite", "all", "--dim", "7"))
     return 0
 
 

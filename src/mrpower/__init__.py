@@ -46,13 +46,11 @@ from .operators import (
 )
 from .powers import (
     ConversionCertificate,
-    DualityCheck,
     cnot_matrix,
     cnot_unitary,
     composite_ent_lower_bound,
     conversion_channel,
     conversion_ent_lower_bound,
-    duality_check,
     measurement_as_square_channel,
     measurement_cohering_power,
     state_cohering_power,

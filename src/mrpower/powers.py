@@ -17,7 +17,6 @@ import numpy as np
 from .channels import (
     Povm,
     QuantumChannel,
-    adjoint_channel,
     basis_measurement,
     is_dio,
     is_unital,
@@ -176,24 +175,6 @@ def composite_ent_lower_bound(
     x = np.einsum("aibj,naxby->nixjy", channel.choi.reshape(d, d, d, d).conj(), y)
     pulled = pullback_povm(l, Povm(x.reshape(dd, dd, dd)))
     return float(np.mean(ere_lower_bounds(pulled.stack, (d, d))))
-
-
-@dataclass(frozen=True)
-class DualityCheck:
-    """State-cohering power of a unital channel against the
-    measurement-cohering power of its adjoint."""
-
-    c_g: float
-    c_adj: float
-
-
-def duality_check(channel: QuantumChannel) -> DualityCheck:
-    """Both sides of the sandwich c_g / d <= C(adjoint) <= c_g for a square
-    unital channel (`adjoint_channel` raises for any other); the `duality`
-    suite checks it."""
-    c_adj = measurement_cohering_power(adjoint_channel(channel))
-    c_g = state_cohering_power(channel)
-    return DualityCheck(c_g=c_g, c_adj=c_adj)
 
 
 def measurement_as_square_channel(povm: Povm) -> QuantumChannel:

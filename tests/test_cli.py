@@ -1,6 +1,8 @@
 import json
 import math
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -434,3 +436,25 @@ class TestParserReuse:
             return outputs
 
         assert run(fresh=False) == run(fresh=True)
+
+
+class TestModuleEntryPoint:
+    """`python -m mrpower.cli` in an interpreter of its own: the module runs
+    `main` as a program."""
+
+    @staticmethod
+    def run_module(*args: str) -> subprocess.CompletedProcess:
+        return subprocess.run([sys.executable, "-m", "mrpower.cli", *args],
+                              capture_output=True, text=True, timeout=60)
+
+    def test_power_on_hadamard(self, tmp_path):
+        path = write_channel(tmp_path, "hadamard.json", mp.example_channels()["hadamard"])
+        result = self.run_module("power", path)
+        assert (result.returncode, result.stdout, result.stderr) == (
+            0, '{"c": 1.0, "cg": 1.0}\n', "")
+
+    def test_unknown_suite_exits_2_through_argparse(self):
+        result = self.run_module("verify", "--suite", "nope")
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert "invalid choice: 'nope'" in result.stderr
