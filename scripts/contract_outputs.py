@@ -14,6 +14,9 @@ Writes under OUTDIR, which must not exist yet:
   the JSON report without `wall_time_ms`; `verify/d2-csv/` holds the CSV
   report of the same run at d = 2, and `verify/d7/` the refusal of d = 7,
   above the conversion cap.
+- `verify/<error>/`: stdout, stderr and the exit code of five `verify`
+  commands that break one argument rule each (ARGUMENT_ERRORS), each with
+  an `--out` that must not be written.
 
 Every command runs in this process through `mrpower.cli.main`, in OUTDIR,
 with its streams redirected, under one BLAS thread: the script runs itself
@@ -54,6 +57,14 @@ SEED = 20241019
 RANDOM_DIMS = (2, 3, 4, 6)
 VERIFY_DIMS = (2, 3, 4)
 OVER_CAP_DIM = 7
+# case -> `verify` arguments that break one rule of a run
+ARGUMENT_ERRORS = {
+    "dim-1": ("--dim", "1"),
+    "trials-0": ("--trials", "0"),
+    "seed-minus-1": ("--seed=-1",),
+    "tol-nan": ("--tol=nan",),
+    "cm_oracle-d3": ("--suite", "cm_oracle", "--dim", "3"),
+}
 
 
 def full_rank_channel(d: int) -> mp.QuantumChannel:
@@ -139,6 +150,9 @@ def main(argv=None) -> int:
         record_verify(f"verify/d{dim}", dim, "json")
     record_verify("verify/d2-csv", 2, "csv")
     write("verify/d7/stdout", run("verify/d7", "verify", "--suite", "all", "--dim", "7"))
+    for error, args in ARGUMENT_ERRORS.items():
+        case = f"verify/{error}"
+        write(f"{case}/stdout", run(case, "verify", *args, "--out", f"{case}/report.json"))
     return 0
 
 
