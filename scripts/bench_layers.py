@@ -30,11 +30,13 @@ once more:
   detection-incoherent channels. Each call draws from its own copy of
   SeededRng(SEED).spawn(N), made before the timed calls, so every call draws
   the same instance: a sampler's cost depends on the ranks it draws.
-- suites: `run_suite` on the same block of SUITE_TRIALS trials (seed SEED)
-  on every call, reported in ms per trial. A fixed block makes the spread
-  the machine's, not the draws': a trial's cost depends on the ranks it
-  draws, so timing one fresh trial per call gave the `thm3_proxy` rows an
-  IQR above their median.
+- suites: `run_suite` on each (suite, dimension) run that `verify --suite
+  all` plans at d = 2 to 6 (`suites.plan`), on the same block of
+  SUITE_TRIALS trials (seed SEED) on every call, reported in ms per trial.
+  A fixed block makes the spread the machine's, not the draws': a trial's
+  cost depends on the ranks it draws, so timing one fresh trial per call
+  gave the rows of the suite that composes on dimension d^2 an IQR above
+  their median.
 
 Each row is timed in a fresh interpreter, as `benchtiming` describes.
 With `--baseline SRC`, each row is also timed in fresh interpreters with
@@ -62,6 +64,7 @@ from benchtiming import MAX_CALLS, measure_in_fresh_interpreter, per_call_ms, wr
 from mrpower.measures import ere_lower_bounds
 from mrpower.operators import psd_entropies, relative_entropies
 from mrpower.serialize import channel_to_dict, load_channel, save_channel
+from mrpower.suites import plan
 
 SEED = 20241018
 SUITE_TRIALS = 5  # trials per timed `run_suite` call; keeps the script under 2 minutes
@@ -91,8 +94,8 @@ ROWS = (
     *_rows("sampling", tuple(SAMPLERS), (2, 3, 4)),
     *(("wire", "load", case) for case in ("d2", "d4", "d8", "d16", "hadamard", "d16-indent1")),
     *(("wire", "save", case) for case in ("d16", "conversion-d4", "conversion-d6")),
-    *_rows("suites", [name for name in mp.SUITE_NAMES if name != "cm_oracle"], (2, 3, 4, 5, 6)),
-    ("suites", "cm_oracle", "d2"),
+    *dict.fromkeys(("suites", name, f"d{dim}")  # each run once; `all` fixes some dimensions
+                   for d in (2, 3, 4, 5, 6) for name, dim in plan("all", d)),
 )
 
 

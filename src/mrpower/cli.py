@@ -5,11 +5,13 @@ Subcommands:
   convert  build the conversion channel and print its equality certificate
   verify   run randomized verification suites and emit JSON/CSV reports
 
-Exit codes: 0 success; 1 suite failure (verify); 2 parse/flag errors and
-unreadable or malformed channel files (SchemaError); 3 invalid channel input
-(any ToolkitError or LinAlgError a command lets through); 4 conversion
-certificate gap above tolerance; 5 internal error (any other exception a
-command lets through). `main` maps exceptions to codes 2, 3 and 5.
+Exit codes: 0 success; 1 suite failure (verify); 2 parse/flag errors (for
+`verify`: a rule of `suites.check_run`, with its message unchanged, the
+conversion cap or `--out`) and unreadable or malformed channel files
+(SchemaError); 3 invalid channel input (any ToolkitError or LinAlgError a
+command lets through); 4 conversion certificate gap above tolerance; 5
+internal error (any other exception a command lets through). `main` maps
+exceptions to codes 2, 3 and 5.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import sys
 import traceback
@@ -33,15 +34,16 @@ from .powers import (
     state_cohering_power,
 )
 from .serialize import SchemaError, load_channel, save_channel
-from .suites import SUITE_NAMES, VerificationReport, run_suite
+from .suites import SQUARED_DIMENSION_SUITES, SUITE_NAMES, VerificationReport
+from .suites import check_run, plan, run_suite
 
-# Largest input dimension of `convert` and of the conversion suites in
-# `verify`. The library takes any dimension; this caps the resources of one
-# command. `convert` on a full-Kraus-rank channel writes up to d^3 operators
-# of size d^2 x d^2 (Python 3.11, numpy 2.4, one BLAS thread, 2 vCPUs, in
-# process): at d = 6 it takes 0.04 s, writes 3.4 MB and peaks at 46 MiB RSS;
-# at d = 7 the certificate and the file take 0.13 s, write 10.1 MB and peak
-# at 74 MiB.
+# Largest input dimension of `convert` and of the `verify` suites whose trials
+# work on dimension d^2 (SQUARED_DIMENSION_SUITES). The library takes any
+# dimension; this caps the resources of one command. `convert` on a
+# full-Kraus-rank channel writes up to d^3 operators of size d^2 x d^2
+# (Python 3.11, numpy 2.4, one BLAS thread, 2 vCPUs, in process): at d = 6 it
+# takes 0.04 s, writes 3.4 MB and peaks at 46 MiB RSS; at d = 7 the
+# certificate and the file take 0.13 s, write 10.1 MB and peak at 74 MiB.
 CONVERSION_DIM_CAP = 6
 
 EXIT_OK = 0
@@ -138,29 +140,20 @@ def _summary_line(report: VerificationReport) -> str:
 
 
 def _cmd_verify(args) -> int:
-    if args.dim < 2:
-        return _fail(EXIT_PARSE, f"--dim must be at least 2, got {args.dim}")
-    if args.trials < 1:
-        return _fail(EXIT_PARSE, f"--trials must be at least 1, got {args.trials}")
-    if not 0 <= args.seed < 1 << 64:
-        return _fail(EXIT_PARSE, f"--seed must lie in 0..2**64-1, got {args.seed}")
-    if args.tol is not None and not (math.isfinite(args.tol) and args.tol > 0):
-        return _fail(EXIT_PARSE, f"--tol must be positive and finite, got {args.tol}")
-    if args.suite == "cm_oracle" and args.dim != 2:
-        return _fail(EXIT_PARSE, "cm_oracle is defined at dimension 2 only")
-    if args.dim > CONVERSION_DIM_CAP and args.suite in (
-        "all", "conversion_equality", "thm3_proxy"
-    ):
+    runs = plan(args.suite, args.dim)
+    try:
+        for name, dim in runs:
+            check_run(name, dim, args.trials, args.seed, args.tol)
+    except ValueError as exc:
+        return _fail(EXIT_PARSE, str(exc))
+    if any(name in SQUARED_DIMENSION_SUITES and dim > CONVERSION_DIM_CAP for name, dim in runs):
         return _fail(EXIT_PARSE, f"conversion suites are capped at dimension {CONVERSION_DIM_CAP}")
     problem = args.out and _unwritable(args.out)
     if problem:
         return _fail(EXIT_PARSE, problem)
 
-    names = list(SUITE_NAMES) if args.suite == "all" else [args.suite]
     reports = []
-    for name in names:
-        # the oracle suite only exists at d = 2; keep `all` runnable at any dim
-        dim = 2 if (name == "cm_oracle" and args.suite == "all") else args.dim
+    for name, dim in runs:
         report = run_suite(name, dim=dim, trials=args.trials, seed=args.seed, tol=args.tol)
         print(_summary_line(report))
         reports.append(report)

@@ -33,7 +33,8 @@ from .operators import (
 )
 
 DENSITY_TRACE_TOL = 1e-9
-INCOHERENT_TOL = 1e-9  # max-abs off-diagonal entry `decompose_incoherent` accepts
+INCOHERENT_TOL = 1e-9  # max-abs off-diagonal entry of an incoherent measurement
+ORACLE_GRID_STEPS = 1000  # grid points per axis of `measurement_coherence_bruteforce`
 
 
 def relative_entropy_of_coherence(rho: HermitianOperator) -> float:
@@ -92,18 +93,18 @@ def measurement_coherence(m: Povm) -> float:
     return sum(_dephasing_gains(m.stack, m.spectra).tolist()) / m.dim
 
 
-def is_incoherent_measurement(m: Povm, tol: float) -> bool:
-    """True iff every element is diagonal within max-abs tolerance."""
+def is_incoherent_measurement(m: Povm) -> bool:
+    """True iff every element is diagonal within INCOHERENT_TOL, max-abs."""
     off = m.stack[:, ~np.eye(m.dim, dtype=bool)]
-    return float(np.max(np.abs(off), initial=0.0)) <= tol
+    return float(np.max(np.abs(off), initial=0.0)) <= INCOHERENT_TOL
 
 
-def measurement_coherence_bruteforce(m: Povm, grid_steps: int) -> float:
+def measurement_coherence_bruteforce(m: Povm) -> float:
     """Variational measurement-coherence for a qubit two-outcome POVM.
 
     Minimizes the averaged relative entropy over all incoherent two-outcome
     POVMs, exhaustively parametrized as F_0 = diag(a, b), F_1 = I - F_0 with
-    a, b on a grid_steps x grid_steps grid over [0, 1]^2, followed by one
+    a, b on an ORACLE_GRID_STEPS-point grid per axis over [0, 1]^2, then one
     local refinement pass around the best cell. Exists to certify the closed
     form at small scale, not for production use.
     """
@@ -111,8 +112,6 @@ def measurement_coherence_bruteforce(m: Povm, grid_steps: int) -> float:
         raise UnsupportedScale(
             f"oracle supports d = 2, n = 2 only (got d = {m.dim}, n = {m.n})"
         )
-    if grid_steps < 100:
-        raise ValueError(f"grid_steps must be at least 100, got {grid_steps}")
 
     # D(M_x || diag) splits into independent terms for the two diagonal slots.
     mass = np.clip(_diagonals(m.stack), 0.0, None)  # (2, 2)
@@ -134,8 +133,8 @@ def measurement_coherence_bruteforce(m: Povm, grid_steps: int) -> float:
         grid would give. Rounded addition is monotone in each argument, so
         the grid minimum is exactly cost_a.min() + cost_b.min(), and a row
         attains it exactly when its sum with cost_b.min() does."""
-        a = np.linspace(a_lo, a_hi, grid_steps)
-        b = np.linspace(b_lo, b_hi, grid_steps)
+        a = np.linspace(a_lo, a_hi, ORACLE_GRID_STEPS)
+        b = np.linspace(b_lo, b_hi, ORACLE_GRID_STEPS)
         cost_a, cost_b = slot_cost(a, 0), slot_cost(b, 1)
         best = cost_a.min() + cost_b.min()
         ia = int(np.argmax(cost_a + cost_b.min() == best))
@@ -164,7 +163,7 @@ class IncoherentDecomposition:
 
 def decompose_incoherent(m: Povm) -> IncoherentDecomposition:
     """Extract p(x|i) = <i|M_x|i> and verify it reconstructs the POVM."""
-    if not is_incoherent_measurement(m, INCOHERENT_TOL):
+    if not is_incoherent_measurement(m):
         raise NotIncoherent(f"POVM has off-diagonal entries above {INCOHERENT_TOL}")
     probs = np.clip(_diagonals(m.stack), 0.0, None)  # PSD diagonals can carry -1e-16 noise
     post = StochasticMatrix(probs)

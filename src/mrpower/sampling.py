@@ -22,6 +22,7 @@ from .channels import (
     unitary_channel,
 )
 from .errors import ConstructionFailed, InvalidRank, SingularTotal
+from .operators import EIG_CLIP
 from .powers import cnot_unitary
 
 _MASK64 = (1 << 64) - 1
@@ -151,7 +152,7 @@ def random_povm(d: int, n: int, incoherent: bool, rng: SeededRng) -> Povm:
         a = _ginibre(d, d, rng, (n,))
         blocks = a @ a.conj().transpose(0, 2, 1)
         eig, vec = np.linalg.eigh(blocks.sum(axis=0))
-        if eig[0] > 1e-12:
+        if eig[0] > EIG_CLIP:
             inv_sqrt = (vec / np.sqrt(eig)) @ vec.conj().T
             return Povm(inv_sqrt @ blocks @ inv_sqrt)
     raise SingularTotal("total of sampled blocks stayed singular after 10 redraws")

@@ -27,7 +27,6 @@ from .channels import (
     tensor_povm,
     unitary_channel,
 )
-from .errors import UnsupportedScale
 from .measures import (
     coherences_of_states,
     decompose_incoherent,
@@ -53,7 +52,6 @@ from .sampling import (
     random_stochastic_matrix,
 )
 
-ORACLE_GRID_STEPS = 1000
 DUALITY_IDENTITY_TOL = 1e-10
 
 
@@ -144,9 +142,9 @@ def _trial_cm_faithfulness(dim: int, rng: SeededRng, tol: float):
     coherent_value = measurement_coherence(coherent)
     violation = _worst(violation, -coherent_value)
     detail = None
-    if not is_incoherent_measurement(incoherent, 1e-8):
+    if not is_incoherent_measurement(incoherent):
         detail = "constructed incoherent POVM failed the diagonal predicate"
-    elif coherent_value <= tol and not is_incoherent_measurement(coherent, 1e-8):
+    elif coherent_value <= tol and not is_incoherent_measurement(coherent):
         detail = "zero coherence reported for a POVM with off-diagonal entries"
     return violation, detail
 
@@ -155,7 +153,7 @@ def _trial_cm_oracle(dim: int, rng: SeededRng, tol: float):
     """Closed form against the exhaustive stochastic-matrix grid at (2, 2)."""
     povm = random_povm(2, 2, False, rng)
     closed = measurement_coherence(povm)
-    gridded = measurement_coherence_bruteforce(povm, ORACLE_GRID_STEPS)
+    gridded = measurement_coherence_bruteforce(povm)
     return abs(closed - gridded), None
 
 
@@ -268,21 +266,22 @@ SUITES = {
 
 SUITE_NAMES = tuple(SUITES)
 
+FIXED_DIMENSIONS = {"cm_oracle": 2}  # suites defined at one dimension only
+# suites whose trials work on dimension d^2 (conversion channels, composites)
+SQUARED_DIMENSION_SUITES = frozenset({"conversion_equality", "thm3_proxy"})
 
-def run_suite(
-    name: str,
-    dim: int = 2,
-    trials: int = 100,
-    seed: int = 42,
-    tol: float | None = None,
-) -> VerificationReport:
-    """Run one named suite and assemble its report.
 
-    `tol` of None selects the suite's default tolerance; any other value
-    must be positive and finite. `seed` must lie in 0..2**64-1, so that the
-    report's `master_seed` names its trials. The oracle suite is defined at
-    dimension 2 only.
-    """
+def plan(suite: str, dim: int) -> list[tuple[str, int]]:
+    """The (suite, dimension) runs of `verify --suite <suite> --dim <dim>`;
+    "all" runs each suite of FIXED_DIMENSIONS at its own dimension."""
+    if suite != "all":
+        return [(suite, dim)]
+    return [(name, FIXED_DIMENSIONS.get(name, dim)) for name in SUITE_NAMES]
+
+
+def check_run(name: str, dim: int, trials: int, seed: int, tol: float | None) -> float:
+    """Check the arguments of one suite run and return its tolerance (`tol`,
+    or the suite's default for None); a broken rule raises ValueError."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}")
     if dim < 2:
@@ -291,13 +290,20 @@ def run_suite(
         raise ValueError(f"trials must be at least 1, got {trials}")
     if not 0 <= seed < 1 << 64:  # SeededRng would alias it to seed mod 2**64
         raise ValueError(f"seed must lie in 0..2**64-1, got {seed}")
-    if name == "cm_oracle" and dim != 2:
-        raise UnsupportedScale("cm_oracle is defined at dimension 2 only")
-    trial_fn, default_tol, stream = SUITES[name]
-    tolerance = default_tol if tol is None else float(tol)
+    if FIXED_DIMENSIONS.get(name, dim) != dim:
+        raise ValueError(f"{name} is defined at dimension {FIXED_DIMENSIONS[name]} only")
+    tolerance = SUITES[name][1] if tol is None else float(tol)
     if not (math.isfinite(tolerance) and tolerance > 0):
         raise ValueError(f"tolerance must be positive and finite, got {tolerance}")
+    return tolerance
 
+
+def run_suite(name: str, dim: int = 2, trials: int = 100, seed: int = 42,
+              tol: float | None = None) -> VerificationReport:
+    """Run one named suite, with arguments that pass `check_run`, and
+    assemble its report."""
+    tolerance = check_run(name, dim, trials, seed, tol)
+    trial_fn, _, stream = SUITES[name]
     suite_rng = SeededRng(seed).spawn(stream)
 
     def one(index: int):

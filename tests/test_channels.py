@@ -288,7 +288,7 @@ class TestDioClosure:
             channel = mp.random_dio(2, unital, rng.spawn(3 * i + 1))
             povm = mp.random_povm(2, 3, True, rng.spawn(3 * i + 2))
             pulled = mp.pullback_povm(channel, povm)
-            assert mp.is_incoherent_measurement(pulled, 1e-9)
+            assert mp.is_incoherent_measurement(pulled)
 
 
 class TestValidation:

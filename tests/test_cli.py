@@ -9,7 +9,7 @@ import pytest
 
 import mrpower as mp
 import reference as ref
-from mrpower import cli, suites
+from mrpower import SUITE_NAMES, cli, suites
 from mrpower.cli import main
 from mrpower.errors import NotDensity
 from mrpower.serialize import channel_to_dict, load_channel, save_channel
@@ -149,47 +149,63 @@ class TestVerifyCommand:
             "wall_time_ms",
         ]
 
-    def test_oracle_requires_dim_2(self, capsys):
-        assert main(["verify", "--suite", "cm_oracle", "--dim", "3", "--trials", "5"]) == 2
+    @staticmethod
+    def assert_refused(tmp_path, capsys, message, suite="duality", dim=2, trials=2, seed=1,
+                       tol=None):
+        """Both surfaces refuse the run with `message`: `run_suite` raises
+        ValueError, and `main` exits 2 with the message on stderr before it
+        prints anything or creates `--out`."""
+        with pytest.raises(ValueError) as info:
+            mp.run_suite(suite, dim=dim, trials=trials, seed=seed, tol=tol)
+        assert str(info.value) == message
+        out = tmp_path / "report.json"
+        # --seed=-1: a separate "-1" would be read as an option by argparse
+        argv = ["verify", f"--suite={suite}", f"--dim={dim}", f"--trials={trials}",
+                f"--seed={seed}", f"--out={out}"] + ([] if tol is None else [f"--tol={tol!r}"])
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()
 
-    def test_bad_trials_exits_2(self):
-        assert main(["verify", "--suite", "duality", "--trials", "0"]) == 2
+    def test_dim_below_2_exits_2(self, tmp_path, capsys):
+        self.assert_refused(tmp_path, capsys, "dimension must be at least 2, got 1", dim=1)
 
-    def test_conversion_dim_cap_exits_2(self):
-        assert main(["verify", "--suite", "conversion_equality", "--dim", "7"]) == 2
-
-    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0"])
-    def test_tolerance_must_be_positive_and_finite(self, tol, capsys):
-        # --tol=-inf: a separate "-inf" would be read as an option by argparse
-        assert main(["verify", "--suite", "duality", "--trials", "2", f"--tol={tol}"]) == 2
-        streams = capsys.readouterr()
-        assert "--tol" in streams.err
-        assert streams.out == ""  # no suite ran
-
-    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -1e-8])
-    def test_run_suite_rejects_a_bad_tolerance(self, tol):
-        with pytest.raises(ValueError, match="tolerance"):
-            mp.run_suite("duality", dim=2, trials=2, seed=1, tol=tol)
+    def test_bad_trials_exits_2(self, tmp_path, capsys):
+        self.assert_refused(tmp_path, capsys, "trials must be at least 1, got 0", trials=0)
 
     @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
-    def test_seed_outside_64_bits_exits_2(self, seed, capsys):
+    def test_seed_outside_64_bits_exits_2(self, seed, tmp_path, capsys):
         # SeededRng would run seed mod 2**64 while the report records seed
-        args = ["verify", "--suite", "structure_lemma", "--trials", "3", f"--seed={seed}"]
-        assert main(args) == 2
-        streams = capsys.readouterr()
-        assert streams.err == f"error: --seed must lie in 0..2**64-1, got {seed}\n"
-        assert streams.out == ""  # no suite ran
+        self.assert_refused(tmp_path, capsys, f"seed must lie in 0..2**64-1, got {seed}",
+                            suite="structure_lemma", trials=3, seed=int(seed))
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1e-08"])
+    def test_tolerance_must_be_positive_and_finite(self, tol, tmp_path, capsys):
+        self.assert_refused(tmp_path, capsys,
+                            f"tolerance must be positive and finite, got {float(tol)}",
+                            tol=float(tol))
+
+    def test_oracle_requires_dim_2(self, tmp_path, capsys):
+        self.assert_refused(tmp_path, capsys, "cm_oracle is defined at dimension 2 only",
+                            suite="cm_oracle", dim=3, trials=5)
+
+    @pytest.mark.parametrize("suite", SUITE_NAMES + ("all",))
+    def test_conversion_dim_cap_exits_2(self, suite, capsys):
+        code = main(["verify", "--suite", suite, "--dim", str(cli.CONVERSION_DIM_CAP + 1),
+                     "--trials", "1"])
+        err = capsys.readouterr().err
+        if suite in ("conversion_equality", "thm3_proxy", "all"):
+            assert (code, err) == (
+                2, f"error: conversion suites are capped at dimension {cli.CONVERSION_DIM_CAP}\n")
+        elif suite == "cm_oracle":
+            assert (code, err) == (2, "error: cm_oracle is defined at dimension 2 only\n")
+        else:
+            assert code in (0, 1) and err == ""
 
     @pytest.mark.parametrize("seed", ["0", "18446744073709551615"])
     def test_seed_at_either_end_of_its_range_runs(self, seed, capsys):
         args = ["verify", "--suite", "structure_lemma", "--trials", "3", f"--seed={seed}"]
         assert main(args) == 0
         assert f" seed={seed} " in capsys.readouterr().out
-
-    @pytest.mark.parametrize("seed", [-1, 1 << 64])
-    def test_run_suite_rejects_a_seed_outside_64_bits(self, seed):
-        with pytest.raises(ValueError, match="seed"):
-            mp.run_suite("structure_lemma", dim=2, trials=1, seed=seed)
 
     def test_unexpected_exception_exits_5(self, monkeypatch, capsys):
         def crash(*args, **kwargs):

@@ -12,6 +12,7 @@ from mrpower.errors import (
     NotPsd,
     UnsupportedScale,
 )
+from mrpower import measures
 from mrpower.measures import ere_lower_bounds
 
 
@@ -120,7 +121,7 @@ class TestMeasurementCoherence:
 
 class TestBruteforceOracle:
     def test_plus_minus(self):
-        assert mp.measurement_coherence_bruteforce(plus_povm(), 1000) == pytest.approx(
+        assert mp.measurement_coherence_bruteforce(plus_povm()) == pytest.approx(
             1.0, abs=2e-3
         )
 
@@ -128,7 +129,7 @@ class TestBruteforceOracle:
         rng = mp.SeededRng(306)
         for i in range(5):
             povm = mp.random_povm(2, 2, True, rng.spawn(i))
-            assert mp.measurement_coherence_bruteforce(povm, 1000) == pytest.approx(
+            assert mp.measurement_coherence_bruteforce(povm) == pytest.approx(
                 0.0, abs=1e-6
             )
 
@@ -137,15 +138,15 @@ class TestBruteforceOracle:
         for i in range(10):
             povm = mp.random_povm(2, 2, False, rng.spawn(i))
             closed = mp.measurement_coherence(povm)
-            grid = mp.measurement_coherence_bruteforce(povm, 1000)
+            grid = mp.measurement_coherence_bruteforce(povm)
             assert closed == pytest.approx(grid, abs=5e-3)
 
     def test_scale_cap(self):
         rng = mp.SeededRng(308)
         with pytest.raises(UnsupportedScale):
-            mp.measurement_coherence_bruteforce(mp.random_povm(3, 2, False, rng), 1000)
+            mp.measurement_coherence_bruteforce(mp.random_povm(3, 2, False, rng))
         with pytest.raises(UnsupportedScale):
-            mp.measurement_coherence_bruteforce(mp.random_povm(2, 3, False, rng), 1000)
+            mp.measurement_coherence_bruteforce(mp.random_povm(2, 3, False, rng))
 
 
 def operators(m):
@@ -194,12 +195,13 @@ def oracle_povm(kind, rng):
 
 
 class TestBruteforceOracleMatchesFullGrid:
-    def test_bit_identical_on_seeded_povms(self):
+    def test_bit_identical_on_seeded_povms(self, monkeypatch):
         rng = mp.SeededRng(313)
         for i in range(600):
             povm = oracle_povm(i % 4, rng.spawn(i))
-            steps = (1000, 100, 257)[i % 3]
-            assert mp.measurement_coherence_bruteforce(povm, steps) == full_grid_bruteforce(
+            steps = (1000, 100, 257)[i % 3]  # the oracle's grid, and two others
+            monkeypatch.setattr(measures, "ORACLE_GRID_STEPS", steps)
+            assert mp.measurement_coherence_bruteforce(povm) == full_grid_bruteforce(
                 povm, steps
             ), f"POVM {i}"
 
@@ -269,17 +271,17 @@ class TestBatchedMeasuresMatchPerElementSums:
 
 class TestIncoherentStructure:
     def test_basis_is_incoherent(self):
-        assert mp.is_incoherent_measurement(mp.basis_measurement(2), 1e-9)
+        assert mp.is_incoherent_measurement(mp.basis_measurement(2))
 
     def test_plus_minus_is_coherent(self):
-        assert not mp.is_incoherent_measurement(plus_povm(), 1e-9)
+        assert not mp.is_incoherent_measurement(plus_povm())
 
     def test_postprocessed_basis_stays_incoherent(self):
         rng = mp.SeededRng(309)
         for i in range(20):
             post = mp.random_stochastic_matrix(4, 3, rng.spawn(i))
             povm = mp.classical_postprocess(mp.basis_measurement(3), post)
-            assert mp.is_incoherent_measurement(povm, 1e-9)
+            assert mp.is_incoherent_measurement(povm)
 
     def test_basis_decomposes_to_identity(self):
         decomposition = mp.decompose_incoherent(mp.basis_measurement(3))
