@@ -184,6 +184,11 @@ class TestVerifyCommand:
                             f"tolerance must be positive and finite, got {float(tol)}",
                             tol=float(tol))
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -1e-8])
+    def test_run_suite_rejects_a_bad_tolerance(self, tol):
+        with pytest.raises(ValueError, match="tolerance"):
+            mp.run_suite("duality", dim=2, trials=2, seed=1, tol=tol)
+
     def test_oracle_requires_dim_2(self, tmp_path, capsys):
         self.assert_refused(tmp_path, capsys, "cm_oracle is defined at dimension 2 only",
                             suite="cm_oracle", dim=3, trials=5)
@@ -206,6 +211,11 @@ class TestVerifyCommand:
         args = ["verify", "--suite", "structure_lemma", "--trials", "3", f"--seed={seed}"]
         assert main(args) == 0
         assert f" seed={seed} " in capsys.readouterr().out
+
+    @pytest.mark.parametrize("seed", [-1, 1 << 64])
+    def test_run_suite_rejects_a_seed_outside_64_bits(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            mp.run_suite("structure_lemma", dim=2, trials=1, seed=seed)
 
     def test_unexpected_exception_exits_5(self, monkeypatch, capsys):
         def crash(*args, **kwargs):
