@@ -12,8 +12,12 @@ once more:
   are one-operator views of these kernels.
 - channels: construction from E's Kraus set, E after E, the class flags of
   E, and the pull-back of M through E.
-- measures: the coherence of M, D(M || P), and the entanglement lower bounds
-  of the d^2 pulled-back elements of E's conversion channel.
+- measures: the coherence of M and D(M || P), each on a POVM pulled back
+  afresh on every call (M through E, P = E^dag(M)), and the entanglement
+  lower bounds of the d^2 pulled-back elements of E's conversion channel.
+  A derived POVM computes its spectra and eigendecomposition on first read
+  and keeps them, so a row that passed one POVM to every call would time
+  a cache hit from the second call on, which no program path makes.
 - powers: C, C_g, the certificate and the conversion channel of E, and the
   bound of the composite of E between a detection-incoherent K and a unital
   detection-incoherent L on dimension N^2, drawn from spawn(1) and spawn(2)
@@ -40,10 +44,13 @@ once more:
 
 Each row is timed in a fresh interpreter, as `benchtiming` describes.
 With `--baseline SRC`, each row is also timed in fresh interpreters with
-PYTHONPATH=SRC, the `src` directory of another checkout; the two sides
-alternate which goes first from row to row, so that the machine's drift
-over the run reaches both alike, and each row records the baseline's
-summary under "baseline" beside its own.
+PYTHONPATH=SRC, the `src` directory of another checkout. The two sides then
+take BASELINE_ROUNDS turns each on every row, alternating, and which side
+goes first changes from row to row, so that the machine's drift over the
+run, and a change of its speed during one run, reach both alike; each side
+records the median of its runs' medians (`benchtiming.combine`), the
+baseline's under "baseline" beside the tree's. A `--baseline` run takes
+about 9 minutes on 2 vCPUs, a run without it about 2.
 
 Usage: PYTHONPATH=src python scripts/bench_layers.py [--out BENCH_layers.json]
                                                      [--baseline SRC]
@@ -60,7 +67,13 @@ import tempfile
 import numpy as np
 
 import mrpower as mp
-from benchtiming import MAX_CALLS, measure_in_fresh_interpreter, per_call_ms, write_record
+from benchtiming import (
+    MAX_CALLS,
+    combine,
+    measure_in_fresh_interpreter,
+    per_call_ms,
+    write_record,
+)
 from mrpower.measures import ere_lower_bounds
 from mrpower.operators import psd_entropies, relative_entropies
 from mrpower.serialize import channel_to_dict, load_channel, save_channel
@@ -68,6 +81,7 @@ from mrpower.suites import plan
 
 SEED = 20241018
 SUITE_TRIALS = 5  # trials per timed `run_suite` call; keeps the script under 2 minutes
+BASELINE_ROUNDS = 3  # fresh interpreters per side and row with --baseline
 
 SAMPLERS = {
     "random_channel_unital": lambda d, rng: mp.random_channel(d, d * d, "unital", rng),
@@ -142,16 +156,18 @@ def call(layer: str, operation: str, case: str, workdir: str):
         return lambda: ere_lower_bounds(elements, (d, d))
     m = mp.pulled_back_basis(e)
     p = mp.pullback_povm(e, m)
+    m_spectra, p_spectra = m.spectra, p.spectra
     p_eig, p_vec = np.linalg.eigh(p.stack)
     return {
-        "psd_entropies": lambda: psd_entropies(p.spectra),
-        "relative_entropies": lambda: relative_entropies(m.stack, m.spectra, p_eig, p_vec),
+        "psd_entropies": lambda: psd_entropies(p_spectra),
+        "relative_entropies": lambda: relative_entropies(m.stack, m_spectra, p_eig, p_vec),
         "construct": lambda: mp.QuantumChannel(e.kraus),
         "compose": lambda: mp.compose(e, e),
         "classify_channel": lambda: mp.classify_channel(e),
         "pullback_povm": lambda: mp.pullback_povm(e, m),
-        "measurement_coherence": lambda: mp.measurement_coherence(m),
-        "measurement_relative_entropy": lambda: mp.measurement_relative_entropy(m, p),
+        "measurement_coherence": lambda: mp.measurement_coherence(mp.pulled_back_basis(e)),
+        "measurement_relative_entropy":
+            lambda: mp.measurement_relative_entropy(m, mp.pullback_povm(e, m)),
         "C": lambda: mp.measurement_cohering_power(e),
         "C_g": lambda: mp.state_cohering_power(e),
         "certificate": lambda: mp.conversion_ent_lower_bound(e),
@@ -178,10 +194,14 @@ def main(argv=None) -> int:
 
     results = []
     sides = [("tree", None)] + ([("baseline", args.baseline)] if args.baseline else [])
+    rounds = BASELINE_ROUNDS if args.baseline else 1
     for index, (layer, operation, case) in enumerate(ROWS):
-        timed = {side: measure_in_fresh_interpreter(__file__, layer, operation, case,
-                                                    pythonpath=path)
-                 for side, path in (sides if index % 2 else sides[::-1])}  # taking turns
+        runs = {side: [] for side, _ in sides}
+        for _ in range(rounds):
+            for side, path in (sides if index % 2 else sides[::-1]):  # taking turns
+                runs[side].append(measure_in_fresh_interpreter(
+                    __file__, layer, operation, case, pythonpath=path))
+        timed = {side: combine(summaries) for side, summaries in runs.items()}
         row = {"layer": layer, "operation": operation, "case": case, "seed": SEED,
                **timed["tree"]}
         line = (f"{layer:>9} {operation:>28} {case:>14}  median {row['median_ms']:9.3f} ms  "

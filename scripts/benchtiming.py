@@ -53,6 +53,17 @@ def measure_in_fresh_interpreter(script: str, *row: str, pythonpath: str | None 
             "iqr_ms": q3 - q1}
 
 
+def combine(summaries: list[dict]) -> dict:
+    """One summary of several runs of a row: the median of their medians and
+    of their quartiles, so that one run made while the machine ran at
+    another speed does not set them; each run's median is kept."""
+    q1, median, q3 = (statistics.median(s[key] for s in summaries)
+                      for key in ("q1_ms", "median_ms", "q3_ms"))
+    return {"calls": sum(s["calls"] for s in summaries), "median_ms": median,
+            "q1_ms": q1, "q3_ms": q3, "iqr_ms": q3 - q1,
+            "run_medians_ms": [s["median_ms"] for s in summaries]}
+
+
 def environment() -> dict:
     """The Python and numpy versions, CPU count, BLAS threads and machine."""
     return {

@@ -13,6 +13,12 @@ Either derived array is a deterministic function of the other, and both are
 read-only, so instances are immutable. The class predicates compare Choi
 entries with the identity or zero within CHANNEL_EQ_TOL, which is
 representation independent.
+
+A POVM is validated where it enters from the user, by the public `Povm`
+constructor. A POVM computed from valid ones (a pull-back through a
+channel, a classical post-processing, a product, a mixture, a padding) is
+valid by construction, so it is not checked again: it holds its stack and
+computes its spectra and eigendecomposition on first read.
 """
 
 from __future__ import annotations
@@ -283,13 +289,19 @@ def classify_channel(channel: QuantumChannel) -> ChannelClass:
 class Povm:
     """Finite POVM: PSD elements summing to the identity.
 
-    The elements are held as one read-only complex (n, d, d) stack together
-    with their ascending spectra, shape (n, d), from the single batched
-    eigendecomposition that the positivity check needs. Measures read both
-    directly.
+    The elements are held as one read-only complex (n, d, d) stack. The
+    public constructor validates its input in full (shape, Hermiticity,
+    finiteness, positivity, completeness) and keeps the ascending spectra,
+    shape (n, d), of the single batched `eigvalsh` that the positivity check
+    needs. A POVM the library computes from valid ones (a pull-back, a
+    post-processing, a product, a mixture, a padding) is held by
+    `_from_valid` without any check, and computes its spectra on the first
+    read. Either kind computes its batched `eigh` on the first read of
+    `eigendecomposition`. Both are cached and read-only, so instances are
+    immutable.
     """
 
-    __slots__ = ("_stack", "_spectra")
+    __slots__ = ("_eigh", "_spectra", "_stack")
 
     def __init__(self, elements) -> None:
         if len(elements) == 0:
@@ -305,7 +317,17 @@ class Povm:
             raise InvalidPovm(f"elements sum to identity only within {residual:.3e}")
         stack.setflags(write=False)
         spectra.setflags(write=False)
-        self._stack, self._spectra = stack, spectra
+        self._stack, self._spectra, self._eigh = stack, spectra, None
+
+    @classmethod
+    def _from_valid(cls, stack: np.ndarray) -> "Povm":
+        """Hold a new complex (n, d, d) stack that is a POVM by construction,
+        such as the image of valid POVMs under a map that keeps them valid,
+        made read-only in place, with no check."""
+        povm = cls.__new__(cls)
+        stack.setflags(write=False)
+        povm._stack, povm._spectra, povm._eigh = stack, None, None
+        return povm
 
     @property
     def stack(self) -> np.ndarray:
@@ -314,8 +336,25 @@ class Povm:
 
     @property
     def spectra(self) -> np.ndarray:
-        """Ascending eigenvalues of each element, shape (n, d)."""
+        """Ascending eigenvalues of each element, shape (n, d), from one
+        batched `eigvalsh`."""
+        if self._spectra is None:
+            spectra = np.linalg.eigvalsh(self._stack)
+            spectra.setflags(write=False)
+            self._spectra = spectra
         return self._spectra
+
+    @property
+    def eigendecomposition(self) -> tuple[np.ndarray, np.ndarray]:
+        """`np.linalg.eigh` of the stack: ascending eigenvalues, shape
+        (n, d), and eigenvectors as columns, shape (n, d, d), both
+        read-only, computed on first access."""
+        if self._eigh is None:
+            eig, vec = np.linalg.eigh(self._stack)
+            eig.setflags(write=False)
+            vec.setflags(write=False)
+            self._eigh = (eig, vec)
+        return self._eigh
 
     @property
     def dim(self) -> int:
@@ -384,7 +423,7 @@ def measurement_as_channel(povm: Povm) -> QuantumChannel:
     eigendecompositions; output dimension equals the outcome count, and the
     output is always diagonal.
     """
-    eig, vec = np.linalg.eigh(povm.stack)
+    eig, vec = povm.eigendecomposition
     x, k = np.nonzero(eig > EIG_CLIP)  # x-major, ascending eigenvalue within x
     kraus = np.zeros((x.size, povm.n, povm.dim), dtype=complex)
     kraus[np.arange(x.size), x, :] = np.sqrt(eig[x, k])[:, None] * vec[x, :, k].conj()
@@ -397,7 +436,7 @@ def classical_postprocess(povm: Povm, post: StochasticMatrix) -> Povm:
         raise DimensionMismatch(
             f"post-processing expects {post.cols} outcomes, POVM has {povm.n}"
         )
-    return Povm(np.einsum("yx,xij->yij", post.entries, povm.stack))
+    return Povm._from_valid(np.einsum("yx,xij->yij", post.entries, povm.stack))
 
 
 def pullback_povm(channel: QuantumChannel, povm: Povm) -> Povm:
@@ -406,7 +445,7 @@ def pullback_povm(channel: QuantumChannel, povm: Povm) -> Povm:
         raise DimensionMismatch(
             f"POVM dim {povm.dim} != channel output dim {channel.dim_out}"
         )
-    return Povm(_adjoint_images(channel, povm.stack))
+    return Povm._from_valid(_adjoint_images(channel, povm.stack))
 
 
 def pulled_back_basis(channel: QuantumChannel) -> Povm:
@@ -415,13 +454,13 @@ def pulled_back_basis(channel: QuantumChannel) -> Povm:
     `pullback_povm(channel, basis_measurement(channel.dim_out))`:
     E^dag(|a><a|)[i, j] = conj(J[(a, i), (a, j)]), a conjugated diagonal
     block of the Choi matrix."""
-    return Povm(np.einsum("aiaj->aij", _blocks(channel)).conj())
+    return Povm._from_valid(np.einsum("aiaj->aij", _blocks(channel)).conj())
 
 
 def tensor_povm(a: Povm, b: Povm) -> Povm:
     """Product measurement {M_x (x) N_y}, x-major outcome ordering."""
     n, d = a.n * b.n, a.dim * b.dim
-    return Povm(kron_stacks(a.stack, b.stack).reshape(n, d, d))
+    return Povm._from_valid(kron_stacks(a.stack, b.stack).reshape(n, d, d))
 
 
 def kron_stacks(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -440,7 +479,7 @@ def mix_povm(a: Povm, b: Povm, p: float) -> Povm:
         raise DimensionMismatch("mixture requires POVMs of equal dim and outcome count")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"mixture weight {p} outside [0, 1]")
-    return Povm(p * a.stack + (1.0 - p) * b.stack)
+    return Povm._from_valid(p * a.stack + (1.0 - p) * b.stack)
 
 
 def pad_povm(povm: Povm, n_total: int) -> Povm:
@@ -448,4 +487,4 @@ def pad_povm(povm: Povm, n_total: int) -> Povm:
     if n_total < povm.n:
         raise DimensionMismatch(f"cannot pad {povm.n} outcomes down to {n_total}")
     zeros = np.zeros((n_total - povm.n, povm.dim, povm.dim))
-    return Povm(np.concatenate((povm.stack, zeros)))
+    return Povm._from_valid(np.concatenate((povm.stack, zeros)))

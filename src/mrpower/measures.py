@@ -71,15 +71,14 @@ def measurement_relative_entropy(m: Povm, n: Povm) -> float:
     The 1/d prefactor uses the measured (input) dimension; this is the
     unique normalization under which the quantity adds over tensor products
     of measurements. Each term is `relative_entropy(M_x, N_x)`, computed for
-    all outcomes at once by `relative_entropies` from one batched
-    eigendecomposition of N's elements and the stored spectra of M's.
+    all outcomes at once by `relative_entropies` from N's cached batched
+    eigendecomposition and M's spectra.
     """
     if m.dim != n.dim or m.n != n.n:
         raise DimensionMismatch(
             f"POVMs differ in dim ({m.dim} vs {n.dim}) or outcomes ({m.n} vs {n.n})"
         )
-    n_eig, n_vec = np.linalg.eigh(n.stack)
-    terms = relative_entropies(m.stack, m.spectra, n_eig, n_vec)
+    terms = relative_entropies(m.stack, m.spectra, *n.eigendecomposition)
     return sum(terms.tolist()) / m.dim  # in outcome order
 
 

@@ -106,7 +106,7 @@ def conversion_channel(channel: QuantumChannel) -> QuantumChannel:
     U (E^dag(|i><i|) (x) |j><j|) U^dag, a = (i, j).
     """
     _require_square(channel)
-    return measurement_as_channel(Povm(_embedded_elements(pulled_back_basis(channel))))
+    return measurement_as_channel(Povm._from_valid(_embedded_elements(pulled_back_basis(channel))))
 
 
 @dataclass(frozen=True)
@@ -173,7 +173,7 @@ def composite_ent_lower_bound(
     # X[n, i, x, j, y] = sum_ab conj(J[a, i, b, j]) Y[n, a, x, b, y]
     y = pulled_back_basis(k).stack.reshape(dd, d, d, d, d)
     x = np.einsum("aibj,naxby->nixjy", channel.choi.reshape(d, d, d, d).conj(), y)
-    pulled = pullback_povm(l, Povm(x.reshape(dd, dd, dd)))
+    pulled = pullback_povm(l, Povm._from_valid(x.reshape(dd, dd, dd)))
     return float(np.mean(ere_lower_bounds(pulled.stack, (d, d))))
 
 

@@ -154,7 +154,7 @@ def random_povm(d: int, n: int, incoherent: bool, rng: SeededRng) -> Povm:
         eig, vec = np.linalg.eigh(blocks.sum(axis=0))
         if eig[0] > EIG_CLIP:
             inv_sqrt = (vec / np.sqrt(eig)) @ vec.conj().T
-            return Povm(inv_sqrt @ blocks @ inv_sqrt)
+            return Povm._from_valid(inv_sqrt @ blocks @ inv_sqrt)
     raise SingularTotal("total of sampled blocks stayed singular after 10 redraws")
 
 

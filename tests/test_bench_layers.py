@@ -5,6 +5,7 @@ import importlib
 import subprocess
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mrpower import SUITE_NAMES
@@ -42,3 +43,28 @@ def test_baseline_rows_import_mrpower_from_the_given_src(bench_layers, tmp_path)
     assert summary["q1_ms"] <= summary["median_ms"] <= summary["q3_ms"]
     with pytest.raises(subprocess.CalledProcessError):  # no mrpower under tmp_path
         bench_layers.measure_in_fresh_interpreter(script, *row, pythonpath=str(tmp_path))
+
+
+@pytest.mark.parametrize("operation, decomposition", [
+    ("measurement_coherence", "eigvalsh"),
+    ("measurement_relative_entropy", "eigh"),
+])
+def test_measure_rows_decompose_on_every_call(bench_layers, tmp_path, monkeypatch,
+                                              operation, decomposition):
+    """A row that read one derived POVM's cached decomposition on every call
+    would time a cache hit that no program path makes."""
+    timed = bench_layers.call("measures", operation, "d2", str(tmp_path))
+    original, calls = getattr(np.linalg, decomposition), []
+    monkeypatch.setattr(np.linalg, decomposition,
+                        lambda a, *args, **kwargs: calls.append(a) or original(a, *args, **kwargs))
+    timed()
+    timed()
+    assert len(calls) == 2
+
+
+def test_runs_combine_into_the_median_of_their_summaries(bench_layers):
+    runs = [{"calls": 7, "median_ms": m, "q1_ms": m - 1, "q3_ms": m + q} for m, q in
+            ((2.0, 1.0), (9.0, 5.0), (3.0, 2.0))]
+    assert bench_layers.combine(runs) == {
+        "calls": 21, "median_ms": 3.0, "q1_ms": 2.0, "q3_ms": 5.0, "iqr_ms": 3.0,
+        "run_medians_ms": [2.0, 9.0, 3.0]}

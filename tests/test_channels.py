@@ -422,6 +422,113 @@ class TestPovmStack:
         assert np.array_equal(mp.measurement_as_channel(povm).kraus, np.array(kraus))
 
 
+# every library function that builds a POVM from valid ones without
+# re-validating it, as (channel E, rng, d) -> the call
+DERIVED_POVM_BUILDERS = {
+    "pullback_povm": lambda e, rng, d: mp.pullback_povm(e, mp.random_povm(d, 3, False, rng)),
+    "pulled_back_basis": lambda e, rng, d: mp.pulled_back_basis(e),
+    "classical_postprocess": lambda e, rng, d: mp.classical_postprocess(
+        mp.pulled_back_basis(e), mp.random_stochastic_matrix(3, d, rng)
+    ),
+    "tensor_povm": lambda e, rng, d: mp.tensor_povm(
+        mp.pulled_back_basis(e), mp.random_povm(2, 3, False, rng)
+    ),
+    "mix_povm": lambda e, rng, d: mp.mix_povm(
+        mp.pulled_back_basis(e), mp.random_povm(d, d, False, rng), rng.gen.uniform()
+    ),
+    "pad_povm": lambda e, rng, d: mp.pad_povm(mp.pulled_back_basis(e), d + 2),
+    "random_povm": lambda e, rng, d: mp.random_povm(d, d + 1, False, rng),
+    "conversion_channel": lambda e, rng, d: mp.conversion_channel(e),
+    "composite_ent_lower_bound": lambda e, rng, d: mp.composite_ent_lower_bound(
+        e, mp.random_dio(d * d, False, rng.spawn(1)), mp.random_dio(d * d, True, rng.spawn(2))
+    ),
+}
+
+
+@pytest.fixture
+def derived_povms(monkeypatch):
+    """Every POVM `Povm._from_valid` makes while the test runs, and a count
+    of the Hermiticity checks `channels` makes meanwhile."""
+    made, checks = [], []
+    from_valid = mp.Povm.__dict__["_from_valid"].__func__
+    check_hermitian = mp.channels.check_hermitian
+
+    def recording(cls, stack):
+        made.append(from_valid(cls, stack))
+        return made[-1]
+
+    def counting(*args):
+        checks.append(args)
+        return check_hermitian(*args)
+
+    monkeypatch.setattr(mp.Povm, "_from_valid", classmethod(recording))
+    monkeypatch.setattr(mp.channels, "check_hermitian", counting)
+    return made, checks
+
+
+class TestDerivedPovmsStayValid:
+    """The public validator accepts every POVM the library derives without
+    checking it, at unchanged tolerances, with the same spectra bit for bit."""
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    @pytest.mark.parametrize("name", list(DERIVED_POVM_BUILDERS))
+    def test_validator_accepts_what_is_derived(self, name, dim, derived_povms):
+        made, checks = derived_povms
+        for d in {2, dim, dim * dim}:
+            mp.basis_measurement(d)  # built once per dimension by the validator
+        checks.clear()
+        rng = mp.SeededRng(300 + dim)
+        for i, rank in enumerate((1, 2, dim * dim)):  # rank-deficient to full Kraus rank
+            channel = mp.random_channel(dim, rank, "general", rng.spawn(2 * i))
+            DERIVED_POVM_BUILDERS[name](channel, rng.spawn(2 * i + 1), dim)
+        assert made and not checks
+        for derived in made:
+            validated = mp.Povm(derived.stack)
+            assert validated.spectra.tobytes() == derived.spectra.tobytes()
+
+
+def derived_povm(seed=310):
+    rng = mp.SeededRng(seed)
+    return mp.pullback_povm(random_channel_any(3, rng.spawn(0)),
+                            mp.random_povm(3, 4, False, rng.spawn(1)))
+
+
+class TestLazyDecompositions:
+    @pytest.mark.parametrize("build", [derived_povm, lambda: mp.Povm(derived_povm().stack)],
+                             ids=["derived", "validated"])
+    def test_computed_once_read_only_and_exact(self, build):
+        povm = build()
+        spectra, (eig, vec) = povm.spectra, povm.eigendecomposition
+        assert povm.spectra is spectra and povm.eigendecomposition[0] is eig
+        assert povm.eigendecomposition[1] is vec
+        assert spectra.tobytes() == np.linalg.eigvalsh(povm.stack).tobytes()
+        expected_eig, expected_vec = np.linalg.eigh(povm.stack)
+        assert eig.tobytes() == expected_eig.tobytes()
+        assert vec.tobytes() == expected_vec.tobytes()
+        for array in (povm.stack, spectra, eig, vec):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 7.0
+
+    def test_each_decomposition_runs_at_most_once(self, monkeypatch):
+        m, n = derived_povm(311), derived_povm(312)
+        calls = []
+        for name in ("eigvalsh", "eigh"):
+            original = getattr(np.linalg, name)
+
+            def counting(a, *args, _name=name, _original=original, **kwargs):
+                calls.append((_name, a))
+                return _original(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counting)
+        mp.measurement_relative_entropy(m, n)
+        assert [name for name, a in calls if a is n.stack] == ["eigh"]  # n's spectra unread
+        for _ in range(2):
+            mp.measurement_relative_entropy(n, n)
+            mp.measurement_coherence(n)
+            mp.measurement_as_channel(n)
+        assert sorted(name for name, a in calls if a is n.stack) == ["eigh", "eigvalsh"]
+
+
 def kraus_choi(kraus):
     """sum_k vec(K_k) vec(K_k)^dag, straight from a Kraus list."""
     vecs = np.array([np.asarray(k).reshape(-1) for k in kraus])
