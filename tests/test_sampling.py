@@ -1,3 +1,6 @@
+import hashlib
+import platform
+
 import numpy as np
 import pytest
 
@@ -114,6 +117,77 @@ class TestBatchedDrawsMatchOneByOne:
                                   for _ in range(2)]),
             7,
         )
+
+
+# sampler -> (d, rng) -> the array of one draw
+STREAM_DRAWS = {
+    "haar_isometry": lambda d, rng: mp.haar_isometry(2 * d, d, rng),
+    "random_channel_general": lambda d, rng: mp.random_channel(d, d, "general", rng).kraus,
+    "random_channel_unital": lambda d, rng: mp.random_channel(d, d, "unital", rng).kraus,
+    "random_dio_general": lambda d, rng: mp.random_dio(d, False, rng).choi,
+    "random_dio_unital": lambda d, rng: mp.random_dio(d, True, rng).kraus,
+    "random_povm_coherent": lambda d, rng: mp.random_povm(d, d + 1, False, rng).stack,
+    "random_povm_incoherent": lambda d, rng: mp.random_povm(d, d + 1, True, rng).stack,
+    "random_stochastic_matrix": lambda d, rng: mp.random_stochastic_matrix(d + 1, d, rng).entries,
+}
+STREAM_DIMS = (2, 3, 4)
+STREAM_SEEDS = range(5)
+# the digests depend on numpy's generators and LAPACK, so they hold under
+# this numpy on this machine type only
+STREAM_ENVIRONMENT = {"numpy": "2.4.6", "machine": "x86_64"}
+STREAM_DIGESTS = {
+    "haar_isometry d2": "1044b79e76a3237012a0bf45d07dcceb",
+    "haar_isometry d3": "9bdcdede937df8fd02e30258ef5b50a6",
+    "haar_isometry d4": "f6a302580a938377b02169f121bb8299",
+    "random_channel_general d2": "79dd4afb6b661f0a3fd2174785b23054",
+    "random_channel_general d3": "182b57d9b11617fdd1989e68c7868239",
+    "random_channel_general d4": "e065cac6b196514bc72a6099542bb1d3",
+    "random_channel_unital d2": "82b82f35eec6793f0d722bb8a19f5e19",
+    "random_channel_unital d3": "65ecb5a6a1b27babb5c3c37dad5f3249",
+    "random_channel_unital d4": "ddb7258e01ce02992458021151b3b1cc",
+    "random_dio_general d2": "4b3f41fa44e3ddee2f6914a7e678f061",
+    "random_dio_general d3": "2a2ed9f75cce1470d5e677f103c7b5af",
+    "random_dio_general d4": "2cbe59642e1c0586a58bab3e7f585a07",
+    "random_dio_unital d2": "43d4266e21120f2d889e3d3a96f03bc9",
+    "random_dio_unital d3": "9a065de832c52b3ff63bdc71b16b58a6",
+    "random_dio_unital d4": "b94b7c3fea98c623a7f0e243dd6b7a59",
+    "random_povm_coherent d2": "ca4547b9985367eb7b7661d9d6e7db07",
+    "random_povm_coherent d3": "9eb67132f6dc91019768d5037502b55d",
+    "random_povm_coherent d4": "c3bf2ab7ce7a143cb7ca72c9cbc0eceb",
+    "random_povm_incoherent d2": "d2949c310d3051c6a0227d3dd23bed40",
+    "random_povm_incoherent d3": "944afecd3307fb891ba3a43ce79706bb",
+    "random_povm_incoherent d4": "a60911f2af8c4c0dc4b2a5665fbbcca3",
+    "random_stochastic_matrix d2": "5f23510220289e0be4f245fa286d70bc",
+    "random_stochastic_matrix d3": "c40aa2c915010995eb47288054f11769",
+    "random_stochastic_matrix d4": "ff3e0e69614998f838f074346e36dd64",
+}
+
+
+def stream_digest(sampler: str, d: int) -> str:
+    """blake2b of the shape, dtype and bytes of the draws from SeededRng(seed)
+    for each seed of STREAM_SEEDS, each followed by the stream's next
+    integer, which pins how much of the stream the draw used."""
+    digest = hashlib.blake2b(digest_size=16)
+    for seed in STREAM_SEEDS:
+        rng = mp.SeededRng(1000 * d + seed)
+        draw = STREAM_DRAWS[sampler](d, rng)
+        digest.update(f"{draw.shape} {draw.dtype.str} ".encode())
+        digest.update(draw.tobytes())
+        digest.update(int(rng.gen.integers(1 << 62)).to_bytes(8, "little"))
+    return digest.hexdigest()
+
+
+def test_sampler_streams_match_recorded_digests():
+    """Every sampler draws the same bytes from a fixed seed and leaves its
+    stream at the same place; print `stream_digest` of every pair to record
+    the digests again after a change that alters a draw on purpose."""
+    here = {"numpy": np.__version__, "machine": platform.machine()}
+    assert here == STREAM_ENVIRONMENT, (
+        f"digests recorded under {STREAM_ENVIRONMENT}, run under {here}"
+    )
+    digests = {f"{sampler} d{d}": stream_digest(sampler, d)
+               for sampler in STREAM_DRAWS for d in STREAM_DIMS}
+    assert digests == STREAM_DIGESTS
 
 
 class TestRandomDio:
