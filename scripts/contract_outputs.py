@@ -16,7 +16,9 @@ Writes under OUTDIR, which must not exist yet:
   above the conversion cap.
 - `verify/<error>/`: stdout, stderr and the exit code of five `verify`
   commands that break one argument rule each (ARGUMENT_ERRORS), each with
-  an `--out` that must not be written.
+  an `--out` that must not be written; `verify/out-empty/` holds the same
+  record of `verify --suite duality --out ""`, an output path that cannot be
+  written.
 
 Every command runs in this process through `mrpower.cli.main`, in OUTDIR,
 with its streams redirected, under one BLAS thread: the script runs itself
@@ -153,6 +155,8 @@ def main(argv=None) -> int:
     for error, args in ARGUMENT_ERRORS.items():
         case = f"verify/{error}"
         write(f"{case}/stdout", run(case, "verify", *args, "--out", f"{case}/report.json"))
+    stdout = run("verify/out-empty", "verify", "--suite", "duality", "--out", "")
+    write("verify/out-empty/stdout", untimed_stdout(stdout))
     return 0
 
 
