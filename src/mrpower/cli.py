@@ -148,7 +148,7 @@ def _cmd_verify(args) -> int:
         return _fail(EXIT_PARSE, str(exc))
     if any(name in SQUARED_DIMENSION_SUITES and dim > CONVERSION_DIM_CAP for name, dim in runs):
         return _fail(EXIT_PARSE, f"conversion suites are capped at dimension {CONVERSION_DIM_CAP}")
-    problem = args.out and _unwritable(args.out)
+    problem = args.out is not None and _unwritable(args.out)
     if problem:
         return _fail(EXIT_PARSE, problem)
 
@@ -158,7 +158,7 @@ def _cmd_verify(args) -> int:
         print(_summary_line(report))
         reports.append(report)
 
-    if args.out:
+    if args.out is not None:
         if args.format == "csv":
             payload = _reports_to_csv(reports)
         else:

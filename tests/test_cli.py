@@ -355,6 +355,16 @@ class TestInvalidInputExitCodes:
         assert "cannot write" in streams.err
         assert streams.out == ""  # no suite ran
 
+    @pytest.mark.parametrize("command", [["verify", "--suite", "duality", "--trials", "1"],
+                                         ["convert", "CHANNEL"]])
+    def test_empty_output_path_exits_2_before_any_work(self, command, tmp_path, capsys):
+        path = write_channel(tmp_path, "g.json", mp.example_channels()["g"])
+        command = [path if arg == "CHANNEL" else arg for arg in command]
+        assert main([*command, "--out", ""]) == 2
+        streams = capsys.readouterr()
+        assert "cannot write" in streams.err
+        assert streams.out == ""
+
     def test_power_on_overflowing_integer_exits_3(self, tmp_path, capsys):
         assert main(["power", write_overflow_channel(tmp_path)]) == 3
         assert "kraus[0]" in capsys.readouterr().err
