@@ -14,11 +14,23 @@ read-only, so instances are immutable. The class predicates compare Choi
 entries with the identity or zero within CHANNEL_EQ_TOL, which is
 representation independent.
 
-A POVM is validated where it enters from the user, by the public `Povm`
-constructor. A POVM computed from valid ones (a pull-back through a
-channel, a classical post-processing, a product, a mixture, a padding) is
-valid by construction, so it is not checked again: it holds its stack and
-computes its spectra and eigendecomposition on first read.
+Channels, POVMs and stochastic matrices are validated where they enter:
+from a file, from `unitary_channel`, or from user code calling the public
+constructors. What the library derives from valid objects is valid by
+construction and is not checked again:
+- a POVM computed from valid ones (a pull-back through a channel, a
+  classical post-processing, a product, a mixture, a padding); it holds its
+  stack and computes its spectra and eigendecomposition on first read;
+- a channel held through `QuantumChannel._from_kraus`: the random channels
+  of `sampling` (both kinds, the Kraus set of a unital `random_dio`, Haar
+  unitary channels) and `measurement_as_channel`, which also builds
+  `conversion_channel` and `measurement_as_square_channel`; a channel held
+  through `_from_choi`: composites, dephasings and adjoints;
+- a Dirichlet draw of `random_stochastic_matrix`.
+The edge: a derived object whose rounding would pass its tolerance is
+accepted, not refused inside the deriving call; for example
+`measurement_as_channel` of a user POVM at the completeness edge no longer
+raises NotTracePreserving.
 """
 
 from __future__ import annotations
@@ -59,7 +71,8 @@ class QuantumChannel:
     so construction validates finiteness and trace preservation only, the
     latter on the dim_in x dim_in Gram matrix sum_k K_k^dag K_k. A channel
     built from Kraus operators holds them and builds its Choi matrix on the
-    first `choi` read.
+    first `choi` read. A channel the library derives from valid inputs is
+    held by `_from_kraus` or `_from_choi` without any check.
     """
 
     __slots__ = ("_choi", "_dim_in", "_dim_out", "_kraus")
@@ -80,6 +93,18 @@ class QuantumChannel:
         arr.setflags(write=False)
         self._kraus = arr
         self._choi = None
+
+    @classmethod
+    def _from_kraus(cls, kraus: np.ndarray) -> "QuantumChannel":
+        """Hold a new C-contiguous complex (rank, dim_out, dim_in) stack of
+        Kraus operators of a map already known to be trace preserving, made
+        read-only in place, with no check."""
+        channel = cls.__new__(cls)
+        kraus.setflags(write=False)
+        channel._kraus = kraus
+        channel._dim_out, channel._dim_in = kraus.shape[1], kraus.shape[2]
+        channel._choi = None
+        return channel
 
     @classmethod
     def _from_choi(cls, choi: np.ndarray, dim_in: int, dim_out: int) -> "QuantumChannel":
@@ -160,7 +185,7 @@ def _identity(dim: int) -> np.ndarray:
 
 
 def _max_abs(values: np.ndarray) -> float:
-    return float(np.max(np.abs(values), initial=0.0))
+    return float(np.abs(values).max(initial=0.0))
 
 
 def images(channel: QuantumChannel, matrices: np.ndarray) -> np.ndarray:
@@ -375,6 +400,8 @@ class StochasticMatrix:
     Rows index outcomes x, columns index inputs i; every column sums to one
     within STOCHASTIC_TOL. Entries down to -STOCHASTIC_TOL are clamped to
     zero (eigenvalue noise from PSD diagonals), anything lower is rejected.
+    A matrix that is column stochastic by construction, such as a Dirichlet
+    draw, is held by `_from_valid` without any check.
     """
 
     __slots__ = ("_entries",)
@@ -385,11 +412,20 @@ class StochasticMatrix:
         if float(arr.min(initial=0.0)) < -STOCHASTIC_TOL:
             raise InvalidStochasticMatrix(f"negative entry {arr.min():.3e}")
         arr = np.clip(arr, 0.0, None)
-        col_dev = float(np.max(np.abs(arr.sum(axis=0) - 1.0)))
+        col_dev = _max_abs(arr.sum(axis=0) - 1.0)
         if col_dev > STOCHASTIC_TOL:
             raise InvalidStochasticMatrix(f"column sums deviate from 1 by {col_dev:.3e}")
         arr.setflags(write=False)
         self._entries = arr
+
+    @classmethod
+    def _from_valid(cls, entries: np.ndarray) -> "StochasticMatrix":
+        """Hold a new C-contiguous float (rows, cols) array that is column
+        stochastic by construction, made read-only in place, with no check."""
+        matrix = cls.__new__(cls)
+        entries.setflags(write=False)
+        matrix._entries = entries
+        return matrix
 
     @property
     def entries(self) -> np.ndarray:
@@ -427,7 +463,7 @@ def measurement_as_channel(povm: Povm) -> QuantumChannel:
     x, k = np.nonzero(eig > EIG_CLIP)  # x-major, ascending eigenvalue within x
     kraus = np.zeros((x.size, povm.n, povm.dim), dtype=complex)
     kraus[np.arange(x.size), x, :] = np.sqrt(eig[x, k])[:, None] * vec[x, :, k].conj()
-    return QuantumChannel(kraus)
+    return QuantumChannel._from_kraus(kraus)
 
 
 def classical_postprocess(povm: Povm, post: StochasticMatrix) -> Povm:

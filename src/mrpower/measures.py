@@ -46,7 +46,7 @@ def coherences_of_states(states: np.ndarray) -> np.ndarray:
     """`relative_entropy_of_coherence` of every density operator in an
     (n, d, d) stack, from one batched eigvalsh."""
     traces = np.einsum("xii->x", states).real
-    worst = float(np.max(np.abs(traces - 1.0)))
+    worst = float(np.abs(traces - 1.0).max())
     if not worst <= DENSITY_TRACE_TOL:
         raise NotDensity(f"trace deviates from 1 by {worst:.3e}, above {DENSITY_TRACE_TOL}")
     spectra = np.linalg.eigvalsh(states)
@@ -56,13 +56,19 @@ def coherences_of_states(states: np.ndarray) -> np.ndarray:
 
 def _dephasing_gains(stack: np.ndarray, spectra: np.ndarray) -> np.ndarray:
     """S(dephase(X)) - S(X) for each operator of a stack with the given
-    spectra; the spectrum of dephase(X) is the real diagonal of X, sorted."""
-    return entropies(np.sort(_diagonals(stack), axis=1)) - entropies(spectra)
+    spectra; the spectrum of dephase(X) is the real diagonal of X, sorted.
+    Both entropies come from one `entropies` pass over the sorted diagonals
+    stacked on the spectra."""
+    n = len(stack)
+    both = np.concatenate((_diagonals(stack), spectra))
+    both[:n].sort(axis=1)
+    gains = entropies(both)
+    return gains[:n] - gains[n:]
 
 
 def _diagonals(stack: np.ndarray) -> np.ndarray:
     """Real diagonals <i|X|i> of an (n, d, d) stack, shape (n, d)."""
-    return np.diagonal(stack, axis1=1, axis2=2).real
+    return stack.diagonal(axis1=1, axis2=2).real
 
 
 def measurement_relative_entropy(m: Povm, n: Povm) -> float:
@@ -95,7 +101,7 @@ def measurement_coherence(m: Povm) -> float:
 def is_incoherent_measurement(m: Povm) -> bool:
     """True iff every element is diagonal within INCOHERENT_TOL, max-abs."""
     off = m.stack[:, ~np.eye(m.dim, dtype=bool)]
-    return float(np.max(np.abs(off), initial=0.0)) <= INCOHERENT_TOL
+    return float(np.abs(off).max(initial=0.0)) <= INCOHERENT_TOL
 
 
 def measurement_coherence_bruteforce(m: Povm) -> float:
@@ -167,7 +173,7 @@ def decompose_incoherent(m: Povm) -> IncoherentDecomposition:
     probs = np.clip(_diagonals(m.stack), 0.0, None)  # PSD diagonals can carry -1e-16 noise
     post = StochasticMatrix(probs)
     recon = classical_postprocess(basis_measurement(m.dim), post)
-    residual = float(np.max(np.abs(recon.stack - m.stack)))
+    residual = float(np.abs(recon.stack - m.stack).max())
     return IncoherentDecomposition(post=post, residual=residual)
 
 

@@ -37,7 +37,7 @@ def check_hermitian(matrices: np.ndarray, what: str) -> None:
     """Reject a matrix, or a stack of matrices over the last two axes, that
     deviates from its conjugate transpose by more than HERM_TOL or holds a
     NaN or infinite entry."""
-    deviation = float(np.max(np.abs(matrices - matrices.conj().swapaxes(-1, -2))))
+    deviation = float(np.abs(matrices - matrices.conj().swapaxes(-1, -2)).max())
     if not deviation <= HERM_TOL:  # any NaN or infinite entry lands here
         require_finite(matrices, what)
         raise NotHermitian(f"max deviation from Hermiticity {deviation:.3e} exceeds {HERM_TOL}")
@@ -114,7 +114,7 @@ def entropies(eigenvalues: np.ndarray) -> np.ndarray:
     checked for positivity (`psd_entropies` checks them first)."""
     kept = np.where(eigenvalues > EIG_CLIP, eigenvalues, 1.0)  # 1 log 1 = 0
     # 0.0 - sum rather than -sum: an all-clipped spectrum gives 0.0, not -0.0
-    return 0.0 - np.sum(kept * np.log2(kept), axis=-1)
+    return 0.0 - (kept * np.log2(kept)).sum(axis=-1)
 
 
 def psd_entropies(spectra: np.ndarray) -> np.ndarray:
@@ -150,7 +150,7 @@ def relative_entropies(
     null = y_eig <= EIG_CLIP
     outside = np.where(null, weights, 0.0).sum(axis=1)
     tr_x_log_x = -entropies(x_spectra)
-    tr_x_log_y = np.sum(weights * np.log2(np.where(null, 1.0, y_eig)), axis=1)
+    tr_x_log_y = (weights * np.log2(np.where(null, 1.0, y_eig))).sum(axis=1)
     return np.where(outside > SUPPORT_TOL, math.inf, tr_x_log_x - tr_x_log_y)
 
 

@@ -65,7 +65,7 @@ def state_cohering_power(channel: QuantumChannel) -> float:
     d = _require_square(channel)
     # E(|i><i|)[a, b] = J[(a, i), (b, i)]: the d images are one slice of the Choi matrix
     images = np.einsum("aibi->iab", channel.choi.reshape(d, d, d, d))
-    return float(np.max(coherences_of_states(images)))
+    return float(coherences_of_states(images).max())
 
 
 @functools.cache
@@ -138,7 +138,7 @@ def conversion_ent_lower_bound(channel: QuantumChannel) -> ConversionCertificate
     pulled = pulled_back_basis(channel)
     power = measurement_coherence(pulled)
     bounds = ere_lower_bounds(_embedded_elements(pulled), (d, d))
-    avg = float(np.mean(bounds))
+    avg = float(bounds.mean())
     return ConversionCertificate(
         cohering_power=power,
         avg_ere_lower_bound=avg,
@@ -174,7 +174,7 @@ def composite_ent_lower_bound(
     y = pulled_back_basis(k).stack.reshape(dd, d, d, d, d)
     x = np.einsum("aibj,naxby->nixjy", channel.choi.reshape(d, d, d, d).conj(), y)
     pulled = pullback_povm(l, Povm._from_valid(x.reshape(dd, dd, dd)))
-    return float(np.mean(ere_lower_bounds(pulled.stack, (d, d))))
+    return float(ere_lower_bounds(pulled.stack, (d, d)).mean())
 
 
 def measurement_as_square_channel(povm: Povm) -> QuantumChannel:

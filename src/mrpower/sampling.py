@@ -27,6 +27,7 @@ from .powers import cnot_unitary
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+_SQRT2 = np.sqrt(2.0)
 
 
 def splitmix64(seed: int, index: int) -> int:
@@ -63,12 +64,22 @@ def _ginibre(rows: int, cols: int, rng: SeededRng, count: tuple[int, ...] = ()) 
     from one draw that takes each block's real part, then its imaginary part,
     block by block."""
     parts = rng.gen.standard_normal((*count, 2, rows, cols))
-    return (parts[..., 0, :, :] + 1j * parts[..., 1, :, :]) / np.sqrt(2.0)
+    blocks = np.empty((*count, rows, cols), dtype=complex)
+    blocks.real = parts[..., 0, :, :]
+    blocks.imag = parts[..., 1, :, :]
+    blocks /= _SQRT2
+    return blocks
 
 
 def haar_unitary(d: int, rng: SeededRng) -> np.ndarray:
     """Haar-distributed d x d unitary."""
     return haar_isometry(d, d, rng)
+
+
+def _haar_unitary_channel(d: int, rng: SeededRng) -> QuantumChannel:
+    """The channel of a Haar unitary, the same as
+    `unitary_channel(haar_unitary(d, rng))` without its check."""
+    return QuantumChannel._from_kraus(haar_unitary(d, rng)[None])
 
 
 def haar_isometry(
@@ -100,7 +111,7 @@ def random_channel(d: int, kraus_rank: int, kind: str, rng: SeededRng) -> Quantu
         kraus = np.sqrt(weights)[:, None, None] * haar_isometry(d, d, rng, (kraus_rank,))
     else:
         raise ValueError(f"kind must be 'general' or 'unital', got {kind!r}")
-    return QuantumChannel(kraus)
+    return QuantumChannel._from_kraus(kraus)
 
 
 def random_dio(d: int, unital: bool, rng: SeededRng) -> QuantumChannel:
@@ -122,7 +133,7 @@ def random_dio(d: int, unital: bool, rng: SeededRng) -> QuantumChannel:
         j = np.arange(d)
         kraus = np.zeros((terms, d, d, d), dtype=complex)
         kraus[np.arange(terms)[:, None], j, perms, j] = np.sqrt(weights)[:, None]
-        channel = QuantumChannel(kraus.reshape(terms * d, d, d))
+        channel = QuantumChannel._from_kraus(kraus.reshape(terms * d, d, d))
     else:
         rank = int(rng.gen.integers(1, d * d + 1))
         channel = dephased(random_channel(d, rank, "general", rng))
@@ -133,8 +144,8 @@ def random_dio(d: int, unital: bool, rng: SeededRng) -> QuantumChannel:
 
 def random_stochastic_matrix(rows: int, cols: int, rng: SeededRng) -> StochasticMatrix:
     """Column-stochastic matrix with Dirichlet-distributed columns."""
-    cols_arr = rng.gen.dirichlet(np.ones(rows), size=cols).T
-    return StochasticMatrix(cols_arr)
+    columns = rng.gen.dirichlet(np.ones(rows), size=cols)
+    return StochasticMatrix._from_valid(np.ascontiguousarray(columns.T))
 
 
 def random_povm(d: int, n: int, incoherent: bool, rng: SeededRng) -> Povm:

@@ -25,7 +25,6 @@ from .channels import (
     pullback_povm,
     pulled_back_basis,
     tensor_povm,
-    unitary_channel,
 )
 from .measures import (
     coherences_of_states,
@@ -45,7 +44,7 @@ from .powers import (
 )
 from .sampling import (
     SeededRng,
-    haar_unitary,
+    _haar_unitary_channel,
     random_channel,
     random_dio,
     random_povm,
@@ -81,7 +80,7 @@ def _worst(*violations: float) -> float:
 
 
 def _povm_distance(a, b) -> float:
-    return float(np.max(np.abs(a.stack - b.stack)))
+    return float(np.abs(a.stack - b.stack).max())
 
 
 def _trial_dm_properties(dim: int, rng: SeededRng, tol: float):
@@ -108,7 +107,7 @@ def _trial_dm_properties(dim: int, rng: SeededRng, tol: float):
     )
     violation = _worst(violation, processed - base)
 
-    rotation = unitary_channel(haar_unitary(dim, rng))
+    rotation = _haar_unitary_channel(dim, rng)
     rotated = measurement_relative_entropy(
         pullback_povm(rotation, m), pullback_povm(rotation, k)
     )
@@ -164,7 +163,7 @@ def _trial_structure_lemma(dim: int, rng: SeededRng, tol: float):
     n = int(rng.gen.integers(2, 7))
     povm = random_povm(d, n, True, rng)
     decomposition = decompose_incoherent(povm)
-    column_dev = float(np.max(np.abs(decomposition.post.entries.sum(axis=0) - 1.0)))
+    column_dev = float(np.abs(decomposition.post.entries.sum(axis=0) - 1.0).max())
     return _worst(decomposition.residual, column_dev), None
 
 
@@ -205,7 +204,7 @@ def _trial_power_convexity(dim: int, rng: SeededRng, tol: float):
 
 def _trial_conversion_equality(dim: int, rng: SeededRng, tol: float):
     """Certificate gap for one Haar unitary and one non-unitary channel."""
-    unitary = unitary_channel(haar_unitary(dim, rng))
+    unitary = _haar_unitary_channel(dim, rng)
     gap = conversion_ent_lower_bound(unitary).gap
     rank = int(rng.gen.integers(2, dim * dim + 1))
     general = random_channel(dim, rank, "general", rng)

@@ -529,6 +529,124 @@ class TestLazyDecompositions:
         assert sorted(name for name, a in calls if a is n.stack) == ["eigh", "eigvalsh"]
 
 
+# every library path that builds a channel through `QuantumChannel._from_kraus`,
+# as (d, Kraus rank, rng) -> the call; a path that takes no rank ignores it
+DERIVED_CHANNEL_BUILDERS = {
+    "random_channel_general": lambda d, rank, rng: mp.random_channel(d, rank, "general", rng),
+    "random_channel_unital": lambda d, rank, rng: mp.random_channel(d, rank, "unital", rng),
+    "random_dio_unital": lambda d, rank, rng: mp.random_dio(d, True, rng),
+    "haar_unitary_channel": lambda d, rank, rng: mp.sampling._haar_unitary_channel(d, rng),
+    "measurement_as_channel": lambda d, rank, rng: mp.measurement_as_channel(
+        mp.random_povm(d, d + 1, False, rng)
+    ),
+    "measurement_as_channel_rank_deficient": lambda d, rank, rng: mp.measurement_as_channel(
+        mp.pulled_back_basis(mp.random_channel(d, rank, "general", rng))
+    ),
+    "measurement_as_square_channel": lambda d, rank, rng: mp.measurement_as_square_channel(
+        mp.random_povm(d, 2, False, rng)  # padded to d outcomes for d > 2
+    ),
+    "conversion_channel": lambda d, rank, rng: mp.conversion_channel(
+        mp.random_channel(d, rank, "general", rng)
+    ),
+}
+
+
+@pytest.fixture
+def derived_channels(monkeypatch):
+    """Every channel `QuantumChannel._from_kraus` and every stochastic matrix
+    `StochasticMatrix._from_valid` makes while the test runs, and the calls
+    of both public constructors meanwhile."""
+    made, validated = [], []
+    for cls, name in ((mp.QuantumChannel, "_from_kraus"), (mp.StochasticMatrix, "_from_valid")):
+        trusted = cls.__dict__[name].__func__
+
+        def recording(cls, array, _trusted=trusted):
+            made.append(_trusted(cls, array))
+            return made[-1]
+
+        def counting(self, *args, _init=cls.__init__, _cls=cls):
+            validated.append(_cls)
+            _init(self, *args)
+
+        monkeypatch.setattr(cls, name, classmethod(recording))
+        monkeypatch.setattr(cls, "__init__", counting)
+    return made, validated
+
+
+def assert_validator_accepts(derived) -> None:
+    """The public constructor accepts a derived channel or stochastic matrix,
+    holding the same bytes in the same C-contiguous layout."""
+    if isinstance(derived, mp.QuantumChannel):
+        array, validated = derived.kraus, mp.QuantumChannel(derived.kraus).kraus
+    else:
+        array, validated = derived.entries, mp.StochasticMatrix(derived.entries).entries
+    assert array.flags.c_contiguous and not array.flags.writeable
+    assert array.dtype == validated.dtype and array.shape == validated.shape
+    assert array.tobytes() == validated.tobytes()
+
+
+class TestDerivedChannelsStayValid:
+    """The public validators accept every channel and stochastic matrix the
+    library derives without checking them, at unchanged tolerances, with the
+    same Kraus operators and entries bit for bit."""
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    @pytest.mark.parametrize("name", list(DERIVED_CHANNEL_BUILDERS))
+    def test_validator_accepts_what_is_derived(self, name, dim, derived_channels):
+        made, validated = derived_channels
+        rng = mp.SeededRng(320 + dim)
+        for i, rank in enumerate((1, 2, dim * dim)):  # rank-deficient to full Kraus rank
+            DERIVED_CHANNEL_BUILDERS[name](dim, rank, rng.spawn(i))
+        assert any(isinstance(x, mp.QuantumChannel) for x in made) and not validated
+        for derived in made:
+            assert_validator_accepts(derived)
+
+    @pytest.mark.parametrize("dim", [5, 6])
+    def test_conversion_channels_up_to_d6(self, dim, derived_channels):
+        made, validated = derived_channels
+        rng = mp.SeededRng(330 + dim)
+        for i, rank in enumerate((1, 2, dim * dim)):
+            DERIVED_CHANNEL_BUILDERS["conversion_channel"](dim, rank, rng.spawn(i))
+        assert len(made) == 6 and not validated  # three random channels, three conversions
+        for derived in made:
+            assert_validator_accepts(derived)
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_dirichlet_draws(self, dim, derived_channels):
+        made, validated = derived_channels
+        rng = mp.SeededRng(340 + dim)
+        for i, rows in enumerate((2, dim, dim * dim)):
+            mp.random_stochastic_matrix(rows, dim, rng.spawn(i))
+            mp.random_povm(dim, rows + 1, True, rng.spawn(10 + i))
+        assert len(made) == 6 and not validated
+        for derived in made:
+            assert_validator_accepts(derived)
+
+    def test_suites_call_no_public_validator(self, derived_channels):
+        """Every channel of a suite run is derived; the one stochastic
+        matrix validated is the p(x|i) `decompose_incoherent` reads off a
+        POVM, whose completeness tolerance is looser than STOCHASTIC_TOL."""
+        made, validated = derived_channels
+        trials = 10
+        for name in mp.SUITE_NAMES:
+            validated.clear()
+            mp.run_suite(name, dim=2, trials=trials, seed=350)
+            expected = [mp.StochasticMatrix] * trials if name == "structure_lemma" else []
+            assert validated == expected, name
+        assert made
+
+    def test_measurement_channel_of_an_edge_povm_is_not_checked_again(self):
+        """The one edge: the POVM passes its checks (completeness within
+        1e-9, an eigenvalue of -9e-10 within PSD_TOL), and its channel drops
+        that eigenvalue, so sum K^dag K misses the identity by 1.8e-9, past
+        TP_TOL; the channel is returned, and only the public constructor
+        refuses its Kraus set."""
+        povm = mp.Povm([np.diag([1.0 + 1.8e-9, 0.5]), np.diag([-0.9e-9, 0.5])])
+        channel = mp.measurement_as_channel(povm)
+        with pytest.raises(NotTracePreserving):
+            mp.QuantumChannel(channel.kraus)
+
+
 def kraus_choi(kraus):
     """sum_k vec(K_k) vec(K_k)^dag, straight from a Kraus list."""
     vecs = np.array([np.asarray(k).reshape(-1) for k in kraus])
