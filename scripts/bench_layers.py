@@ -49,7 +49,10 @@ take BASELINE_ROUNDS turns each on every row, alternating, and which side
 goes first changes from row to row, so that the machine's drift over the
 run, and a change of its speed during one run, reach both alike; each side
 records the median of its runs' medians (`benchtiming.combine`), the
-baseline's under "baseline" beside the tree's. A `--baseline` run takes
+baseline's under "baseline" beside the tree's. The row also records the
+tree/baseline ratio of each turn's back-to-back pair of runs and their
+median (`benchtiming.pair_ratios`), which a speed phase longer than one run
+does not skew as it can skew either side's median. A `--baseline` run takes
 about 9 minutes on 2 vCPUs, a run without it about 2.
 
 Usage: PYTHONPATH=src python scripts/bench_layers.py [--out BENCH_layers.json]
@@ -71,6 +74,7 @@ from benchtiming import (
     MAX_CALLS,
     combine,
     measure_in_fresh_interpreter,
+    pair_ratios,
     per_call_ms,
     write_record,
 )
@@ -208,7 +212,9 @@ def main(argv=None) -> int:
                 f"IQR {row['iqr_ms']:8.3f} ms  ({row['calls']} calls)")
         if args.baseline:
             row["baseline"] = timed["baseline"]
-            line += f"  baseline median {timed['baseline']['median_ms']:9.3f} ms"
+            row.update(pair_ratios(runs["tree"], runs["baseline"]))
+            line += (f"  baseline median {timed['baseline']['median_ms']:9.3f} ms"
+                     f"  ratio {row['median_ratio']:6.3f}")
         print(line, file=sys.stderr)
         results.append(row)
     fields = {"baseline_src": args.baseline} if args.baseline else {}

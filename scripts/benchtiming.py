@@ -64,6 +64,15 @@ def combine(summaries: list[dict]) -> dict:
             "run_medians_ms": [s["median_ms"] for s in summaries]}
 
 
+def pair_ratios(tree: list[dict], baseline: list[dict]) -> dict:
+    """The tree/baseline ratio of the medians of each turn's back-to-back
+    pair of runs, and the median of those ratios. A phase of the machine's
+    speed that outlasts one run reaches both runs of a pair alike, so it
+    cancels in the pair's ratio, though not in either side's median."""
+    ratios = [t["median_ms"] / b["median_ms"] for t, b in zip(tree, baseline, strict=True)]
+    return {"pair_ratios": ratios, "median_ratio": statistics.median(ratios)}
+
+
 def environment() -> dict:
     """The Python and numpy versions, CPU count, BLAS threads and machine."""
     return {

@@ -68,3 +68,14 @@ def test_runs_combine_into_the_median_of_their_summaries(bench_layers):
     assert bench_layers.combine(runs) == {
         "calls": 21, "median_ms": 3.0, "q1_ms": 2.0, "q3_ms": 5.0, "iqr_ms": 3.0,
         "run_medians_ms": [2.0, 9.0, 3.0]}
+
+
+def test_pairs_of_runs_give_their_ratios_and_its_median(bench_layers):
+    """A speed phase that doubles both runs of the second turn leaves its
+    ratio, and the median, unchanged."""
+    tree = [{"median_ms": m} for m in (1.0, 2.0, 1.5)]
+    baseline = [{"median_ms": m} for m in (2.0, 4.0, 1.0)]
+    assert bench_layers.pair_ratios(tree, baseline) == {
+        "pair_ratios": [0.5, 0.5, 1.5], "median_ratio": 0.5}
+    with pytest.raises(ValueError):  # every turn has one run per side
+        bench_layers.pair_ratios(tree, baseline[:2])
