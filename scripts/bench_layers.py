@@ -112,8 +112,7 @@ ROWS = (
     *_rows("sampling", tuple(SAMPLERS), (2, 3, 4)),
     *(("wire", "load", case) for case in ("d2", "d4", "d8", "d16", "hadamard", "d16-indent1")),
     *(("wire", "save", case) for case in ("d16", "conversion-d4", "conversion-d6")),
-    *dict.fromkeys(("suites", name, f"d{dim}")  # each run once; `all` fixes some dimensions
-                   for d in (2, 3, 4, 5, 6) for name, dim in plan("all", d)),
+    *(("suites", name, f"d{dim}") for d in (2, 3, 4, 5, 6) for name, dim in plan("all", d)),
 )
 
 

@@ -14,7 +14,7 @@ Writes under OUTDIR, which must not exist yet:
   the JSON report without `wall_time_ms`; `verify/d2-csv/` holds the CSV
   report of the same run at d = 2, and `verify/d7/` the refusal of d = 7,
   above the conversion cap.
-- `verify/<error>/`: stdout, stderr and the exit code of five `verify`
+- `verify/<error>/`: stdout, stderr and the exit code of four `verify`
   commands that break one argument rule each (ARGUMENT_ERRORS), each with
   an `--out` that must not be written; `verify/out-empty/` holds the same
   record of `verify --suite duality --out ""`, an output path that cannot be
@@ -65,7 +65,6 @@ ARGUMENT_ERRORS = {
     "trials-0": ("--trials", "0"),
     "seed-minus-1": ("--seed=-1",),
     "tol-nan": ("--tol=nan",),
-    "cm_oracle-d3": ("--suite", "cm_oracle", "--dim", "3"),
 }
 
 

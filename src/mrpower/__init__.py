@@ -35,7 +35,6 @@ from .measures import (
     ere_lower_bound,
     is_incoherent_measurement,
     measurement_coherence,
-    measurement_coherence_bruteforce,
     measurement_relative_entropy,
     relative_entropy_of_coherence,
 )

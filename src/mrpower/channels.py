@@ -26,11 +26,15 @@ construction and is not checked again:
   unitary channels) and `measurement_as_channel`, which also builds
   `conversion_channel` and `measurement_as_square_channel`; a channel held
   through `_from_choi`: composites, dephasings and adjoints;
-- a Dirichlet draw of `random_stochastic_matrix`.
+- a Dirichlet draw of `random_stochastic_matrix`, and the p(x|i) = <i|M_x|i>
+  that `decompose_incoherent` reads off an incoherent POVM.
 The edge: a derived object whose rounding would pass its tolerance is
 accepted, not refused inside the deriving call; for example
 `measurement_as_channel` of a user POVM at the completeness edge no longer
-raises NotTracePreserving.
+raises NotTracePreserving. Likewise the columns of the p(x|i) of an
+incoherent POVM sum to one only within the POVM's COMPLETENESS_TOL, looser
+than STOCHASTIC_TOL, so `decompose_incoherent` accepts every incoherent POVM
+that `Povm` accepts, and `StochasticMatrix` may refuse the p(x|i) it returns.
 """
 
 from __future__ import annotations

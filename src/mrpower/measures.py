@@ -1,9 +1,11 @@
 """Static resource quantifiers.
 
 Covers the relative entropy of coherence of states, the averaged relative
-entropy between measurements, measurement-coherence (closed form plus a
-small-scale variational oracle), the stochastic-matrix structure of
-incoherent measurements, and an entanglement lower bound for PSD operators.
+entropy between measurements, measurement-coherence in closed form (the
+`cm_oracle` suite checks it against its variational definition, the
+minimum of that relative entropy over incoherent measurements), the
+stochastic-matrix structure of incoherent measurements, and an
+entanglement lower bound for PSD operators.
 """
 
 from __future__ import annotations
@@ -18,12 +20,7 @@ from .channels import (
     basis_measurement,
     classical_postprocess,
 )
-from .errors import (
-    DimensionMismatch,
-    NotDensity,
-    NotIncoherent,
-    UnsupportedScale,
-)
+from .errors import DimensionMismatch, NotDensity, NotIncoherent
 from .operators import (
     HermitianOperator,
     check_psd_spectra,
@@ -34,7 +31,6 @@ from .operators import (
 
 DENSITY_TRACE_TOL = 1e-9
 INCOHERENT_TOL = 1e-9  # max-abs off-diagonal entry of an incoherent measurement
-ORACLE_GRID_STEPS = 1000  # grid points per axis of `measurement_coherence_bruteforce`
 
 
 def relative_entropy_of_coherence(rho: HermitianOperator) -> float:
@@ -104,59 +100,6 @@ def is_incoherent_measurement(m: Povm) -> bool:
     return float(np.abs(off).max(initial=0.0)) <= INCOHERENT_TOL
 
 
-def measurement_coherence_bruteforce(m: Povm) -> float:
-    """Variational measurement-coherence for a qubit two-outcome POVM.
-
-    Minimizes the averaged relative entropy over all incoherent two-outcome
-    POVMs, exhaustively parametrized as F_0 = diag(a, b), F_1 = I - F_0 with
-    a, b on an ORACLE_GRID_STEPS-point grid per axis over [0, 1]^2, then one
-    local refinement pass around the best cell. Exists to certify the closed
-    form at small scale, not for production use.
-    """
-    if m.dim != 2 or m.n != 2:
-        raise UnsupportedScale(
-            f"oracle supports d = 2, n = 2 only (got d = {m.dim}, n = {m.n})"
-        )
-
-    # D(M_x || diag) splits into independent terms for the two diagonal slots.
-    mass = np.clip(_diagonals(m.stack), 0.0, None)  # (2, 2)
-    base = -sum(entropies(m.spectra).tolist())
-
-    def slot_cost(axis_values: np.ndarray, slot: int) -> np.ndarray:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            c0 = np.where(
-                mass[0, slot] > 0.0, -mass[0, slot] * np.log2(axis_values), 0.0
-            )
-            c1 = np.where(
-                mass[1, slot] > 0.0, -mass[1, slot] * np.log2(1.0 - axis_values), 0.0
-            )
-        return c0 + c1
-
-    def grid_minimum(a_lo, a_hi, b_lo, b_hi):
-        """Minimum of cost_a[ia] + cost_b[ib] over the grid and the first
-        cell in row-major order that attains it, as `np.argmin` of the full
-        grid would give. Rounded addition is monotone in each argument, so
-        the grid minimum is exactly cost_a.min() + cost_b.min(), and a row
-        attains it exactly when its sum with cost_b.min() does."""
-        a = np.linspace(a_lo, a_hi, ORACLE_GRID_STEPS)
-        b = np.linspace(b_lo, b_hi, ORACLE_GRID_STEPS)
-        cost_a, cost_b = slot_cost(a, 0), slot_cost(b, 1)
-        best = cost_a.min() + cost_b.min()
-        ia = int(np.argmax(cost_a + cost_b.min() == best))
-        ib = int(np.argmax(cost_a[ia] + cost_b == best))
-        value = cost_a[ia] + cost_b[ib]
-        return float(value), float(a[ia]), float(b[ib]), (a[1] - a[0]), (b[1] - b[0])
-
-    best, a_star, b_star, ha, hb = grid_minimum(0.0, 1.0, 0.0, 1.0)
-    refined, _, _, _, _ = grid_minimum(
-        max(0.0, a_star - ha),
-        min(1.0, a_star + ha),
-        max(0.0, b_star - hb),
-        min(1.0, b_star + hb),
-    )
-    return 0.5 * (base + min(best, refined))
-
-
 @dataclass(frozen=True)
 class IncoherentDecomposition:
     """Classical post-processing realizing an incoherent measurement on top
@@ -167,11 +110,14 @@ class IncoherentDecomposition:
 
 
 def decompose_incoherent(m: Povm) -> IncoherentDecomposition:
-    """Extract p(x|i) = <i|M_x|i> and verify it reconstructs the POVM."""
+    """Extract p(x|i) = <i|M_x|i> and verify it reconstructs the POVM.
+
+    p(x|i) is column stochastic within the POVM's own completeness error, up
+    to COMPLETENESS_TOL, so it is held without the STOCHASTIC_TOL check."""
     if not is_incoherent_measurement(m):
         raise NotIncoherent(f"POVM has off-diagonal entries above {INCOHERENT_TOL}")
     probs = np.clip(_diagonals(m.stack), 0.0, None)  # PSD diagonals can carry -1e-16 noise
-    post = StochasticMatrix(probs)
+    post = StochasticMatrix._from_valid(probs)
     recon = classical_postprocess(basis_measurement(m.dim), post)
     residual = float(np.abs(recon.stack - m.stack).max())
     return IncoherentDecomposition(post=post, residual=residual)

@@ -1,9 +1,10 @@
 """Randomized verification suites and their structured reports.
 
-Every suite runs `trials` independent trials, each seeded through
-splitmix64 from the master seed, and records a nonnegative violation per
-trial (inequality slack, or absolute residual for equalities). Trials are
-order-independent, so reports are reproducible for a fixed seed.
+Every suite runs `trials` independent trials at the dimension it is given,
+each seeded through splitmix64 from the master seed, and records a
+nonnegative violation per trial (inequality slack, or absolute residual for
+equalities). Trials are order-independent, so reports are reproducible for
+a fixed seed.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .channels import (
+    Povm,
     adjoint_channel,
     basis_measurement,
     classical_postprocess,
@@ -31,7 +33,6 @@ from .measures import (
     decompose_incoherent,
     is_incoherent_measurement,
     measurement_coherence,
-    measurement_coherence_bruteforce,
     measurement_relative_entropy,
 )
 from .powers import (
@@ -149,11 +150,21 @@ def _trial_cm_faithfulness(dim: int, rng: SeededRng, tol: float):
 
 
 def _trial_cm_oracle(dim: int, rng: SeededRng, tol: float):
-    """Closed form against the exhaustive stochastic-matrix grid at (2, 2)."""
-    povm = random_povm(2, 2, False, rng)
-    closed = measurement_coherence(povm)
-    gridded = measurement_coherence_bruteforce(povm)
-    return abs(closed - gridded), None
+    """Closed form against the definition C_m(M) = min over incoherent N of
+    D(M || N): the dephased measurement Delta(M) attains it, and neither a
+    random incoherent N nor the near-minimizer eps N + (1 - eps) Delta(M)
+    lies below it."""
+    n = int(rng.gen.integers(2, dim + 2))
+    m = random_povm(dim, n, False, rng)
+    closed = measurement_coherence(m)
+    dephased = Povm._from_valid(m.stack * np.eye(dim))  # each element's diagonal
+    incoherent = random_povm(dim, n, True, rng)
+    near = mix_povm(incoherent, dephased, 1e-6 * float(rng.gen.uniform()))
+    return _worst(
+        abs(measurement_relative_entropy(m, dephased) - closed),
+        closed - measurement_relative_entropy(m, incoherent),
+        closed - measurement_relative_entropy(m, near),
+    ), None
 
 
 def _trial_structure_lemma(dim: int, rng: SeededRng, tol: float):
@@ -253,7 +264,7 @@ def _trial_thm7_reduction(dim: int, rng: SeededRng, tol: float):
 SUITES = {
     "dm_properties": (_trial_dm_properties, 1e-8, 1),
     "cm_faithfulness": (_trial_cm_faithfulness, 1e-8, 2),
-    "cm_oracle": (_trial_cm_oracle, 5e-3, 3),
+    "cm_oracle": (_trial_cm_oracle, 1e-8, 3),
     "structure_lemma": (_trial_structure_lemma, 1e-10, 4),
     "power_monotone": (_trial_power_monotone, 1e-8, 5),
     "power_convexity": (_trial_power_convexity, 1e-8, 6),
@@ -265,17 +276,13 @@ SUITES = {
 
 SUITE_NAMES = tuple(SUITES)
 
-FIXED_DIMENSIONS = {"cm_oracle": 2}  # suites defined at one dimension only
 # suites whose trials work on dimension d^2 (conversion channels, composites)
 SQUARED_DIMENSION_SUITES = frozenset({"conversion_equality", "thm3_proxy"})
 
 
 def plan(suite: str, dim: int) -> list[tuple[str, int]]:
-    """The (suite, dimension) runs of `verify --suite <suite> --dim <dim>`;
-    "all" runs each suite of FIXED_DIMENSIONS at its own dimension."""
-    if suite != "all":
-        return [(suite, dim)]
-    return [(name, FIXED_DIMENSIONS.get(name, dim)) for name in SUITE_NAMES]
+    """The (suite, dimension) runs of `verify --suite <suite> --dim <dim>`."""
+    return [(name, dim) for name in (SUITE_NAMES if suite == "all" else (suite,))]
 
 
 def check_run(name: str, dim: int, trials: int, seed: int, tol: float | None) -> float:
@@ -289,8 +296,6 @@ def check_run(name: str, dim: int, trials: int, seed: int, tol: float | None) ->
         raise ValueError(f"trials must be at least 1, got {trials}")
     if not 0 <= seed < 1 << 64:  # SeededRng would alias it to seed mod 2**64
         raise ValueError(f"seed must lie in 0..2**64-1, got {seed}")
-    if FIXED_DIMENSIONS.get(name, dim) != dim:
-        raise ValueError(f"{name} is defined at dimension {FIXED_DIMENSIONS[name]} only")
     tolerance = SUITES[name][1] if tol is None else float(tol)
     if not (math.isfinite(tolerance) and tolerance > 0):
         raise ValueError(f"tolerance must be positive and finite, got {tolerance}")

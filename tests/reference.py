@@ -6,6 +6,8 @@ The entropy filters the spectrum instead of clipping it, the relative
 entropy projects onto the eigenvectors of its second argument one pair at a
 time, and the entanglement bound takes explicit partial traces, so a test
 that compares a batched kernel with these does not compare it with itself.
+The measurement-coherence of a qubit two-outcome POVM is minimized by
+exhaustive search over a grid of incoherent POVMs, not from the closed form.
 """
 
 from __future__ import annotations
@@ -86,6 +88,35 @@ def relative_entropy(x: HermitianOperator, y: HermitianOperator) -> float:
     support = ~null
     tr_x_log_y = float(np.sum(weights[support] * np.log2(y_eig[support])))
     return tr_x_log_x - tr_x_log_y
+
+
+def full_grid_bruteforce(m, grid_steps: int = 1000) -> float:
+    """Measurement-coherence of a qubit two-outcome POVM by its definition:
+    the minimum averaged relative entropy to an incoherent two-outcome POVM
+    F_0 = diag(a, b), F_1 = I - F_0, over the whole grid_steps x grid_steps
+    grid of (a, b) in [0, 1]^2 (np.argmin), then once more over a grid of
+    the cells around the best point."""
+    mass = np.clip(np.array([np.diag(el).real for el in m.stack]), 0.0, None)
+    base = -sum(von_neumann_entropy(HermitianOperator(el)) for el in m.stack)
+
+    def slot_cost(axis_values, slot):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            c0 = np.where(mass[0, slot] > 0.0, -mass[0, slot] * np.log2(axis_values), 0.0)
+            c1 = np.where(mass[1, slot] > 0.0, -mass[1, slot] * np.log2(1.0 - axis_values), 0.0)
+        return c0 + c1
+
+    def grid_minimum(a_lo, a_hi, b_lo, b_hi):
+        a = np.linspace(a_lo, a_hi, grid_steps)
+        b = np.linspace(b_lo, b_hi, grid_steps)
+        grid = slot_cost(a, 0)[:, None] + slot_cost(b, 1)[None, :]
+        ia, ib = divmod(int(np.argmin(grid)), grid_steps)
+        return float(grid[ia, ib]), float(a[ia]), float(b[ib]), (a[1] - a[0]), (b[1] - b[0])
+
+    best, a_star, b_star, ha, hb = grid_minimum(0.0, 1.0, 0.0, 1.0)
+    refined, _, _, _, _ = grid_minimum(
+        max(0.0, a_star - ha), min(1.0, a_star + ha), max(0.0, b_star - hb), min(1.0, b_star + hb)
+    )
+    return 0.5 * (base + min(best, refined))
 
 
 def tensor_product(x: HermitianOperator, y: HermitianOperator) -> HermitianOperator:

@@ -189,9 +189,9 @@ class TestVerifyCommand:
         with pytest.raises(ValueError, match="tolerance"):
             mp.run_suite("duality", dim=2, trials=2, seed=1, tol=tol)
 
-    def test_oracle_requires_dim_2(self, tmp_path, capsys):
-        self.assert_refused(tmp_path, capsys, "cm_oracle is defined at dimension 2 only",
-                            suite="cm_oracle", dim=3, trials=5)
+    def test_oracle_runs_at_dim_3(self, capsys):
+        assert main(["verify", "--suite", "cm_oracle", "--dim", "3", "--trials", "5"]) == 0
+        assert capsys.readouterr().out.startswith("cm_oracle: PASS dim=3 trials=5 ")
 
     @pytest.mark.parametrize("suite", SUITE_NAMES + ("all",))
     def test_conversion_dim_cap_exits_2(self, suite, capsys):
@@ -201,8 +201,6 @@ class TestVerifyCommand:
         if suite in ("conversion_equality", "thm3_proxy", "all"):
             assert (code, err) == (
                 2, f"error: conversion suites are capped at dimension {cli.CONVERSION_DIM_CAP}\n")
-        elif suite == "cm_oracle":
-            assert (code, err) == (2, "error: cm_oracle is defined at dimension 2 only\n")
         else:
             assert code in (0, 1) and err == ""
 
@@ -404,11 +402,6 @@ class TestInvalidInputExitCodes:
         path.write_text(text)
         assert main(["power", str(path)]) == 2
         assert "[re, im] pair" in capsys.readouterr().err
-
-    def test_verify_dimension_cap_is_the_convert_cap(self, capsys):
-        dim = cli.CONVERSION_DIM_CAP + 1
-        assert main(["verify", "--suite", "thm3_proxy", "--dim", str(dim)]) == 2
-        assert f"dimension {cli.CONVERSION_DIM_CAP}" in capsys.readouterr().err
 
 
 class TestConvertOutput:

@@ -7,12 +7,12 @@ import mrpower as mp
 import reference as ref
 from mrpower.errors import (
     DimensionMismatch,
+    InvalidStochasticMatrix,
     NotDensity,
     NotIncoherent,
     NotPsd,
-    UnsupportedScale,
 )
-from mrpower import measures
+from mrpower import suites
 from mrpower.measures import ere_lower_bounds
 
 
@@ -120,90 +120,43 @@ class TestMeasurementCoherence:
 
 
 class TestBruteforceOracle:
+    """The closed form against `reference.full_grid_bruteforce`, the
+    exhaustive grid over incoherent qubit two-outcome POVMs."""
+
     def test_plus_minus(self):
-        assert mp.measurement_coherence_bruteforce(plus_povm()) == pytest.approx(
-            1.0, abs=2e-3
-        )
+        assert ref.full_grid_bruteforce(plus_povm()) == pytest.approx(1.0, abs=2e-3)
 
     def test_incoherent_minimizer_is_self(self):
         rng = mp.SeededRng(306)
         for i in range(5):
             povm = mp.random_povm(2, 2, True, rng.spawn(i))
-            assert mp.measurement_coherence_bruteforce(povm) == pytest.approx(
-                0.0, abs=1e-6
-            )
+            assert ref.full_grid_bruteforce(povm) == pytest.approx(0.0, abs=1e-6)
 
     def test_matches_closed_form(self):
         rng = mp.SeededRng(307)
         for i in range(10):
             povm = mp.random_povm(2, 2, False, rng.spawn(i))
             closed = mp.measurement_coherence(povm)
-            grid = mp.measurement_coherence_bruteforce(povm)
-            assert closed == pytest.approx(grid, abs=5e-3)
+            assert closed == pytest.approx(ref.full_grid_bruteforce(povm), abs=5e-3)
 
-    def test_scale_cap(self):
-        rng = mp.SeededRng(308)
-        with pytest.raises(UnsupportedScale):
-            mp.measurement_coherence_bruteforce(mp.random_povm(3, 2, False, rng))
-        with pytest.raises(UnsupportedScale):
-            mp.measurement_coherence_bruteforce(mp.random_povm(2, 3, False, rng))
+
+class TestOracleSuiteKillsMutants:
+    """`cm_oracle` fails when the divergence is scaled or the closed form is
+    shifted; no other suite fails for the scaled divergence."""
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("name, mutant", [
+        ("measurement_relative_entropy", lambda f: lambda m, n: 1.01 * f(m, n)),
+        ("measurement_coherence", lambda f: lambda m: f(m) + 1e-6),
+    ], ids=["divergence-times-1.01", "coherence-plus-1e-6"])
+    def test_mutant_fails_the_suite(self, name, mutant, dim, monkeypatch):
+        monkeypatch.setattr(suites, name, mutant(getattr(suites, name)))
+        assert not mp.run_suite("cm_oracle", dim, 20, 42).passed
 
 
 def operators(m):
     """The elements of a POVM as the operators the references take."""
     return [mp.HermitianOperator(el) for el in m.stack]
-
-
-def full_grid_bruteforce(m, grid_steps):
-    """The grid oracle over the whole grid_steps x grid_steps grid and its
-    np.argmin, kept as the reference for the per-slot minimum."""
-    mass = np.clip(np.array([np.diag(el).real for el in m.stack]), 0.0, None)
-    base = -sum(ref.von_neumann_entropy(el) for el in operators(m))
-
-    def slot_cost(axis_values, slot):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            c0 = np.where(mass[0, slot] > 0.0, -mass[0, slot] * np.log2(axis_values), 0.0)
-            c1 = np.where(mass[1, slot] > 0.0, -mass[1, slot] * np.log2(1.0 - axis_values), 0.0)
-        return c0 + c1
-
-    def grid_minimum(a_lo, a_hi, b_lo, b_hi):
-        a = np.linspace(a_lo, a_hi, grid_steps)
-        b = np.linspace(b_lo, b_hi, grid_steps)
-        grid = slot_cost(a, 0)[:, None] + slot_cost(b, 1)[None, :]
-        ia, ib = divmod(int(np.argmin(grid)), grid_steps)
-        return float(grid[ia, ib]), float(a[ia]), float(b[ib]), (a[1] - a[0]), (b[1] - b[0])
-
-    best, a_star, b_star, ha, hb = grid_minimum(0.0, 1.0, 0.0, 1.0)
-    refined, _, _, _, _ = grid_minimum(
-        max(0.0, a_star - ha), min(1.0, a_star + ha), max(0.0, b_star - hb), min(1.0, b_star + hb)
-    )
-    return 0.5 * (base + min(best, refined))
-
-
-def oracle_povm(kind, rng):
-    """Coherent, incoherent, rank-one projective or diagonal with extreme
-    entries: the last two put zero mass in diagonal slots."""
-    if kind == 0:
-        return mp.random_povm(2, 2, False, rng)
-    if kind == 1:
-        return mp.random_povm(2, 2, True, rng)
-    if kind == 2:
-        rotation = mp.unitary_channel(mp.haar_unitary(2, rng))
-        return mp.pullback_povm(rotation, mp.basis_measurement(2))
-    a, b = rng.gen.choice([0.0, 0.5, 1.0, float(rng.gen.uniform())], size=2)
-    return mp.Povm([np.diag([a, b]), np.diag([1.0 - a, 1.0 - b])])
-
-
-class TestBruteforceOracleMatchesFullGrid:
-    def test_bit_identical_on_seeded_povms(self, monkeypatch):
-        rng = mp.SeededRng(313)
-        for i in range(600):
-            povm = oracle_povm(i % 4, rng.spawn(i))
-            steps = (1000, 100, 257)[i % 3]  # the oracle's grid, and two others
-            monkeypatch.setattr(measures, "ORACLE_GRID_STEPS", steps)
-            assert mp.measurement_coherence_bruteforce(povm) == full_grid_bruteforce(
-                povm, steps
-            ), f"POVM {i}"
 
 
 def per_element_coherence(m):
@@ -307,6 +260,17 @@ class TestIncoherentStructure:
     def test_rejects_coherent_input(self):
         with pytest.raises(NotIncoherent):
             mp.decompose_incoherent(plus_povm())
+
+    def test_accepts_the_completeness_edge(self):
+        """Povm allows a completeness error up to 1e-9, past STOCHASTIC_TOL;
+        the decomposition holds p(x|i) as read and reconstructs the POVM,
+        and only the public constructor refuses that p(x|i)."""
+        povm = mp.Povm([np.diag([0.5 + 5e-10, 0.5]), np.diag([0.5, 0.5])])
+        decomposition = mp.decompose_incoherent(povm)
+        np.testing.assert_array_equal(decomposition.post.entries, [[0.5 + 5e-10, 0.5], [0.5, 0.5]])
+        assert decomposition.residual == 0.0
+        with pytest.raises(InvalidStochasticMatrix):
+            mp.StochasticMatrix(decomposition.post.entries)
 
 
 def random_separable(d_a, d_b, trace, rng):
