@@ -1,10 +1,11 @@
 """Randomized verification suites and their structured reports.
 
 Every suite runs `trials` independent trials at the dimension it is given,
-each seeded through splitmix64 from the master seed, and records a
-nonnegative violation per trial (inequality slack, or absolute residual for
-equalities). Trials are order-independent, so reports are reproducible for
-a fixed seed.
+each seeded through splitmix64 from the master seed. A trial returns named
+checks as signed margins, nonnegative when a check holds (an inequality's
+slack, or -|residual| for an equality); `run_suite` folds them into one
+violation per trial. Trials are order-independent, so reports are
+reproducible for a fixed seed.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from .channels import (
     adjoint_channel,
     basis_measurement,
     classical_postprocess,
-    compose,
     images,
     is_dio,
     mix_povm,
@@ -74,14 +74,10 @@ class VerificationReport:
         return asdict(self)
 
 
-def _worst(*violations: float) -> float:
-    """Largest violation, reading NaN as +inf: `max` would let a NaN pass
-    whenever it is not the first argument."""
-    return max(math.inf if math.isnan(v) else float(v) for v in violations)
-
-
-def _povm_distance(a, b) -> float:
-    return float(np.abs(a.stack - b.stack).max())
+def _violation(margins: dict[str, float]) -> float:
+    """A trial's value, max(0, -smallest margin). A NaN margin counts as
+    -inf, so the value is +inf: `min` would pass a NaN that is not first."""
+    return max(0.0, -min(-math.inf if math.isnan(m) else float(m) for m in margins.values()))
 
 
 def _trial_dm_properties(dim: int, rng: SeededRng, tol: float):
@@ -96,41 +92,38 @@ def _trial_dm_properties(dim: int, rng: SeededRng, tol: float):
 
     base = measurement_relative_entropy(m, k)
     second = measurement_relative_entropy(second_m, second_k)
-    violation = _worst(0.0, -base)
-    violation = _worst(violation, abs(measurement_relative_entropy(m, m)))
     detail = None
-    if base <= tol and _povm_distance(m, k) > 1e-4:
+    if base <= tol and np.abs(m.stack - k.stack).max() > 1e-4:
         detail = "faithfulness: vanishing divergence between distinct POVMs"
 
     unital = random_channel(dim, int(rng.gen.integers(1, dim * dim + 1)), "unital", rng)
     processed = measurement_relative_entropy(
         pullback_povm(unital, m), pullback_povm(unital, k)
     )
-    violation = _worst(violation, processed - base)
-
     rotation = _haar_unitary_channel(dim, rng)
     rotated = measurement_relative_entropy(
         pullback_povm(rotation, m), pullback_povm(rotation, k)
     )
-    violation = _worst(violation, abs(rotated - base))
-
     post = random_stochastic_matrix(int(rng.gen.integers(2, n + 2)), n, rng)
     merged = measurement_relative_entropy(
         classical_postprocess(m, post), classical_postprocess(k, post)
     )
-    violation = _worst(violation, merged - base)
-
     product = measurement_relative_entropy(
         tensor_povm(m, second_m), tensor_povm(k, second_k)
     )
-    violation = _worst(violation, abs(product - base - second))
-
     p = float(rng.gen.uniform())
     mixed = measurement_relative_entropy(
         mix_povm(m, second_m, p), mix_povm(k, second_k, p)
     )
-    violation = _worst(violation, mixed - (p * base + (1.0 - p) * second))
-    return violation, detail
+    return {
+        "nonnegativity": base,
+        "self_divergence": -abs(measurement_relative_entropy(m, m)),
+        "data_processing": base - processed,
+        "unitary_invariance": -abs(rotated - base),
+        "postprocessing": base - merged,
+        "tensor_additivity": -abs(product - base - second),
+        "joint_convexity": p * base + (1.0 - p) * second - mixed,
+    }, detail
 
 
 def _trial_cm_faithfulness(dim: int, rng: SeededRng, tol: float):
@@ -138,15 +131,16 @@ def _trial_cm_faithfulness(dim: int, rng: SeededRng, tol: float):
     n = 2 + int(rng.gen.integers(0, 3))
     incoherent = random_povm(dim, n, True, rng)
     coherent = random_povm(dim, n, False, rng)
-    violation = abs(measurement_coherence(incoherent))
     coherent_value = measurement_coherence(coherent)
-    violation = _worst(violation, -coherent_value)
     detail = None
     if not is_incoherent_measurement(incoherent):
         detail = "constructed incoherent POVM failed the diagonal predicate"
     elif coherent_value <= tol and not is_incoherent_measurement(coherent):
         detail = "zero coherence reported for a POVM with off-diagonal entries"
-    return violation, detail
+    return {
+        "incoherent_vanishes": -abs(measurement_coherence(incoherent)),
+        "nonnegativity": coherent_value,
+    }, detail
 
 
 def _trial_cm_oracle(dim: int, rng: SeededRng, tol: float):
@@ -160,11 +154,11 @@ def _trial_cm_oracle(dim: int, rng: SeededRng, tol: float):
     dephased = Povm._from_valid(m.stack * np.eye(dim))  # each element's diagonal
     incoherent = random_povm(dim, n, True, rng)
     near = mix_povm(incoherent, dephased, 1e-6 * float(rng.gen.uniform()))
-    return _worst(
-        abs(measurement_relative_entropy(m, dephased) - closed),
-        closed - measurement_relative_entropy(m, incoherent),
-        closed - measurement_relative_entropy(m, near),
-    ), None
+    return {
+        "attainment": -abs(measurement_relative_entropy(m, dephased) - closed),
+        "random_incoherent": measurement_relative_entropy(m, incoherent) - closed,
+        "near_minimizer": measurement_relative_entropy(m, near) - closed,
+    }, None
 
 
 def _trial_structure_lemma(dim: int, rng: SeededRng, tol: float):
@@ -175,7 +169,7 @@ def _trial_structure_lemma(dim: int, rng: SeededRng, tol: float):
     povm = random_povm(d, n, True, rng)
     decomposition = decompose_incoherent(povm)
     column_dev = float(np.abs(decomposition.post.entries.sum(axis=0) - 1.0).max())
-    return _worst(decomposition.residual, column_dev), None
+    return {"reconstruction": -decomposition.residual, "column_sums": -column_dev}, None
 
 
 def _trial_power_monotone(dim: int, rng: SeededRng, tol: float):
@@ -183,23 +177,24 @@ def _trial_power_monotone(dim: int, rng: SeededRng, tol: float):
     monotonicity under detection-incoherent sandwiching."""
     channel = random_channel(dim, int(rng.gen.integers(1, dim * dim + 1)), "general", rng)
     power = measurement_cohering_power(channel)
-    violation = _worst(0.0, -power)
-
     k = random_dio(dim, False, rng)
     l = random_dio(dim, True, rng)
-    sandwiched = measurement_cohering_power(compose(k, compose(channel, l)))
-    violation = _worst(violation, sandwiched - power)
-
+    # C(K . E . L): the basis measurement pulled back through K, then E, then L
+    sandwiched = measurement_coherence(
+        pullback_povm(l, pullback_povm(channel, pulled_back_basis(k)))
+    )
     free = random_dio(dim, bool(rng.gen.integers(0, 2)), rng)
-    violation = _worst(violation, abs(measurement_cohering_power(free)))
-
     detail = None
     dio = is_dio(channel)
     if dio and power > tol:
         detail = f"detection-incoherent channel with power {power:.3e}"
     elif not dio and power <= tol:
         detail = "vanishing power for a channel outside the free class"
-    return violation, detail
+    return {
+        "nonnegativity": power,
+        "sandwich": power - sandwiched,
+        "free_vanishes": -abs(measurement_cohering_power(free)),
+    }, detail
 
 
 def _trial_power_convexity(dim: int, rng: SeededRng, tol: float):
@@ -210,16 +205,15 @@ def _trial_power_convexity(dim: int, rng: SeededRng, tol: float):
     pa, pb = pulled_back_basis(first), pulled_back_basis(second)
     mixed = measurement_coherence(mix_povm(pa, pb, p))
     bound = p * measurement_coherence(pa) + (1.0 - p) * measurement_coherence(pb)
-    return _worst(0.0, mixed - bound), None
+    return {"convexity": bound - mixed}, None
 
 
 def _trial_conversion_equality(dim: int, rng: SeededRng, tol: float):
     """Certificate gap for one Haar unitary and one non-unitary channel."""
-    unitary = _haar_unitary_channel(dim, rng)
-    gap = conversion_ent_lower_bound(unitary).gap
+    unitary = conversion_ent_lower_bound(_haar_unitary_channel(dim, rng)).gap
     rank = int(rng.gen.integers(2, dim * dim + 1))
-    general = random_channel(dim, rank, "general", rng)
-    return _worst(gap, conversion_ent_lower_bound(general).gap), None
+    general = conversion_ent_lower_bound(random_channel(dim, rank, "general", rng)).gap
+    return {"unitary_gap": -unitary, "general_gap": -general}, None
 
 
 def _trial_thm3_proxy(dim: int, rng: SeededRng, tol: float):
@@ -229,25 +223,28 @@ def _trial_thm3_proxy(dim: int, rng: SeededRng, tol: float):
     k = random_dio(dim * dim, bool(rng.gen.integers(0, 2)), rng)
     l = random_dio(dim * dim, True, rng)
     proxy = composite_ent_lower_bound(channel, k, l)
-    return _worst(0.0, proxy - measurement_cohering_power(channel)), None
+    return {"proxy_bound": measurement_cohering_power(channel) - proxy}, None
 
 
 def _trial_duality(dim: int, rng: SeededRng, tol: float):
     """Sandwich between state-cohering power and the adjoint's
-    measurement-cohering power, plus the exact averaged-coherence identity."""
+    measurement-cohering power, the exact averaged-coherence identity, and
+    the state-cohering power as the largest basis-state coherence."""
     channel = random_channel(dim, int(rng.gen.integers(1, dim * dim + 1)), "unital", rng)
     c_adj = measurement_cohering_power(adjoint_channel(channel))
     c_g = state_cohering_power(channel)
-    violation = _worst(0.0, c_g / dim - c_adj, c_adj - c_g)
     # coherence of E(|i><i|) for each i, summed in index order
     coherences = coherences_of_states(images(channel, basis_measurement(dim).stack))
-    average = sum(coherences.tolist()) / dim
-    identity_residual = abs(c_adj - average)
-    violation = _worst(violation, identity_residual)
+    identity_residual = abs(c_adj - sum(coherences.tolist()) / dim)
     detail = None
     if identity_residual > DUALITY_IDENTITY_TOL:
         detail = f"adjoint power deviates from averaged coherence by {identity_residual:.3e}"
-    return violation, detail
+    return {
+        "lower": c_adj - c_g / dim,
+        "upper": c_g - c_adj,
+        "averaged_identity": -identity_residual,
+        "state_power_attained": -abs(c_g - coherences.max()),
+    }, detail
 
 
 def _trial_thm7_reduction(dim: int, rng: SeededRng, tol: float):
@@ -257,7 +254,7 @@ def _trial_thm7_reduction(dim: int, rng: SeededRng, tol: float):
     incoherent = bool(rng.gen.integers(0, 4) == 0)
     povm = random_povm(dim, n, incoherent, rng)
     power = measurement_cohering_power(measurement_as_square_channel(povm))
-    return abs(power - measurement_coherence(povm)), None
+    return {"reduction": -abs(power - measurement_coherence(povm))}, None
 
 
 # name -> (trial function, default tolerance, seed-stream id)
@@ -311,9 +308,9 @@ def run_suite(name: str, dim: int = 2, trials: int = 100, seed: int = 42,
     suite_rng = SeededRng(seed).spawn(stream)
 
     def one(index: int):
-        trial_rng = suite_rng.spawn(index)
         try:
-            return trial_fn(dim, trial_rng, tolerance)
+            margins, detail = trial_fn(dim, suite_rng.spawn(index), tolerance)
+            return _violation(margins), detail
         except Exception as exc:  # a crashed trial is a failed trial
             return math.inf, f"{type(exc).__name__}: {exc}"
 
@@ -321,13 +318,13 @@ def run_suite(name: str, dim: int = 2, trials: int = 100, seed: int = 42,
     outcomes = [one(i) for i in range(trials)]
     elapsed_ms = int(round((time.perf_counter() - start) * 1000.0))
 
-    values = [_worst(v) for v, _ in outcomes]  # NaN read as +inf
+    values = [v for v, _ in outcomes]
     failures = [
         {"trial": i, "detail": detail}
         for i, (_, detail) in enumerate(outcomes)
         if detail is not None
     ]
-    max_violation = _worst(*values)
+    max_violation = max(values)
     return VerificationReport(
         suite=name,
         dim=dim,

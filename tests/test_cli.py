@@ -421,19 +421,22 @@ class TestConvertOutput:
 
 class TestNanViolations:
     def test_nan_trial_fails_the_suite(self, monkeypatch):
-        monkeypatch.setitem(
-            suites.SUITES, "duality", (lambda dim, rng, tol: (math.nan, None), 1e-8, 9)
-        )
+        def trial(dim, rng, tol):
+            return {"lower": 0.5, "upper": math.nan}, None
+
+        monkeypatch.setitem(suites.SUITES, "duality", (trial, 1e-8, 9))
         report = mp.run_suite("duality", dim=2, trials=3, seed=1)
         assert report.passed is False
         assert report.max_violation == math.inf
         assert report.trial_values == [math.inf] * 3
 
     def test_nan_after_a_finite_violation_is_not_dropped(self):
-        assert max(0.0, math.nan) == 0.0  # the fold that let NaN pass
-        assert suites._worst(0.0, math.nan) == math.inf
-        assert suites._worst(1e-3, math.nan, 0.0) == math.inf
-        assert suites._worst(0.0, 2e-9) == 2e-9
+        assert min(0.0, math.nan) == 0.0  # the fold that let NaN pass
+        assert suites._violation({"a": math.nan, "b": 1e-3, "c": 0.0}) == math.inf
+        assert suites._violation({"a": 1e-3, "b": math.nan, "c": 0.0}) == math.inf
+        assert suites._violation({"a": 0.0, "b": math.nan}) == math.inf
+        assert suites._violation({"a": 0.0, "b": -2e-9}) == 2e-9
+        assert suites._violation({"a": 0.5}) == 0.0
 
 
 class TestParserReuse:

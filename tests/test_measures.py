@@ -12,7 +12,7 @@ from mrpower.errors import (
     NotIncoherent,
     NotPsd,
 )
-from mrpower import suites
+from mrpower import powers, suites
 from mrpower.measures import ere_lower_bounds
 
 
@@ -152,6 +152,37 @@ class TestOracleSuiteKillsMutants:
     def test_mutant_fails_the_suite(self, name, mutant, dim, monkeypatch):
         monkeypatch.setattr(suites, name, mutant(getattr(suites, name)))
         assert not mp.run_suite("cm_oracle", dim, 20, 42).passed
+
+
+class TestVerifyKillsMutants:
+    """Which suites fail, at 20 trials and seed 42, when a closed form is
+    scaled or shifted (the C, C_m, D and C_g mutants are patched into
+    `suites`, the ERE bound into `powers`). A mutant no suite fails is a gap
+    in the verify contract; a new kill is recorded here."""
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("module, name, mutant, killed_by", [
+        (suites, "measurement_cohering_power", lambda f: lambda e: 1.001 * f(e),
+         {"duality", "thm7_reduction"}),
+        (suites, "measurement_cohering_power", lambda f: lambda e: 0.999 * f(e),
+         {"duality", "thm7_reduction"}),
+        (suites, "measurement_cohering_power", lambda f: lambda e: f(e) + 1e-6,
+         {"power_monotone", "duality", "thm7_reduction"}),
+        (suites, "measurement_coherence", lambda f: lambda m: f(m) + 1e-6,
+         {"cm_faithfulness", "cm_oracle", "thm7_reduction"}),
+        (powers, "ere_lower_bounds", lambda f: lambda x, dims: 1.5 * f(x, dims),
+         {"conversion_equality"}),
+        (powers, "ere_lower_bounds", lambda f: lambda x, dims: f(x, dims) + 1e-3,
+         {"conversion_equality"}),
+        (suites, "measurement_relative_entropy", lambda f: lambda m, n: 1.01 * f(m, n),
+         {"cm_oracle"}),
+        (suites, "state_cohering_power", lambda f: lambda e: 1.01 * f(e), {"duality"}),
+    ], ids=["C-times-1.001", "C-times-0.999", "C-plus-1e-6", "Cm-plus-1e-6",
+            "ERE-times-1.5", "ERE-plus-1e-3", "D-times-1.01", "Cg-times-1.01"])
+    def test_mutant_fails_these_suites(self, module, name, mutant, killed_by, dim, monkeypatch):
+        monkeypatch.setattr(module, name, mutant(getattr(module, name)))
+        failed = {s for s in mp.SUITE_NAMES if not mp.run_suite(s, dim, 20, 42).passed}
+        assert failed == killed_by
 
 
 def operators(m):
