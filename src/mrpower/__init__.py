@@ -16,7 +16,6 @@ from .channels import (
     classical_postprocess,
     classify_channel,
     compose,
-    dephased,
     dephasing_channel,
     images,
     is_dio,

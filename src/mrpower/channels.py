@@ -4,7 +4,7 @@ predicates.
 A channel is canonically its Choi matrix, and every operation on channels
 works on it directly: application, composition (one matrix product in the
 natural, superoperator representation, which is a reshuffle of the Choi
-matrix), adjoints, dephasing and the class predicates. Kraus
+matrix), adjoints and the class predicates. Kraus
 operators are a view: a channel built from Kraus operators holds them and
 builds its Choi matrix the first time `choi` is read, so a channel that is
 only written out never builds it; any other channel computes a minimal
@@ -21,11 +21,11 @@ construction and is not checked again:
 - a POVM computed from valid ones (a pull-back through a channel, a
   classical post-processing, a product, a mixture, a padding); it holds its
   stack and computes its spectra and eigendecomposition on first read;
-- a channel held through `QuantumChannel._from_kraus`: the random channels
-  of `sampling` (both kinds, the Kraus set of a unital `random_dio`, Haar
-  unitary channels) and `measurement_as_channel`, which also builds
-  `conversion_channel` and `measurement_as_square_channel`; a channel held
-  through `_from_choi`: composites, dephasings and adjoints;
+- a channel held through `QuantumChannel._from_kraus`: both kinds of
+  `random_channel`, Haar unitary channels and `measurement_as_channel`,
+  which also builds `conversion_channel` and `measurement_as_square_channel`;
+  a channel held through `_from_choi`: composites, adjoints and the
+  classical channels of `random_dio`;
 - a Dirichlet draw of `random_stochastic_matrix`, and the p(x|i) = <i|M_x|i>
   that `decompose_incoherent` reads off an incoherent POVM.
 The edge: a derived object whose rounding would pass its tolerance is
@@ -240,14 +240,6 @@ def dephasing_channel(dim: int) -> QuantumChannel:
     """Kraus set {|i><i|}, the basis-measurement stack: zeroes every
     off-diagonal entry of its input."""
     return QuantumChannel(basis_measurement(dim).stack)
-
-
-def dephased(channel: QuantumChannel) -> QuantumChannel:
-    """E . dephase, the same channel as `compose(channel, dephasing_channel(d))`:
-    the Choi matrix with J[(a, i), (b, j)] zeroed for i != j."""
-    keep = np.eye(channel.dim_in, dtype=bool)[None, :, None, :]
-    choi = np.where(keep, _blocks(channel), 0.0).reshape(channel.choi.shape)
-    return QuantumChannel._from_choi(choi, channel.dim_in, channel.dim_out)
 
 
 def adjoint_channel(channel: QuantumChannel) -> QuantumChannel:

@@ -3,8 +3,8 @@
 Implements the measurement-cohering power (closed form via the pulled-back
 basis measurement), the state-cohering power (ancilla-free reduction over
 basis states), the generalized-CNOT conversion channel together with its
-equality certificate, the averaged entanglement lower bound for sandwiched
-composites, and the adjoint-duality check for unital channels.
+equality certificate, and the averaged entanglement lower bound for
+sandwiched composites.
 """
 
 from __future__ import annotations

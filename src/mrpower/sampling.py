@@ -14,7 +14,6 @@ from .channels import (
     QuantumChannel,
     basis_measurement,
     classical_postprocess,
-    dephased,
     dephasing_channel,
     is_dio,
     is_unital,
@@ -115,28 +114,31 @@ def random_channel(d: int, kraus_rank: int, kind: str, rng: SeededRng) -> Quantu
 
 
 def random_dio(d: int, unital: bool, rng: SeededRng) -> QuantumChannel:
-    """Random detection-incoherent channel, verified against the class
-    predicate before returning.
+    """Random detection-incoherent channel: the classical channel
+    rho -> sum_nm q(n|m) <m|rho|m> |n><n| of a column-stochastic q, verified
+    against the class predicate before returning.
 
-    Non-unital draws compose a random channel after the dephasing channel.
-    Unital draws mix basis-permutation-after-dephasing channels; this
-    provably lands in the unital detection-incoherent class but does not
-    exhaust it.
+    A channel K is detection incoherent exactly when each K^dag(|n><n|) is
+    diagonal, and then K^dag(|n><n|) = sum_m q(n|m) |m><m| for the q of its
+    basis statistics. A check that pulls the basis measurement back through
+    K (its cohering power, or K as the last channel of a sandwiched
+    composite) reads K only through q, so the classical channel of q gives
+    every value such a check can take. Non-unital draws take q with
+    Dirichlet columns; unital draws take a Dirichlet mixture of three
+    permutation matrices, which is doubly stochastic but does not exhaust
+    the unital class.
     """
     if d < 2:
         raise ValueError(f"dimension must be at least 2, got {d}")
     if unital:
-        terms = 3
-        weights = rng.gen.dirichlet(np.ones(terms))
-        perms = [rng.gen.permutation(d) for _ in weights]
-        # Kraus operator (t, j) is sqrt(w_t) |perm_t[j]><j|
-        j = np.arange(d)
-        kraus = np.zeros((terms, d, d, d), dtype=complex)
-        kraus[np.arange(terms)[:, None], j, perms, j] = np.sqrt(weights)[:, None]
-        channel = QuantumChannel._from_kraus(kraus.reshape(terms * d, d, d))
+        q = np.zeros((d, d))
+        for weight in rng.gen.dirichlet(np.ones(3)):
+            # the permutation |j> -> |perm[j]>
+            q[rng.gen.permutation(d), np.arange(d)] += weight
     else:
-        rank = int(rng.gen.integers(1, d * d + 1))
-        channel = dephased(random_channel(d, rank, "general", rng))
+        q = random_stochastic_matrix(d, d, rng).entries
+    # Choi entry [(n, m), (n, m)] is q(n|m); every other entry is zero
+    channel = QuantumChannel._from_choi(np.diag(q.reshape(-1).astype(complex)), d, d)
     if not is_dio(channel) or (unital and not is_unital(channel)):
         raise ConstructionFailed("sampled channel failed its class predicate")
     return channel

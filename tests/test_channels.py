@@ -534,7 +534,6 @@ class TestLazyDecompositions:
 DERIVED_CHANNEL_BUILDERS = {
     "random_channel_general": lambda d, rank, rng: mp.random_channel(d, rank, "general", rng),
     "random_channel_unital": lambda d, rank, rng: mp.random_channel(d, rank, "unital", rng),
-    "random_dio_unital": lambda d, rank, rng: mp.random_dio(d, True, rng),
     "haar_unitary_channel": lambda d, rank, rng: mp.sampling._haar_unitary_channel(d, rng),
     "measurement_as_channel": lambda d, rank, rng: mp.measurement_as_channel(
         mp.random_povm(d, d + 1, False, rng)
@@ -600,6 +599,15 @@ class TestDerivedChannelsStayValid:
         assert any(isinstance(x, mp.QuantumChannel) for x in made) and not validated
         for derived in made:
             assert_validator_accepts(derived)
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    @pytest.mark.parametrize("unital", [False, True])
+    def test_validator_accepts_random_dio(self, unital, dim):
+        # held through `_from_choi`, so its Kraus set is read off the Choi
+        # eigendecomposition
+        rng = mp.SeededRng(360 + dim)
+        for i in range(5):
+            assert_validator_accepts(mp.random_dio(dim, unital, rng.spawn(i)))
 
     @pytest.mark.parametrize("dim", [5, 6])
     def test_conversion_channels_up_to_d6(self, dim, derived_channels):
@@ -842,13 +850,14 @@ class TestNonFiniteInput:
             mp.StochasticMatrix([[np.nan], [1.0]])
 
 
-# each constructor of a channel: from a Kraus list, and each operation that
-# builds the Choi matrix directly, applied to two random channels a and b
+# each constructor of a channel: from a Kraus list, and each operation or
+# sampler that builds the Choi matrix directly, applied to two random
+# channels a and b
 CHANNEL_BUILDERS = {
     "kraus": lambda a, b: a,
     "compose": mp.compose,
     "adjoint_channel": lambda a, b: mp.adjoint_channel(mp.unitary_channel(HADAMARD)),
-    "dephased": lambda a, b: mp.dephased(a),
+    "random_dio": lambda a, b: mp.random_dio(a.dim_in, False, mp.SeededRng(249)),
 }
 
 
@@ -921,21 +930,6 @@ class TestPulledBackBasis:
         )
         reference = mp.pullback_povm(channel, mp.basis_measurement(5))
         assert np.array_equal(mp.pulled_back_basis(channel).stack, reference.stack)
-
-
-class TestDephased:
-    @pytest.mark.parametrize("dim", [2, 3, 4])
-    def test_matches_compose_with_dephasing_channel(self, dim):
-        rng = mp.SeededRng(255 + dim)
-        for channel in (random_channel_any(dim, rng.spawn(0)), composed_channel(dim, rng.spawn(1))):
-            before = mp.compose(channel, mp.dephasing_channel(dim))
-            assert np.array_equal(mp.dephased(channel).choi, before.choi)
-
-    def test_non_square_channel(self):
-        rng = mp.SeededRng(259)
-        channel = mp.measurement_as_channel(mp.random_povm(3, 5, True, rng))
-        before = mp.compose(channel, mp.dephasing_channel(3))
-        assert np.array_equal(mp.dephased(channel).choi, before.choi)
 
     def test_output_dephasing_leaves_the_pulled_back_basis(self):
         channel = composed_channel(3, mp.SeededRng(260))

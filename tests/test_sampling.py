@@ -125,7 +125,7 @@ STREAM_DRAWS = {
     "random_channel_general": lambda d, rng: mp.random_channel(d, d, "general", rng).kraus,
     "random_channel_unital": lambda d, rng: mp.random_channel(d, d, "unital", rng).kraus,
     "random_dio_general": lambda d, rng: mp.random_dio(d, False, rng).choi,
-    "random_dio_unital": lambda d, rng: mp.random_dio(d, True, rng).kraus,
+    "random_dio_unital": lambda d, rng: mp.random_dio(d, True, rng).choi,
     "random_povm_coherent": lambda d, rng: mp.random_povm(d, d + 1, False, rng).stack,
     "random_povm_incoherent": lambda d, rng: mp.random_povm(d, d + 1, True, rng).stack,
     "random_stochastic_matrix": lambda d, rng: mp.random_stochastic_matrix(d + 1, d, rng).entries,
@@ -145,12 +145,12 @@ STREAM_DIGESTS = {
     "random_channel_unital d2": "82b82f35eec6793f0d722bb8a19f5e19",
     "random_channel_unital d3": "65ecb5a6a1b27babb5c3c37dad5f3249",
     "random_channel_unital d4": "ddb7258e01ce02992458021151b3b1cc",
-    "random_dio_general d2": "4b3f41fa44e3ddee2f6914a7e678f061",
-    "random_dio_general d3": "2a2ed9f75cce1470d5e677f103c7b5af",
-    "random_dio_general d4": "2cbe59642e1c0586a58bab3e7f585a07",
-    "random_dio_unital d2": "43d4266e21120f2d889e3d3a96f03bc9",
-    "random_dio_unital d3": "9a065de832c52b3ff63bdc71b16b58a6",
-    "random_dio_unital d4": "b94b7c3fea98c623a7f0e243dd6b7a59",
+    "random_dio_general d2": "528e00c523af1ef09a31923c9cd7fccc",
+    "random_dio_general d3": "6b1c3908a9769f574481cc095af8b2d7",
+    "random_dio_general d4": "94b1a306f6cc3a7d68a36fc73fdb37c3",
+    "random_dio_unital d2": "e39380f1078173b4a365d4631947f6b4",
+    "random_dio_unital d3": "21ebe1ad8a58cd6b6baf04ad601105e2",
+    "random_dio_unital d4": "00a7c05c59070fcbaaad234340ea9e6c",
     "random_povm_coherent d2": "ca4547b9985367eb7b7661d9d6e7db07",
     "random_povm_coherent d3": "9eb67132f6dc91019768d5037502b55d",
     "random_povm_coherent d4": "c3bf2ab7ce7a143cb7ca72c9cbc0eceb",
@@ -206,6 +206,33 @@ class TestRandomDio:
         for i in range(100):
             channel = mp.random_dio(2, bool(i % 2), rng.spawn(i))
             assert mp.measurement_cohering_power(channel) <= 1e-9
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_classical_channel_of_q_reads_as_the_dephased_channel(self, d):
+        """A general channel after the dephasing channel on D = d^2 and the
+        classical channel of its basis statistics q(n|m), built from the
+        Kraus set sqrt(q(n|m)) |n><m|, give the same pulled-back basis and
+        the same composite bound, so drawing q loses no composite."""
+        dd = d * d
+        rng = mp.SeededRng(270 + d)
+        for i in range(10):
+            sub = rng.spawn(i)
+            g = mp.random_channel(dd, int(sub.gen.integers(1, dd * dd + 1)), "general", sub)
+            dephased = mp.compose(g, mp.dephasing_channel(dd))
+            q = mp.decompose_incoherent(mp.pulled_back_basis(dephased)).post.entries
+            kraus = np.zeros((dd, dd, dd, dd), dtype=complex)
+            n, m = np.meshgrid(np.arange(dd), np.arange(dd), indexing="ij")
+            kraus[n, m, n, m] = np.sqrt(q)  # operator (n, m) is sqrt(q(n|m)) |n><m|
+            classical = mp.QuantumChannel(kraus.reshape(dd * dd, dd, dd))
+            np.testing.assert_allclose(
+                mp.pulled_back_basis(classical).stack,
+                mp.pulled_back_basis(dephased).stack, rtol=0, atol=1e-15,
+            )
+            e = mp.random_channel(d, int(sub.gen.integers(1, dd + 1)), "general", sub)
+            l = mp.random_dio(dd, True, sub)
+            assert mp.composite_ent_lower_bound(e, classical, l) == pytest.approx(
+                mp.composite_ent_lower_bound(e, dephased, l), rel=0, abs=1e-15
+            )
 
 
 def largest_off_diagonal(povm) -> float:
