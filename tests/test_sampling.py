@@ -207,6 +207,32 @@ class TestRandomDio:
             channel = mp.random_dio(2, bool(i % 2), rng.spawn(i))
             assert mp.measurement_cohering_power(channel) <= 1e-9
 
+    @pytest.mark.parametrize("unital", [False, True])
+    def test_rejects_dimension_below_two(self, unital):
+        with pytest.raises(ValueError, match="at least 2"):
+            mp.random_dio(1, unital, mp.SeededRng(10))
+
+    @pytest.mark.parametrize("unital", [False, True])
+    def test_pulls_each_basis_projector_back_to_its_q_row(self, unital):
+        """The Choi matrix is diagonal with entry [(n, m), (n, m)] = q(n|m)
+        for a column-stochastic q (doubly stochastic when unital), and
+        K^dag(|n><n|) = sum_m q(n|m) |m><m|."""
+        rng = mp.SeededRng(11)
+        for d in (2, 3, 4):
+            for i in range(5):
+                channel = mp.random_dio(d, unital, rng.spawn(10 * d + i))
+                choi = channel.choi
+                assert np.count_nonzero(choi - np.diag(np.diag(choi))) == 0
+                q = np.diag(choi).real.reshape(d, d)
+                assert np.all(q >= 0)
+                np.testing.assert_allclose(q.sum(axis=0), 1.0, rtol=0, atol=1e-12)
+                if unital:
+                    np.testing.assert_allclose(q.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+                expected = np.stack([np.diag(row) for row in q]).astype(complex)
+                np.testing.assert_allclose(
+                    mp.pulled_back_basis(channel).stack, expected, rtol=0, atol=1e-15
+                )
+
     @pytest.mark.parametrize("d", [2, 3])
     def test_classical_channel_of_q_reads_as_the_dephased_channel(self, d):
         """A general channel after the dephasing channel on D = d^2 and the
