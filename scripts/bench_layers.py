@@ -13,11 +13,14 @@ once more:
 - channels: construction from E's Kraus set, E after E, the class flags of
   E, and the pull-back of M through E.
 - measures: the coherence of M and D(M || P), each on a POVM pulled back
-  afresh on every call (M through E, P = E^dag(M)), and the entanglement
-  lower bounds of the d^2 pulled-back elements of E's conversion channel.
-  A derived POVM computes its spectra and eigendecomposition on first read
-  and keeps them, so a row that passed one POVM to every call would time
-  a cache hit from the second call on, which no program path makes.
+  afresh on every call (M through E, P = E^dag(M)), the batched D of
+  BATCH_PAIRS such pairs, each P pulled back afresh on every call, and the
+  entanglement lower bounds of the d^2 pulled-back elements of E's
+  conversion channel. A derived POVM computes its spectra and
+  eigendecomposition on first read and keeps them, so a row that passed one
+  POVM to every call would time a cache hit from the second call on, which
+  no program path makes. The batch reads no cache, so it decomposes every
+  M and P on each call.
 - powers: C, C_g, the certificate and the conversion channel of E, and the
   bound of the composite of E between a detection-incoherent K and a unital
   detection-incoherent L on dimension N^2, drawn from spawn(1) and spawn(2)
@@ -52,7 +55,9 @@ records the median of its runs' medians (`benchtiming.combine`), the
 baseline's under "baseline" beside the tree's. The row also records the
 tree/baseline ratio of each turn's back-to-back pair of runs and their
 median (`benchtiming.pair_ratios`), which a speed phase longer than one run
-does not skew as it can skew either side's median. A `--baseline` run takes
+does not skew as it can skew either side's median. A row whose operation
+the baseline's mrpower lacks (its `--measure` run exits with ABSENT)
+records "baseline": null. A `--baseline` run takes
 about 9 minutes on 2 vCPUs, a run without it about 2.
 
 Usage: PYTHONPATH=src python scripts/bench_layers.py [--out BENCH_layers.json]
@@ -64,6 +69,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import subprocess
 import sys
 import tempfile
 
@@ -86,6 +92,8 @@ from mrpower.suites import plan
 SEED = 20241018
 SUITE_TRIALS = 5  # trials per timed `run_suite` call; keeps the script under 2 minutes
 BASELINE_ROUNDS = 3  # fresh interpreters per side and row with --baseline
+BATCH_PAIRS = 7  # pairs per `measurement_relative_entropies` call, as in `dm_properties`
+ABSENT = 3  # exit code of `--measure` when the mrpower it imports lacks the row's operation
 
 SAMPLERS = {
     "random_channel_unital": lambda d, rng: mp.random_channel(d, d * d, "unital", rng),
@@ -105,7 +113,7 @@ ROWS = (
     *_rows("operators", ("psd_entropies", "relative_entropies"), (2, 4)),
     *_rows("channels", ("construct", "compose", "classify_channel", "pullback_povm"), (2, 4)),
     *_rows("measures", ("measurement_coherence", "measurement_relative_entropy",
-                        "ere_lower_bounds"), (2, 4)),
+                        "measurement_relative_entropies", "ere_lower_bounds"), (2, 4)),
     *_rows("powers", ("C", "C_g", "certificate", "conversion_channel",
                       "conversion_channel+kraus"), (2, 4, 6)),
     *_rows("powers", ("composite_bound",), (2, 3, 4)),
@@ -158,6 +166,10 @@ def call(layer: str, operation: str, case: str, workdir: str):
         elements = mp.pulled_back_basis(mp.conversion_channel(e)).stack
         return lambda: ere_lower_bounds(elements, (d, d))
     m = mp.pulled_back_basis(e)
+    if operation == "measurement_relative_entropies":
+        from mrpower.measures import measurement_relative_entropies  # absent in older trees
+        return lambda: measurement_relative_entropies(
+            [(m, mp.pullback_povm(e, m)) for _ in range(BATCH_PAIRS)])
     p = mp.pullback_povm(e, m)
     m_spectra, p_spectra = m.spectra, p.spectra
     p_eig, p_vec = np.linalg.eigh(p.stack)
@@ -179,6 +191,17 @@ def call(layer: str, operation: str, case: str, workdir: str):
     }[operation]
 
 
+def measure(row: tuple, pythonpath: str | None) -> dict | None:
+    """`measure_in_fresh_interpreter` of one row, or None when the mrpower
+    found through `pythonpath` lacks the row's operation."""
+    try:
+        return measure_in_fresh_interpreter(__file__, *row, pythonpath=pythonpath)
+    except subprocess.CalledProcessError as exc:
+        if exc.returncode != ABSENT:
+            raise
+        return None
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default="BENCH_layers.json", help="output path")
@@ -191,7 +214,11 @@ def main(argv=None) -> int:
     if args.measure:
         per_call = SUITE_TRIALS if args.measure[0] == "suites" else 1
         with tempfile.TemporaryDirectory() as workdir:
-            times = per_call_ms(call(*args.measure, workdir))
+            try:
+                timed = call(*args.measure, workdir)
+            except ImportError:
+                return ABSENT
+            times = per_call_ms(timed)
         print(json.dumps([t / per_call for t in times]))
         return 0
 
@@ -202,18 +229,22 @@ def main(argv=None) -> int:
         runs = {side: [] for side, _ in sides}
         for _ in range(rounds):
             for side, path in (sides if index % 2 else sides[::-1]):  # taking turns
-                runs[side].append(measure_in_fresh_interpreter(
-                    __file__, layer, operation, case, pythonpath=path))
-        timed = {side: combine(summaries) for side, summaries in runs.items()}
+                summary = measure((layer, operation, case), path)
+                if summary is not None:
+                    runs[side].append(summary)
+        timed = {side: combine(summaries) for side, summaries in runs.items() if summaries}
         row = {"layer": layer, "operation": operation, "case": case, "seed": SEED,
                **timed["tree"]}
-        line = (f"{layer:>9} {operation:>28} {case:>14}  median {row['median_ms']:9.3f} ms  "
+        line = (f"{layer:>9} {operation:>30} {case:>14}  median {row['median_ms']:9.3f} ms  "
                 f"IQR {row['iqr_ms']:8.3f} ms  ({row['calls']} calls)")
-        if args.baseline:
+        if "baseline" in timed:
             row["baseline"] = timed["baseline"]
             row.update(pair_ratios(runs["tree"], runs["baseline"]))
             line += (f"  baseline median {timed['baseline']['median_ms']:9.3f} ms"
                      f"  ratio {row['median_ratio']:6.3f}")
+        elif args.baseline:
+            row["baseline"] = None
+            line += "  baseline lacks the operation"
         print(line, file=sys.stderr)
         results.append(row)
     fields = {"baseline_src": args.baseline} if args.baseline else {}

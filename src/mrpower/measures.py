@@ -10,6 +10,7 @@ entanglement lower bound for PSD operators.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,12 +77,42 @@ def measurement_relative_entropy(m: Povm, n: Povm) -> float:
     all outcomes at once by `relative_entropies` from N's cached batched
     eigendecomposition and M's spectra.
     """
+    _require_same_shape(m, n)
+    terms = relative_entropies(m.stack, m.spectra, *n.eigendecomposition)
+    return sum(terms.tolist()) / m.dim  # in outcome order
+
+
+def measurement_relative_entropies(pairs: Sequence[tuple[Povm, Povm]]) -> list[float]:
+    """`measurement_relative_entropy` of each (M, N) pair of a sequence of
+    pairs of one dimension; an empty sequence gives [].
+
+    One batched `eigvalsh` over every M element, one batched `eigh` over
+    every N element and one `relative_entropies` call serve the whole batch.
+    Each pair's terms are summed in outcome order, so each value is
+    bit-identical to the scalar's. No `Povm` cache is read or filled: the
+    scalar reads M's spectra and fills N's eigendecomposition.
+    """
+    if not pairs:
+        return []
+    dim = pairs[0][0].dim
+    for m, n in pairs:
+        _require_same_shape(m, n)
+        if m.dim != dim:
+            raise DimensionMismatch(f"POVMs differ in dim ({dim} vs {m.dim}) across the batch")
+    x_stack = np.concatenate([m.stack for m, _ in pairs])
+    y_stack = np.concatenate([n.stack for _, n in pairs])
+    terms = relative_entropies(
+        x_stack, np.linalg.eigvalsh(x_stack), *np.linalg.eigh(y_stack)
+    ).tolist()
+    ends = np.cumsum([m.n for m, _ in pairs]).tolist()
+    return [sum(terms[end - m.n:end]) / dim for (m, _), end in zip(pairs, ends)]
+
+
+def _require_same_shape(m: Povm, n: Povm) -> None:
     if m.dim != n.dim or m.n != n.n:
         raise DimensionMismatch(
             f"POVMs differ in dim ({m.dim} vs {n.dim}) or outcomes ({m.n} vs {n.n})"
         )
-    terms = relative_entropies(m.stack, m.spectra, *n.eigendecomposition)
-    return sum(terms.tolist()) / m.dim  # in outcome order
 
 
 def measurement_coherence(m: Povm) -> float:

@@ -33,7 +33,7 @@ from .measures import (
     decompose_incoherent,
     is_incoherent_measurement,
     measurement_coherence,
-    measurement_relative_entropy,
+    measurement_relative_entropies,
 )
 from .powers import (
     CONVERSION_GAP_TOL,
@@ -90,34 +90,30 @@ def _trial_dm_properties(dim: int, rng: SeededRng, tol: float):
     second_m = random_povm(dim, n, False, rng)
     second_k = random_povm(dim, n, False, rng)
 
-    base = measurement_relative_entropy(m, k)
-    second = measurement_relative_entropy(second_m, second_k)
+    unital = random_channel(dim, int(rng.gen.integers(1, dim * dim + 1)), "unital", rng)
+    rotation = _haar_unitary_channel(dim, rng)
+    post = random_stochastic_matrix(int(rng.gen.integers(2, n + 2)), n, rng)
+    p = float(rng.gen.uniform())
+    base, second, self_divergence, processed, rotated, merged, mixed = (
+        measurement_relative_entropies([
+            (m, k),
+            (second_m, second_k),
+            (m, m),
+            (pullback_povm(unital, m), pullback_povm(unital, k)),
+            (pullback_povm(rotation, m), pullback_povm(rotation, k)),
+            (classical_postprocess(m, post), classical_postprocess(k, post)),
+            (mix_povm(m, second_m, p), mix_povm(k, second_k, p)),
+        ])
+    )
+    [product] = measurement_relative_entropies(
+        [(tensor_povm(m, second_m), tensor_povm(k, second_k))]
+    )
     detail = None
     if base <= tol and np.abs(m.stack - k.stack).max() > 1e-4:
         detail = "faithfulness: vanishing divergence between distinct POVMs"
-
-    unital = random_channel(dim, int(rng.gen.integers(1, dim * dim + 1)), "unital", rng)
-    processed = measurement_relative_entropy(
-        pullback_povm(unital, m), pullback_povm(unital, k)
-    )
-    rotation = _haar_unitary_channel(dim, rng)
-    rotated = measurement_relative_entropy(
-        pullback_povm(rotation, m), pullback_povm(rotation, k)
-    )
-    post = random_stochastic_matrix(int(rng.gen.integers(2, n + 2)), n, rng)
-    merged = measurement_relative_entropy(
-        classical_postprocess(m, post), classical_postprocess(k, post)
-    )
-    product = measurement_relative_entropy(
-        tensor_povm(m, second_m), tensor_povm(k, second_k)
-    )
-    p = float(rng.gen.uniform())
-    mixed = measurement_relative_entropy(
-        mix_povm(m, second_m, p), mix_povm(k, second_k, p)
-    )
     return {
         "nonnegativity": base,
-        "self_divergence": -abs(measurement_relative_entropy(m, m)),
+        "self_divergence": -abs(self_divergence),
         "data_processing": base - processed,
         "unitary_invariance": -abs(rotated - base),
         "postprocessing": base - merged,
@@ -154,10 +150,13 @@ def _trial_cm_oracle(dim: int, rng: SeededRng, tol: float):
     dephased = Povm._from_valid(m.stack * np.eye(dim))  # each element's diagonal
     incoherent = random_povm(dim, n, True, rng)
     near = mix_povm(incoherent, dephased, 1e-6 * float(rng.gen.uniform()))
+    attained, random_value, near_value = measurement_relative_entropies(
+        [(m, dephased), (m, incoherent), (m, near)]
+    )
     return {
-        "attainment": -abs(measurement_relative_entropy(m, dephased) - closed),
-        "random_incoherent": measurement_relative_entropy(m, incoherent) - closed,
-        "near_minimizer": measurement_relative_entropy(m, near) - closed,
+        "attainment": -abs(attained - closed),
+        "random_incoherent": random_value - closed,
+        "near_minimizer": near_value - closed,
     }, None
 
 

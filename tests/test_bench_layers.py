@@ -2,6 +2,7 @@
 re-signed mrpower function fails here rather than in the next timing run."""
 
 import importlib
+import shutil
 import subprocess
 from pathlib import Path
 
@@ -45,21 +46,41 @@ def test_baseline_rows_import_mrpower_from_the_given_src(bench_layers, tmp_path)
         bench_layers.measure_in_fresh_interpreter(script, *row, pythonpath=str(tmp_path))
 
 
-@pytest.mark.parametrize("operation, decomposition", [
+def test_a_row_the_baseline_lacks_times_no_baseline(bench_layers, tmp_path):
+    """Timed against an mrpower without the batch kernel, the batched row
+    gives None; an mrpower that cannot be imported still raises."""
+    script, row = bench_layers.__file__, ("measures", "measurement_relative_entropies", "d2")
+    shutil.copytree(Path(__file__).resolve().parents[1] / "src" / "mrpower",
+                    tmp_path / "old" / "mrpower")
+    for module in (tmp_path / "old" / "mrpower").glob("*.py"):
+        module.write_text(module.read_text().replace(
+            "measurement_relative_entropies", "_renamed_batch"))
+    assert bench_layers.measure(row, str(tmp_path / "old")) is None
+    with pytest.raises(subprocess.CalledProcessError):
+        bench_layers.measure(row, str(tmp_path))
+    summary = bench_layers.measure(row, None)
+    assert summary["q1_ms"] <= summary["median_ms"] <= summary["q3_ms"]
+
+
+@pytest.mark.parametrize("operation, decompositions", [
     ("measurement_coherence", "eigvalsh"),
     ("measurement_relative_entropy", "eigh"),
+    ("measurement_relative_entropies", "eigh+eigvalsh"),
 ])
 def test_measure_rows_decompose_on_every_call(bench_layers, tmp_path, monkeypatch,
-                                              operation, decomposition):
+                                              operation, decompositions):
     """A row that read one derived POVM's cached decomposition on every call
-    would time a cache hit that no program path makes."""
+    would time a cache hit that no program path makes. The batched row makes
+    one call of each of its decompositions per call, whatever its pair count."""
     timed = bench_layers.call("measures", operation, "d2", str(tmp_path))
-    original, calls = getattr(np.linalg, decomposition), []
-    monkeypatch.setattr(np.linalg, decomposition,
-                        lambda a, *args, **kwargs: calls.append(a) or original(a, *args, **kwargs))
+    calls = []
+    for name in decompositions.split("+"):
+        original = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda a, *args, _name=name, _original=original,
+                            **kwargs: calls.append(_name) or _original(a, *args, **kwargs))
     timed()
     timed()
-    assert len(calls) == 2
+    assert sorted(calls) == sorted(decompositions.split("+") * 2)
 
 
 def test_runs_combine_into_the_median_of_their_summaries(bench_layers):

@@ -13,7 +13,7 @@ from mrpower.errors import (
     NotPsd,
 )
 from mrpower import powers, suites
-from mrpower.measures import ere_lower_bounds
+from mrpower.measures import ere_lower_bounds, measurement_relative_entropies
 
 
 def plus_povm():
@@ -93,6 +93,19 @@ class TestMeasurementRelativeEntropy:
         report = mp.run_suite("dm_properties", dim=3, trials=20, seed=1199875773)
         assert report.passed, f"max_violation {report.max_violation:.3e}"
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason=(
+            "known failure: tensor additivity in dm_properties at d = 2 misses 1e-8 by "
+            "rounding (violation 1.857e-7), the fault seen at d = 3: a product element "
+            "has an eigenvalue of 2.4e-11. The seed is the one the verify_d2 benchmark "
+            "derives for round 332 at seed 77"
+        ),
+    )
+    def test_dm_properties_tensor_additivity_at_d2(self):
+        report = mp.run_suite("dm_properties", dim=2, trials=10, seed=2461759266)
+        assert report.passed, f"max_violation {report.max_violation:.3e}"
+
     def test_support_mismatch_propagates(self):
         basis = mp.basis_measurement(2)
         swapped = mp.Povm(basis.stack[::-1])
@@ -160,8 +173,8 @@ class TestVerifyKillsMutants:
          {"conversion_equality"}),
         (powers, "ere_lower_bounds", lambda f: lambda x, dims: f(x, dims) + 1e-3,
          {"conversion_equality"}),
-        (suites, "measurement_relative_entropy", lambda f: lambda m, n: 1.01 * f(m, n),
-         {"cm_oracle"}),
+        (suites, "measurement_relative_entropies",
+         lambda f: lambda pairs: [1.01 * v for v in f(pairs)], {"cm_oracle"}),
         (suites, "state_cohering_power", lambda f: lambda e: 1.01 * f(e), {"duality"}),
     ], ids=["C-times-1.001", "C-times-0.999", "C-plus-1e-6", "Cm-plus-1e-6",
             "ERE-times-1.5", "ERE-plus-1e-3", "D-times-1.01", "Cg-times-1.01"])
@@ -210,17 +223,76 @@ class TestBatchedMeasuresMatchPerElementSums:
 
     @pytest.mark.parametrize("dim", [2, 3, 4])
     def test_divergence(self, dim):
+        """The scalar against the per-element sum, and the batch of every
+        ordered pair of the sample mix, the support mismatches among them,
+        against the scalar bit for bit."""
         rng = mp.SeededRng(315)
         for i in range(10):
             povms = sample_povms(dim, rng.spawn(i))
-            for m in povms:
-                for n in povms:
-                    expected = per_element_divergence(m, n)
-                    value = mp.measurement_relative_entropy(m, n)
-                    if math.isinf(expected):
-                        assert value == math.inf
-                    else:
-                        assert value == pytest.approx(expected, abs=1e-12)
+            pairs = [(m, n) for m in povms for n in povms]
+            batched = measurement_relative_entropies(pairs)
+            for (m, n), batched_value in zip(pairs, batched):
+                expected = per_element_divergence(m, n)
+                value = mp.measurement_relative_entropy(m, n)
+                if math.isinf(expected):
+                    assert value == math.inf
+                else:
+                    assert value == pytest.approx(expected, abs=1e-12)
+                assert batched_value == value
+            assert math.inf in batched
+
+    def test_batch_of_mixed_outcome_counts_and_repeated_povms(self):
+        """One POVM in several pairs, as `dm_properties` passes M three
+        times, beside pairs of 2, 3 and 5 outcomes."""
+        rng = mp.SeededRng(319)
+        m, k = (mp.random_povm(3, 3, False, rng) for _ in range(2))
+        post = mp.random_stochastic_matrix(5, 3, rng)
+        rotation = mp.sampling._haar_unitary_channel(3, rng)
+        pairs = [
+            (m, k),
+            (m, m),
+            (mp.random_povm(3, 2, False, rng), mp.random_povm(3, 2, True, rng)),
+            (mp.classical_postprocess(m, post), mp.classical_postprocess(k, post)),
+            (mp.pullback_povm(rotation, m), mp.pullback_povm(rotation, k)),
+            (m, k),
+        ]
+        values = measurement_relative_entropies(pairs)
+        assert values == [mp.measurement_relative_entropy(a, b) for a, b in pairs]
+        assert values[0] == values[-1]
+
+    def test_batch_reads_and_fills_no_cache(self, monkeypatch):
+        rng = mp.SeededRng(320)
+        rotation = mp.sampling._haar_unitary_channel(2, rng)
+        m, n = (mp.pullback_povm(rotation, mp.random_povm(2, 3, False, rng)) for _ in range(2))
+        calls = []
+        for name in ("eigvalsh", "eigh"):
+            original = getattr(np.linalg, name)
+
+            def counting(a, *args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counting)
+        measurement_relative_entropies([(m, n), (n, m), (m, m)])
+        assert sorted(calls) == ["eigh", "eigvalsh"]
+        m.spectra, n.eigendecomposition  # first reads: each decomposes now
+        assert sorted(calls) == ["eigh", "eigh", "eigvalsh", "eigvalsh"]
+
+    def test_empty_batch(self):
+        assert measurement_relative_entropies([]) == []
+
+    def test_batch_rejects_mismatched_pairs_with_the_scalar_message(self):
+        rng = mp.SeededRng(321)
+        qubit, qubit_3, qutrit = (mp.random_povm(d, n, False, rng) for d, n in
+                                  ((2, 2), (2, 3), (3, 2)))
+        for m, n in ((qubit, qutrit), (qubit, qubit_3), (qubit_3, qubit)):
+            with pytest.raises(DimensionMismatch) as scalar:
+                mp.measurement_relative_entropy(m, n)
+            with pytest.raises(DimensionMismatch) as batched:
+                measurement_relative_entropies([(qubit, qubit), (m, n)])
+            assert str(batched.value) == str(scalar.value)
+        with pytest.raises(DimensionMismatch, match=r"differ in dim \(2 vs 3\)"):
+            measurement_relative_entropies([(qubit, qubit), (qutrit, qutrit)])
 
     def test_support_mismatch_is_inf(self):
         rng = mp.SeededRng(316)
