@@ -16,11 +16,7 @@ once more:
   afresh on every call (M through E, P = E^dag(M)), the batched D of
   BATCH_PAIRS such pairs, each P pulled back afresh on every call, and the
   entanglement lower bounds of the d^2 pulled-back elements of E's
-  conversion channel. A derived POVM computes its spectra and
-  eigendecomposition on first read and keeps them, so a row that passed one
-  POVM to every call would time a cache hit from the second call on, which
-  no program path makes. The batch reads no cache, so it decomposes every
-  M and P on each call.
+  conversion channel.
 - powers: C, C_g, the certificate and the conversion channel of E, and the
   bound of the composite of E between a detection-incoherent K and a unital
   detection-incoherent L on dimension N^2, drawn from spawn(1) and spawn(2)
@@ -171,7 +167,7 @@ def call(layer: str, operation: str, case: str, workdir: str):
         return lambda: measurement_relative_entropies(
             [(m, mp.pullback_povm(e, m)) for _ in range(BATCH_PAIRS)])
     p = mp.pullback_povm(e, m)
-    m_spectra, p_spectra = m.spectra, p.spectra
+    m_spectra, p_spectra = np.linalg.eigvalsh(m.stack), np.linalg.eigvalsh(p.stack)
     p_eig, p_vec = np.linalg.eigh(p.stack)
     return {
         "psd_entropies": lambda: psd_entropies(p_spectra),

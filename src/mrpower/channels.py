@@ -19,8 +19,7 @@ from a file, from `unitary_channel`, or from user code calling the public
 constructors. What the library derives from valid objects is valid by
 construction and is not checked again:
 - a POVM computed from valid ones (a pull-back through a channel, a
-  classical post-processing, a product, a mixture, a padding); it holds its
-  stack and computes its spectra and eigendecomposition on first read;
+  classical post-processing, a product, a mixture, a padding);
 - a channel held through `QuantumChannel._from_kraus`: both kinds of
   `random_channel`, Haar unitary channels and `measurement_as_channel`,
   which also builds `conversion_channel` and `measurement_as_square_channel`;
@@ -310,19 +309,15 @@ def classify_channel(channel: QuantumChannel) -> ChannelClass:
 class Povm:
     """Finite POVM: PSD elements summing to the identity.
 
-    The elements are held as one read-only complex (n, d, d) stack. The
-    public constructor validates its input in full (shape, Hermiticity,
-    finiteness, positivity, completeness) and keeps the ascending spectra,
-    shape (n, d), of the single batched `eigvalsh` that the positivity check
-    needs. A POVM the library computes from valid ones (a pull-back, a
-    post-processing, a product, a mixture, a padding) is held by
-    `_from_valid` without any check, and computes its spectra on the first
-    read. Either kind computes its batched `eigh` on the first read of
-    `eigendecomposition`. Both are cached and read-only, so instances are
-    immutable.
+    The elements are held as one read-only complex (n, d, d) stack, so
+    instances are immutable. The public constructor validates its input in
+    full (shape, Hermiticity, finiteness, positivity from one batched
+    `eigvalsh`, completeness). A POVM the library computes from valid ones
+    (a pull-back, a post-processing, a product, a mixture, a padding) is
+    held by `_from_valid` without any check.
     """
 
-    __slots__ = ("_eigh", "_spectra", "_stack")
+    __slots__ = ("_stack",)
 
     def __init__(self, elements) -> None:
         if len(elements) == 0:
@@ -331,14 +326,12 @@ class Povm:
         if stack.shape[1] != stack.shape[2]:
             raise DimensionMismatch(f"POVM elements must be square, got {stack.shape[1:]}")
         check_hermitian(stack, "POVM elements")
-        spectra = np.linalg.eigvalsh(stack)
-        check_psd_spectra(spectra, "element", InvalidPovm)
+        check_psd_spectra(np.linalg.eigvalsh(stack), "element", InvalidPovm)
         residual = _max_abs(stack.sum(axis=0) - _identity(stack.shape[1]))
         if residual > COMPLETENESS_TOL:
             raise InvalidPovm(f"elements sum to identity only within {residual:.3e}")
         stack.setflags(write=False)
-        spectra.setflags(write=False)
-        self._stack, self._spectra, self._eigh = stack, spectra, None
+        self._stack = stack
 
     @classmethod
     def _from_valid(cls, stack: np.ndarray) -> "Povm":
@@ -347,35 +340,13 @@ class Povm:
         made read-only in place, with no check."""
         povm = cls.__new__(cls)
         stack.setflags(write=False)
-        povm._stack, povm._spectra, povm._eigh = stack, None, None
+        povm._stack = stack
         return povm
 
     @property
     def stack(self) -> np.ndarray:
         """The elements M_x as one read-only complex array, shape (n, d, d)."""
         return self._stack
-
-    @property
-    def spectra(self) -> np.ndarray:
-        """Ascending eigenvalues of each element, shape (n, d), from one
-        batched `eigvalsh`."""
-        if self._spectra is None:
-            spectra = np.linalg.eigvalsh(self._stack)
-            spectra.setflags(write=False)
-            self._spectra = spectra
-        return self._spectra
-
-    @property
-    def eigendecomposition(self) -> tuple[np.ndarray, np.ndarray]:
-        """`np.linalg.eigh` of the stack: ascending eigenvalues, shape
-        (n, d), and eigenvectors as columns, shape (n, d, d), both
-        read-only, computed on first access."""
-        if self._eigh is None:
-            eig, vec = np.linalg.eigh(self._stack)
-            eig.setflags(write=False)
-            vec.setflags(write=False)
-            self._eigh = (eig, vec)
-        return self._eigh
 
     @property
     def dim(self) -> int:
@@ -455,7 +426,7 @@ def measurement_as_channel(povm: Povm) -> QuantumChannel:
     eigendecompositions; output dimension equals the outcome count, and the
     output is always diagonal.
     """
-    eig, vec = povm.eigendecomposition
+    eig, vec = np.linalg.eigh(povm.stack)
     x, k = np.nonzero(eig > EIG_CLIP)  # x-major, ascending eigenvalue within x
     kraus = np.zeros((x.size, povm.n, povm.dim), dtype=complex)
     kraus[np.arange(x.size), x, :] = np.sqrt(eig[x, k])[:, None] * vec[x, :, k].conj()

@@ -70,33 +70,30 @@ def _diagonals(stack: np.ndarray) -> np.ndarray:
 
 def measurement_relative_entropy(m: Povm, n: Povm) -> float:
     """(1/d) sum_x D(M_x || N_x) in bits; +inf propagates from any outcome.
-
-    The 1/d prefactor uses the measured (input) dimension; this is the
-    unique normalization under which the quantity adds over tensor products
-    of measurements. Each term is `relative_entropy(M_x, N_x)`, computed for
-    all outcomes at once by `relative_entropies` from N's cached batched
-    eigendecomposition and M's spectra.
-    """
-    _require_same_shape(m, n)
-    terms = relative_entropies(m.stack, m.spectra, *n.eigendecomposition)
-    return sum(terms.tolist()) / m.dim  # in outcome order
+    The batch of one pair of `measurement_relative_entropies`."""
+    [value] = measurement_relative_entropies([(m, n)])
+    return value
 
 
 def measurement_relative_entropies(pairs: Sequence[tuple[Povm, Povm]]) -> list[float]:
-    """`measurement_relative_entropy` of each (M, N) pair of a sequence of
-    pairs of one dimension; an empty sequence gives [].
+    """(1/d) sum_x D(M_x || N_x) in bits of each (M, N) pair of a sequence
+    of pairs of one dimension; an empty sequence gives [].
 
-    One batched `eigvalsh` over every M element, one batched `eigh` over
-    every N element and one `relative_entropies` call serve the whole batch.
-    Each pair's terms are summed in outcome order, so each value is
-    bit-identical to the scalar's. No `Povm` cache is read or filled: the
-    scalar reads M's spectra and fills N's eigendecomposition.
+    The 1/d prefactor uses the measured (input) dimension; this is the
+    unique normalization under which the quantity adds over tensor products
+    of measurements. Each term is `relative_entropy(M_x, N_x)`: one batched
+    `eigvalsh` over every M element, one batched `eigh` over every N element
+    and one `relative_entropies` call serve the whole batch, and each pair's
+    terms are summed in outcome order.
     """
     if not pairs:
         return []
     dim = pairs[0][0].dim
     for m, n in pairs:
-        _require_same_shape(m, n)
+        if m.dim != n.dim or m.n != n.n:
+            raise DimensionMismatch(
+                f"POVMs differ in dim ({m.dim} vs {n.dim}) or outcomes ({m.n} vs {n.n})"
+            )
         if m.dim != dim:
             raise DimensionMismatch(f"POVMs differ in dim ({dim} vs {m.dim}) across the batch")
     x_stack = np.concatenate([m.stack for m, _ in pairs])
@@ -108,13 +105,6 @@ def measurement_relative_entropies(pairs: Sequence[tuple[Povm, Povm]]) -> list[f
     return [sum(terms[end - m.n:end]) / dim for (m, _), end in zip(pairs, ends)]
 
 
-def _require_same_shape(m: Povm, n: Povm) -> None:
-    if m.dim != n.dim or m.n != n.n:
-        raise DimensionMismatch(
-            f"POVMs differ in dim ({m.dim} vs {n.dim}) or outcomes ({m.n} vs {n.n})"
-        )
-
-
 def measurement_coherence(m: Povm) -> float:
     """(1/d) sum_x [S(dephase(M_x)) - S(M_x)] in bits.
 
@@ -122,7 +112,7 @@ def measurement_coherence(m: Povm) -> float:
     measurement; the minimizer is the element-wise dephasing of m.
     """
     # summed in outcome order, as the per-element form was, so values stay bit-identical
-    return sum(_dephasing_gains(m.stack, m.spectra).tolist()) / m.dim
+    return sum(_dephasing_gains(m.stack, np.linalg.eigvalsh(m.stack)).tolist()) / m.dim
 
 
 def is_incoherent_measurement(m: Povm) -> bool:

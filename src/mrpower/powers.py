@@ -188,6 +188,4 @@ def measurement_as_square_channel(povm: Povm) -> QuantumChannel:
         raise UnsupportedScale(
             f"square embedding needs n <= d (got n = {povm.n}, d = {povm.dim})"
         )
-    if povm.n == povm.dim:
-        return measurement_as_channel(povm)
     return measurement_as_channel(pad_povm(povm, povm.dim))

@@ -64,14 +64,13 @@ def test_a_row_the_baseline_lacks_times_no_baseline(bench_layers, tmp_path):
 
 @pytest.mark.parametrize("operation, decompositions", [
     ("measurement_coherence", "eigvalsh"),
-    ("measurement_relative_entropy", "eigh"),
+    ("measurement_relative_entropy", "eigh+eigvalsh"),
     ("measurement_relative_entropies", "eigh+eigvalsh"),
 ])
 def test_measure_rows_decompose_on_every_call(bench_layers, tmp_path, monkeypatch,
                                               operation, decompositions):
-    """A row that read one derived POVM's cached decomposition on every call
-    would time a cache hit that no program path makes. The batched row makes
-    one call of each of its decompositions per call, whatever its pair count."""
+    """Each measure row makes one call of each of its decompositions per
+    call, the batched row whatever its pair count."""
     timed = bench_layers.call("measures", operation, "d2", str(tmp_path))
     calls = []
     for name in decompositions.split("+"):

@@ -384,10 +384,11 @@ class TestPovmStack:
     def test_stack_spectra_and_elements_agree(self, dim):
         rng = mp.SeededRng(227)
         povm = mp.random_povm(dim, 4, False, rng)
-        assert povm.stack.shape == (4, dim, dim) and povm.spectra.shape == (4, dim)
+        assert povm.stack.shape == (4, dim, dim)
+        spectra = np.linalg.eigvalsh(povm.stack)
         for x, el in enumerate(povm.stack):
-            assert np.array_equal(np.linalg.eigvalsh(el), povm.spectra[x])
-        assert not povm.stack.flags.writeable and not povm.spectra.flags.writeable
+            assert np.array_equal(np.linalg.eigvalsh(el), spectra[x])
+        assert not povm.stack.flags.writeable
 
     def test_copies_its_input(self):
         elements = np.array([np.eye(2) / 2, np.eye(2) / 2], dtype=complex)
@@ -468,7 +469,7 @@ def derived_povms(monkeypatch):
 
 class TestDerivedPovmsStayValid:
     """The public validator accepts every POVM the library derives without
-    checking it, at unchanged tolerances, with the same spectra bit for bit."""
+    checking it, at unchanged tolerances, with the same coherence bit for bit."""
 
     @pytest.mark.parametrize("dim", [2, 3, 4])
     @pytest.mark.parametrize("name", list(DERIVED_POVM_BUILDERS))
@@ -484,49 +485,7 @@ class TestDerivedPovmsStayValid:
         assert made and not checks
         for derived in made:
             validated = mp.Povm(derived.stack)
-            assert validated.spectra.tobytes() == derived.spectra.tobytes()
-
-
-def derived_povm(seed=310):
-    rng = mp.SeededRng(seed)
-    return mp.pullback_povm(random_channel_any(3, rng.spawn(0)),
-                            mp.random_povm(3, 4, False, rng.spawn(1)))
-
-
-class TestLazyDecompositions:
-    @pytest.mark.parametrize("build", [derived_povm, lambda: mp.Povm(derived_povm().stack)],
-                             ids=["derived", "validated"])
-    def test_computed_once_read_only_and_exact(self, build):
-        povm = build()
-        spectra, (eig, vec) = povm.spectra, povm.eigendecomposition
-        assert povm.spectra is spectra and povm.eigendecomposition[0] is eig
-        assert povm.eigendecomposition[1] is vec
-        assert spectra.tobytes() == np.linalg.eigvalsh(povm.stack).tobytes()
-        expected_eig, expected_vec = np.linalg.eigh(povm.stack)
-        assert eig.tobytes() == expected_eig.tobytes()
-        assert vec.tobytes() == expected_vec.tobytes()
-        for array in (povm.stack, spectra, eig, vec):
-            with pytest.raises(ValueError, match="read-only"):
-                array[0, 0] = 7.0
-
-    def test_each_decomposition_runs_at_most_once(self, monkeypatch):
-        m, n = derived_povm(311), derived_povm(312)
-        calls = []
-        for name in ("eigvalsh", "eigh"):
-            original = getattr(np.linalg, name)
-
-            def counting(a, *args, _name=name, _original=original, **kwargs):
-                calls.append((_name, a))
-                return _original(a, *args, **kwargs)
-
-            monkeypatch.setattr(np.linalg, name, counting)
-        mp.measurement_relative_entropy(m, n)
-        assert [name for name, a in calls if a is n.stack] == ["eigh"]  # n's spectra unread
-        for _ in range(2):
-            mp.measurement_relative_entropy(n, n)
-            mp.measurement_coherence(n)
-            mp.measurement_as_channel(n)
-        assert sorted(name for name, a in calls if a is n.stack) == ["eigh", "eigvalsh"]
+            assert mp.measurement_coherence(validated) == mp.measurement_coherence(derived)
 
 
 # every library path that builds a channel through `QuantumChannel._from_kraus`,
@@ -920,7 +879,6 @@ class TestPulledBackBasis:
             reference = mp.pullback_povm(channel, mp.basis_measurement(dim))
             pulled = mp.pulled_back_basis(channel)
             assert np.array_equal(pulled.stack, reference.stack)
-            assert np.array_equal(pulled.spectra, reference.spectra)
 
     def test_non_square_channel(self):
         rng = mp.SeededRng(254)

@@ -260,24 +260,6 @@ class TestBatchedMeasuresMatchPerElementSums:
         assert values == [mp.measurement_relative_entropy(a, b) for a, b in pairs]
         assert values[0] == values[-1]
 
-    def test_batch_reads_and_fills_no_cache(self, monkeypatch):
-        rng = mp.SeededRng(320)
-        rotation = mp.sampling._haar_unitary_channel(2, rng)
-        m, n = (mp.pullback_povm(rotation, mp.random_povm(2, 3, False, rng)) for _ in range(2))
-        calls = []
-        for name in ("eigvalsh", "eigh"):
-            original = getattr(np.linalg, name)
-
-            def counting(a, *args, _name=name, _original=original, **kwargs):
-                calls.append(_name)
-                return _original(a, *args, **kwargs)
-
-            monkeypatch.setattr(np.linalg, name, counting)
-        measurement_relative_entropies([(m, n), (n, m), (m, m)])
-        assert sorted(calls) == ["eigh", "eigvalsh"]
-        m.spectra, n.eigendecomposition  # first reads: each decomposes now
-        assert sorted(calls) == ["eigh", "eigh", "eigvalsh", "eigvalsh"]
-
     def test_empty_batch(self):
         assert measurement_relative_entropies([]) == []
 
