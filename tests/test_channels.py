@@ -488,6 +488,44 @@ class TestDerivedPovmsStayValid:
             assert mp.measurement_coherence(validated) == mp.measurement_coherence(derived)
 
 
+def derived_povm(seed=310):
+    rng = mp.SeededRng(seed)
+    return mp.pullback_povm(random_channel_any(3, rng.spawn(0)),
+                            mp.random_povm(3, 4, False, rng.spawn(1)))
+
+
+class TestPovmHoldsOnlyItsStack:
+    @pytest.mark.parametrize("build", [derived_povm, lambda: mp.Povm(derived_povm().stack)],
+                             ids=["derived", "validated"])
+    def test_stack_is_all_it_holds_and_read_only(self, build):
+        povm = build()
+        assert type(povm).__slots__ == ("_stack",)
+        assert not hasattr(povm, "spectra") and not hasattr(povm, "eigendecomposition")
+        assert povm.stack.tobytes() == derived_povm().stack.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            povm.stack[0, 0, 0] = 7.0
+
+    def test_each_reader_decomposes_on_every_call(self, monkeypatch):
+        m, n = derived_povm(311), derived_povm(312)
+        calls = []
+        for name in ("eigvalsh", "eigh"):
+            original = getattr(np.linalg, name)
+
+            def counting(a, *args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counting)
+        for _ in range(2):
+            mp.measurement_relative_entropy(m, n)
+        assert sorted(calls) == ["eigh", "eigh", "eigvalsh", "eigvalsh"]
+        calls.clear()
+        for _ in range(2):
+            mp.measurement_coherence(n)
+            mp.measurement_as_channel(n)
+        assert calls == ["eigvalsh", "eigh", "eigvalsh", "eigh"]
+
+
 # every library path that builds a channel through `QuantumChannel._from_kraus`,
 # as (d, Kraus rank, rng) -> the call; a path that takes no rank ignores it
 DERIVED_CHANNEL_BUILDERS = {

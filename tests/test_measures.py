@@ -260,6 +260,37 @@ class TestBatchedMeasuresMatchPerElementSums:
         assert values == [mp.measurement_relative_entropy(a, b) for a, b in pairs]
         assert values[0] == values[-1]
 
+    def test_batch_decomposes_once_whatever_its_pair_count(self, monkeypatch):
+        rng = mp.SeededRng(320)
+        rotation = mp.sampling._haar_unitary_channel(2, rng)
+        m, n = (mp.pullback_povm(rotation, mp.random_povm(2, 3, False, rng)) for _ in range(2))
+        calls = []
+        for name in ("eigvalsh", "eigh"):
+            original = getattr(np.linalg, name)
+
+            def counting(a, *args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counting)
+        measurement_relative_entropies([(m, n), (n, m), (m, m)])
+        assert sorted(calls) == ["eigh", "eigvalsh"]
+
+    def test_scalar_is_the_batch_of_one(self, monkeypatch):
+        rng = mp.SeededRng(322)
+        m, n = (mp.random_povm(3, 3, False, rng) for _ in range(2))
+        batches = []
+
+        def recording(pairs):
+            batches.append(list(pairs))
+            return measurement_relative_entropies(pairs)
+
+        monkeypatch.setattr(mp.measures, "measurement_relative_entropies", recording)
+        value = mp.measurement_relative_entropy(m, n)
+        assert len(batches) == 1 and len(batches[0]) == 1
+        assert batches[0][0][0] is m and batches[0][0][1] is n
+        assert value == measurement_relative_entropies([(m, n)])[0]
+
     def test_empty_batch(self):
         assert measurement_relative_entropies([]) == []
 

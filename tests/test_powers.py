@@ -381,6 +381,13 @@ class TestMeasurementPowerReduction:
                 mp.measurement_coherence(povm), abs=1e-9
             )
 
+    def test_square_povm_embeds_as_its_own_channel(self):
+        rng = mp.SeededRng(417)
+        for d in (2, 3, 4):
+            povm = mp.random_povm(d, d, False, rng.spawn(d))
+            square = mp.measurement_as_square_channel(povm)
+            assert square.kraus.tobytes() == mp.measurement_as_channel(povm).kraus.tobytes()
+
     def test_padded_outputs_are_silent(self):
         rng = mp.SeededRng(415)
         povm = mp.random_povm(3, 2, False, rng)
