@@ -10,6 +10,7 @@ entanglement lower bound for PSD operators.
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -82,9 +83,10 @@ def measurement_relative_entropies(pairs: Sequence[tuple[Povm, Povm]]) -> list[f
     The 1/d prefactor uses the measured (input) dimension; this is the
     unique normalization under which the quantity adds over tensor products
     of measurements. Each term is `relative_entropy(M_x, N_x)`: one batched
-    `eigvalsh` over every M element, one batched `eigh` over every N element
-    and one `relative_entropies` call serve the whole batch, and each pair's
-    terms are summed in outcome order.
+    `eigvalsh` over the elements of each distinct M (by identity, so an M
+    that several pairs share is decomposed once), one batched `eigh` over
+    every N element and one `relative_entropies` call serve the whole batch,
+    and each pair's terms are summed in outcome order.
     """
     if not pairs:
         return []
@@ -96,23 +98,47 @@ def measurement_relative_entropies(pairs: Sequence[tuple[Povm, Povm]]) -> list[f
             )
         if m.dim != dim:
             raise DimensionMismatch(f"POVMs differ in dim ({dim} vs {m.dim}) across the batch")
-    x_stack = np.concatenate([m.stack for m, _ in pairs])
-    y_stack = np.concatenate([n.stack for _, n in pairs])
+    distinct = {id(m): m for m, _ in pairs}
+    starts = dict(zip(distinct, itertools.accumulate((m.n for m in distinct.values()), initial=0)))
+    spectra = np.linalg.eigvalsh(np.concatenate([m.stack for m in distinct.values()]))
     terms = relative_entropies(
-        x_stack, np.linalg.eigvalsh(x_stack), *np.linalg.eigh(y_stack)
+        np.concatenate([m.stack for m, _ in pairs]),
+        np.concatenate([spectra[starts[id(m)]:starts[id(m)] + m.n] for m, _ in pairs]),
+        *np.linalg.eigh(np.concatenate([n.stack for _, n in pairs])),
     ).tolist()
-    ends = np.cumsum([m.n for m, _ in pairs]).tolist()
-    return [sum(terms[end - m.n:end]) / dim for (m, _), end in zip(pairs, ends)]
+    return _outcome_sums(terms, [m for m, _ in pairs])
+
+
+def _outcome_sums(terms: list[float], povms: Sequence[Povm]) -> list[float]:
+    """(1/d) times the sum, in outcome order, of each POVM's run of `terms`,
+    which hold one term per outcome of each POVM in turn."""
+    ends = itertools.accumulate(m.n for m in povms)
+    return [sum(terms[end - m.n:end]) / m.dim for m, end in zip(povms, ends)]
 
 
 def measurement_coherence(m: Povm) -> float:
-    """(1/d) sum_x [S(dephase(M_x)) - S(M_x)] in bits.
+    """(1/d) sum_x [S(dephase(M_x)) - S(M_x)] in bits, the batch of one of
+    `measurement_coherences`.
 
     This is the minimum averaged relative entropy to any incoherent
     measurement; the minimizer is the element-wise dephasing of m.
     """
-    # summed in outcome order, as the per-element form was, so values stay bit-identical
-    return sum(_dephasing_gains(m.stack, np.linalg.eigvalsh(m.stack)).tolist()) / m.dim
+    [value] = measurement_coherences([m])
+    return value
+
+
+def measurement_coherences(povms: Sequence[Povm]) -> list[float]:
+    """`measurement_coherence` of each POVM of a sequence of POVMs of one
+    dimension, from one batched eigvalsh over all their elements; each
+    POVM's terms are summed in outcome order. An empty sequence gives []."""
+    if not povms:
+        return []
+    dim = povms[0].dim
+    for m in povms:
+        if m.dim != dim:
+            raise DimensionMismatch(f"POVMs differ in dim ({dim} vs {m.dim}) across the batch")
+    stack = np.concatenate([m.stack for m in povms])
+    return _outcome_sums(_dephasing_gains(stack, np.linalg.eigvalsh(stack)).tolist(), povms)
 
 
 def is_incoherent_measurement(m: Povm) -> bool:

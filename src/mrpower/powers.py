@@ -10,6 +10,8 @@ sandwiched composites.
 from __future__ import annotations
 
 import functools
+import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +33,7 @@ from .errors import DimensionMismatch, PreconditionViolation, UnsupportedScale
 from .measures import (
     coherences_of_states,
     ere_lower_bounds,
-    measurement_coherence,
+    measurement_coherences,
 )
 
 CONVERSION_GAP_TOL = 1e-9  # largest conversion-certificate gap accepted
@@ -46,26 +48,50 @@ def _require_square(channel: QuantumChannel) -> int:
 
 
 def measurement_cohering_power(channel: QuantumChannel) -> float:
-    """Maximum measurement-coherence the channel creates as a pre-processor.
+    """Maximum measurement-coherence the channel creates as a pre-processor,
+    the batch of one of `measurement_cohering_powers`.
 
     Equals the measurement-coherence of the incoherent basis measurement
     pulled back through the channel:
     (1/d) sum_i [S(dephase(E^dag(|i><i|))) - S(E^dag(|i><i|))].
     """
-    _require_square(channel)
-    return measurement_coherence(pulled_back_basis(channel))
+    [value] = measurement_cohering_powers([channel])
+    return value
+
+
+def measurement_cohering_powers(channels: Sequence[QuantumChannel]) -> list[float]:
+    """`measurement_cohering_power` of each square channel of a sequence of
+    channels of one dimension, from one `measurement_coherences` call."""
+    for channel in channels:
+        _require_square(channel)
+    return measurement_coherences([pulled_back_basis(channel) for channel in channels])
 
 
 def state_cohering_power(channel: QuantumChannel) -> float:
-    """Maximum relative entropy of coherence over incoherent inputs.
+    """Maximum relative entropy of coherence over incoherent inputs, the
+    batch of one of `state_cohering_powers`.
 
     Reduces to maximizing over the d basis states; ancillas and mixtures
     cannot do better.
     """
-    d = _require_square(channel)
+    [value] = state_cohering_powers([channel])
+    return value
+
+
+def state_cohering_powers(channels: Sequence[QuantumChannel]) -> list[float]:
+    """`state_cohering_power` of each square channel of a sequence of
+    channels of one dimension, from one `coherences_of_states` call."""
+    if not channels:
+        return []
+    d = _require_square(channels[0])
+    for channel in channels:
+        if _require_square(channel) != d:
+            raise DimensionMismatch(f"channels differ in dim ({d} vs {channel.dim_in})")
     # E(|i><i|)[a, b] = J[(a, i), (b, i)]: the d images are one slice of the Choi matrix
-    images = np.einsum("aibi->iab", channel.choi.reshape(d, d, d, d))
-    return float(coherences_of_states(images).max())
+    images = np.concatenate(
+        [np.einsum("aibi->iab", channel.choi.reshape(d, d, d, d)) for channel in channels]
+    )
+    return coherences_of_states(images).reshape(len(channels), d).max(axis=1).tolist()
 
 
 @functools.cache
@@ -105,8 +131,7 @@ def conversion_channel(channel: QuantumChannel) -> QuantumChannel:
     so Phi is the measurement channel of the embedded elements
     U (E^dag(|i><i|) (x) |j><j|) U^dag, a = (i, j).
     """
-    _require_square(channel)
-    return measurement_as_channel(Povm._from_valid(_embedded_elements(pulled_back_basis(channel))))
+    return measurement_as_channel(Povm._from_valid(conversion_operands(channel)[1]))
 
 
 @dataclass(frozen=True)
@@ -125,37 +150,67 @@ class ConversionCertificate:
     gap: float
 
 
+def conversion_operands(channel: QuantumChannel) -> tuple[Povm, np.ndarray]:
+    """The two operands of the square channel's conversion certificate: its
+    pulled-back basis measurement {E^dag(|i><i|)} and the (d^2, d^2, d^2)
+    stack of the embedded elements U (E^dag(|i><i|) (x) |j><j|) U^dag."""
+    _require_square(channel)
+    pulled = pulled_back_basis(channel)
+    return pulled, _embedded_elements(pulled)
+
+
 def conversion_ent_lower_bound(channel: QuantumChannel) -> ConversionCertificate:
     """Certificate that the conversion channel entangles exactly as much as
-    the input channel coheres.
+    the input channel coheres, the batch of one of
+    `conversion_ent_lower_bounds`.
 
     Each pulled-back element U (E^dag(|i><i|) (x) |j><j|) U^dag is an
     isometric embedding whose two marginals both equal the dephasing of
     E^dag(|i><i|), so its entanglement lower bound reproduces the per-state
     coherence term exactly.
     """
-    d = _require_square(channel)
-    pulled = pulled_back_basis(channel)
-    power = measurement_coherence(pulled)
-    bounds = ere_lower_bounds(_embedded_elements(pulled), (d, d))
-    avg = float(bounds.mean())
-    return ConversionCertificate(
-        cohering_power=power,
-        avg_ere_lower_bound=avg,
-        per_element_bounds=tuple(bounds.tolist()),
-        gap=abs(power - avg),
-    )
+    [certificate] = conversion_ent_lower_bounds([conversion_operands(channel)])
+    return certificate
 
 
-def composite_ent_lower_bound(
+def conversion_ent_lower_bounds(
+    operands: Sequence[tuple[Povm, np.ndarray]],
+) -> list[ConversionCertificate]:
+    """The certificate of each channel of one dimension, given by its
+    `conversion_operands`, from one `measurement_coherences` call over the
+    pulled-back bases and one `ere_lower_bounds` call over the embedded
+    elements."""
+    if not operands:
+        return []
+    powers = measurement_coherences([pulled for pulled, _ in operands])
+    certificates = []
+    for power, bounds in zip(powers, _ere_lower_bounds_each([e for _, e in operands])):
+        avg = float(bounds.mean())
+        certificates.append(ConversionCertificate(
+            cohering_power=power,
+            avg_ere_lower_bound=avg,
+            per_element_bounds=tuple(bounds.tolist()),
+            gap=abs(power - avg),
+        ))
+    return certificates
+
+
+def _ere_lower_bounds_each(stacks: Sequence[np.ndarray]) -> np.ndarray:
+    """`ere_lower_bounds` over the (d, d) split of each (d^2, d^2, d^2) stack
+    of a sequence of them, one row per stack, from one call over their
+    concatenation."""
+    d = math.isqrt(stacks[0].shape[-1])
+    return ere_lower_bounds(np.concatenate(stacks), (d, d)).reshape(len(stacks), -1)
+
+
+def composite_elements(
     channel: QuantumChannel, k: QuantumChannel, l: QuantumChannel
-) -> float:
-    """Averaged entanglement lower bound of the sandwiched composite
-    dephase . K . (E (x) id) . L on dimension d^2.
+) -> np.ndarray:
+    """The (d^2, d^2, d^2) stack of the basis measurement pulled back through
+    the sandwiched composite dephase . K . (E (x) id) . L on dimension d^2,
+    the operand of `composite_ent_lower_bounds`.
 
-    K must be detection incoherent and L unital detection incoherent; the
-    result then never exceeds the cohering power of E. This is a one-sided
-    proxy: it bounds the composite's true entangling power from below.
+    K must be detection incoherent and L unital detection incoherent.
     """
     d = _require_square(channel)
     dd = d * d
@@ -173,8 +228,30 @@ def composite_ent_lower_bound(
     # X[n, i, x, j, y] = sum_ab conj(J[a, i, b, j]) Y[n, a, x, b, y]
     y = pulled_back_basis(k).stack.reshape(dd, d, d, d, d)
     x = np.einsum("aibj,naxby->nixjy", channel.choi.reshape(d, d, d, d).conj(), y)
-    pulled = pullback_povm(l, Povm._from_valid(x.reshape(dd, dd, dd)))
-    return float(ere_lower_bounds(pulled.stack, (d, d)).mean())
+    return pullback_povm(l, Povm._from_valid(x.reshape(dd, dd, dd))).stack
+
+
+def composite_ent_lower_bound(
+    channel: QuantumChannel, k: QuantumChannel, l: QuantumChannel
+) -> float:
+    """Averaged entanglement lower bound of the sandwiched composite
+    dephase . K . (E (x) id) . L on dimension d^2, the batch of one of
+    `composite_ent_lower_bounds`.
+
+    K must be detection incoherent and L unital detection incoherent; the
+    result then never exceeds the cohering power of E. This is a one-sided
+    proxy: it bounds the composite's true entangling power from below.
+    """
+    [value] = composite_ent_lower_bounds([composite_elements(channel, k, l)])
+    return value
+
+
+def composite_ent_lower_bounds(stacks: Sequence[np.ndarray]) -> list[float]:
+    """`composite_ent_lower_bound` of each composite of one dimension, given
+    by its `composite_elements`, from one `ere_lower_bounds` call."""
+    if not stacks:
+        return []
+    return [float(bounds.mean()) for bounds in _ere_lower_bounds_each(stacks)]
 
 
 def measurement_as_square_channel(povm: Povm) -> QuantumChannel:

@@ -42,14 +42,21 @@ class SeededRng:
 
     Two instances built from the same master seed replay the same draw
     sequence bit for bit; `spawn(i)` derives an independent stream for
-    trial i, so trials are order-independent.
+    trial i, so trials are order-independent. The Philox generator is built
+    on the first `gen` read, so a stream that only spawns builds none.
     """
 
     algorithm = "philox4x64"
 
     def __init__(self, master_seed: int) -> None:
         self.master_seed = int(master_seed) & _MASK64
-        self.gen = np.random.Generator(np.random.Philox(key=self.master_seed))
+        self._gen = None
+
+    @property
+    def gen(self) -> np.random.Generator:
+        if self._gen is None:
+            self._gen = np.random.Generator(np.random.Philox(key=self.master_seed))
+        return self._gen
 
     def spawn(self, index: int) -> "SeededRng":
         return SeededRng(splitmix64(self.master_seed, index))

@@ -161,13 +161,13 @@ class TestVerifyKillsMutants:
 
     @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize("module, name, mutant, killed_by", [
-        (suites, "measurement_cohering_power", lambda f: lambda e: 1.001 * f(e),
-         {"duality", "thm7_reduction"}),
-        (suites, "measurement_cohering_power", lambda f: lambda e: 0.999 * f(e),
-         {"duality", "thm7_reduction"}),
-        (suites, "measurement_cohering_power", lambda f: lambda e: f(e) + 1e-6,
+        (suites, "measurement_cohering_powers",
+         lambda f: lambda es: [1.001 * v for v in f(es)], {"duality", "thm7_reduction"}),
+        (suites, "measurement_cohering_powers",
+         lambda f: lambda es: [0.999 * v for v in f(es)], {"duality", "thm7_reduction"}),
+        (suites, "measurement_cohering_powers", lambda f: lambda es: [v + 1e-6 for v in f(es)],
          {"power_monotone", "duality", "thm7_reduction"}),
-        (suites, "measurement_coherence", lambda f: lambda m: f(m) + 1e-6,
+        (suites, "measurement_coherences", lambda f: lambda ms: [v + 1e-6 for v in f(ms)],
          {"cm_faithfulness", "cm_oracle", "thm7_reduction"}),
         (powers, "ere_lower_bounds", lambda f: lambda x, dims: 1.5 * f(x, dims),
          {"conversion_equality"}),
@@ -175,7 +175,8 @@ class TestVerifyKillsMutants:
          {"conversion_equality"}),
         (suites, "measurement_relative_entropies",
          lambda f: lambda pairs: [1.01 * v for v in f(pairs)], {"cm_oracle"}),
-        (suites, "state_cohering_power", lambda f: lambda e: 1.01 * f(e), {"duality"}),
+        (suites, "state_cohering_powers", lambda f: lambda es: [1.01 * v for v in f(es)],
+         {"duality"}),
     ], ids=["C-times-1.001", "C-times-0.999", "C-plus-1e-6", "Cm-plus-1e-6",
             "ERE-times-1.5", "ERE-plus-1e-3", "D-times-1.01", "Cg-times-1.01"])
     def test_mutant_fails_these_suites(self, module, name, mutant, killed_by, dim, monkeypatch):
@@ -260,6 +261,28 @@ class TestBatchedMeasuresMatchPerElementSums:
         assert values == [mp.measurement_relative_entropy(a, b) for a, b in pairs]
         assert values[0] == values[-1]
 
+    def test_each_distinct_m_is_decomposed_once(self, monkeypatch):
+        """A repeated M and an equal copy of it give the same bits, as every
+        pair does alone; the eigvalsh stack holds each M once by identity,
+        so the copy, a distinct object, is decomposed beside M."""
+        rng = mp.SeededRng(323)
+        m, k, n = (mp.random_povm(3, 3, False, rng) for _ in range(3))
+        copy = mp.Povm._from_valid(m.stack.copy())
+        pairs = [(m, k), (m, n), (m, m), (copy, k), (copy, n), (k, m)]
+        alone = [measurement_relative_entropies([pair])[0] for pair in pairs]
+        decomposed = []
+        original = np.linalg.eigvalsh
+
+        def recording(a, *args, **kwargs):
+            decomposed.append(a.shape[0])
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+        values = measurement_relative_entropies(pairs)
+        assert decomposed == [m.n + copy.n + k.n]
+        assert [v.hex() for v in values] == [v.hex() for v in alone]
+        assert values[0].hex() == values[3].hex() and values[1].hex() == values[4].hex()
+
     def test_batch_decomposes_once_whatever_its_pair_count(self, monkeypatch):
         rng = mp.SeededRng(320)
         rotation = mp.sampling._haar_unitary_channel(2, rng)
@@ -322,6 +345,32 @@ class TestBatchedMeasuresMatchPerElementSums:
             rho = mp.HermitianOperator(ref.random_density(dim, rng))
             expected = ref.von_neumann_entropy(ref.dephase(rho)) - ref.von_neumann_entropy(rho)
             assert mp.relative_entropy_of_coherence(rho) == pytest.approx(expected, abs=1e-12)
+
+
+class TestMeasurementCoherences:
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_batch_is_each_scalar_bit_for_bit(self, dim):
+        """POVMs of 2 to 5 outcomes, incoherent, rank deficient and padded
+        ones among them, and one POVM twice."""
+        rng = mp.SeededRng(330 + dim)
+        povms = [povm for i in range(3) for povm in sample_povms(dim, rng.spawn(i))]
+        povms += [mp.random_povm(dim, n, False, rng) for n in (2, 5)] + povms[:1]
+        values = mp.measures.measurement_coherences(povms)
+        assert [v.hex() for v in values] == [mp.measurement_coherence(m).hex() for m in povms]
+
+    def test_scalar_is_the_batch_of_one(self, monkeypatch):
+        povm = mp.random_povm(3, 3, False, mp.SeededRng(333))
+        batches = []
+        batch = mp.measures.measurement_coherences
+        monkeypatch.setattr(mp.measures, "measurement_coherences",
+                            lambda povms: batches.append(list(povms)) or batch(povms))
+        mp.measurement_coherence(povm)
+        assert len(batches) == 1 and batches[0][0] is povm and len(batches[0]) == 1
+
+    def test_empty_batch_and_mixed_dimensions(self):
+        assert mp.measures.measurement_coherences([]) == []
+        with pytest.raises(DimensionMismatch, match=r"differ in dim \(2 vs 3\)"):
+            mp.measures.measurement_coherences([mp.basis_measurement(2), mp.basis_measurement(3)])
 
 
 class TestIncoherentStructure:

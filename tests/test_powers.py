@@ -218,6 +218,58 @@ class TestBatchedBoundsMatchElementLoops:
             assert mp.state_cohering_power(channel) == pytest.approx(expected, abs=1e-12)
 
 
+class TestBatchesAreTheirScalarsBitForBit:
+    """Each batch of the powers gives, for every channel, the bits of its
+    scalar, which is the batch of one."""
+
+    @staticmethod
+    def channels(dim, seed):
+        rng = mp.SeededRng(seed)
+        return [mp.random_channel(dim, rank, kind, rng.spawn(rank))
+                for rank in (1, 2, dim * dim) for kind in ("general", "unital")]
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_cohering_powers(self, dim):
+        channels = self.channels(dim, 420 + dim)
+        for batch, scalar in (
+            (mp.powers.measurement_cohering_powers, mp.measurement_cohering_power),
+            (mp.powers.state_cohering_powers, mp.state_cohering_power),
+        ):
+            assert [v.hex() for v in batch(channels)] == [scalar(e).hex() for e in channels]
+            assert batch([]) == []
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_certificates(self, dim):
+        channels = self.channels(dim, 422 + dim)
+        batch = mp.powers.conversion_ent_lower_bounds(
+            [mp.powers.conversion_operands(e) for e in channels]
+        )
+        assert batch == [mp.conversion_ent_lower_bound(e) for e in channels]
+        assert mp.powers.conversion_ent_lower_bounds([]) == []
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_composite_bounds(self, dim):
+        rng = mp.SeededRng(424 + dim)
+        dd = dim * dim
+        triples = [(e, mp.random_dio(dd, bool(i % 2), rng.spawn(2 * i)),
+                    mp.random_dio(dd, True, rng.spawn(2 * i + 1)))
+                   for i, e in enumerate(self.channels(dim, 426 + dim))]
+        batch = mp.powers.composite_ent_lower_bounds(
+            [mp.powers.composite_elements(*triple) for triple in triples]
+        )
+        assert [v.hex() for v in batch] == [
+            mp.composite_ent_lower_bound(*triple).hex() for triple in triples
+        ]
+        assert mp.powers.composite_ent_lower_bounds([]) == []
+
+    def test_channels_of_two_dimensions_are_refused(self):
+        pair = [mp.example_channels()["hadamard"], mp.dephasing_channel(3)]
+        with pytest.raises(DimensionMismatch):
+            mp.powers.measurement_cohering_powers(pair)
+        with pytest.raises(DimensionMismatch):
+            mp.powers.state_cohering_powers(pair)
+
+
 class TestCompositeBound:
     def test_identity_sandwich_of_g(self):
         g = mp.example_channels()["g"]
@@ -307,7 +359,7 @@ class TestConvexitySuiteMatchesChoiMixture:
     def test_trial_values(self, dim):
         trials, seed = 100, 42
         report = mp.run_suite("power_convexity", dim, trials, seed)
-        suite_rng = mp.SeededRng(seed).spawn(SUITES["power_convexity"][2])
+        suite_rng = mp.SeededRng(seed).spawn(SUITES["power_convexity"].stream)
         expected = []
         for index in range(trials):
             rng = suite_rng.spawn(index)
