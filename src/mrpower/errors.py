@@ -53,10 +53,6 @@ class SingularTotal(ToolkitError):
     """Random POVM normalization repeatedly produced a singular total."""
 
 
-class ConstructionFailed(ToolkitError):
-    """A generator produced an object that fails its own class predicate."""
-
-
 class UnsupportedScale(ToolkitError):
     """Operation invoked outside its supported dimension or outcome range."""
 

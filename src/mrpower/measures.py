@@ -40,9 +40,11 @@ def relative_entropy_of_coherence(rho: HermitianOperator) -> float:
     return float(coherences_of_states(rho.matrix[None])[0])
 
 
-def coherences_of_states(states: np.ndarray) -> np.ndarray:
-    """`relative_entropy_of_coherence` of every density operator in an
-    (n, d, d) stack, from one batched eigvalsh."""
+def coherences_of_states(states: Sequence[np.ndarray]) -> np.ndarray:
+    """`relative_entropy_of_coherence` of every density operator of a
+    sequence of d x d matrices, or of an (n, d, d) stack, from one batched
+    eigvalsh."""
+    states = np.asarray(states)
     traces = np.einsum("xii->x", states).real
     worst = float(np.abs(traces - 1.0).max())
     if not worst <= DENSITY_TRACE_TOL:

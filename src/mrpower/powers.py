@@ -199,7 +199,13 @@ def _ere_lower_bounds_each(stacks: Sequence[np.ndarray]) -> np.ndarray:
     """`ere_lower_bounds` over the (d, d) split of each (d^2, d^2, d^2) stack
     of a sequence of them, one row per stack, from one call over their
     concatenation."""
-    d = math.isqrt(stacks[0].shape[-1])
+    shape = stacks[0].shape
+    for stack in stacks:
+        if stack.shape != shape:
+            raise DimensionMismatch(
+                f"element stacks differ in shape ({shape} vs {stack.shape}) across the batch"
+            )
+    d = math.isqrt(shape[-1])
     return ere_lower_bounds(np.concatenate(stacks), (d, d)).reshape(len(stacks), -1)
 
 

@@ -421,11 +421,11 @@ class TestConvertOutput:
 
 class TestNanViolations:
     def test_nan_trial_fails_the_suite(self, monkeypatch):
-        def evaluate(dim, block, tol):
-            return [({"lower": 0.5, "upper": math.nan}, None) for _ in block]
+        def check(values, context, tol):
+            return {"lower": 0.5, "upper": math.nan}, None
 
         monkeypatch.setitem(suites.SUITES, "duality",
-                            suites.SUITES["duality"]._replace(evaluate=evaluate))
+                            suites.SUITES["duality"]._replace(check=check))
         report = mp.run_suite("duality", dim=2, trials=3, seed=1)
         assert report.passed is False
         assert report.max_violation == math.inf

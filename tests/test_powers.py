@@ -269,6 +269,17 @@ class TestBatchesAreTheirScalarsBitForBit:
         with pytest.raises(DimensionMismatch):
             mp.powers.state_cohering_powers(pair)
 
+    @pytest.mark.parametrize("order", [1, -1])
+    def test_operands_of_two_dimensions_are_refused(self, order):
+        """Both list forms over the (d^2, d^2, d^2) element stacks refuse a
+        batch of two dimensions, in either order."""
+        pair = [mp.example_channels()["hadamard"], mp.dephasing_channel(3)][::order]
+        operands = [mp.powers.conversion_operands(e) for e in pair]
+        with pytest.raises(DimensionMismatch, match="across the batch"):
+            mp.powers.conversion_ent_lower_bounds(operands)
+        with pytest.raises(DimensionMismatch, match="across the batch"):
+            mp.powers.composite_ent_lower_bounds([elements for _, elements in operands])
+
 
 class TestCompositeBound:
     def test_identity_sandwich_of_g(self):

@@ -58,18 +58,35 @@ def hexes(values):
     return [float(v).hex() for v in values]
 
 
+def recorded_run(suite, dim, trials, monkeypatch, block_bytes=None):
+    """run_suite(suite, dim, trials, 42), with BLOCK_BYTES set to block_bytes
+    unless None, and the margins of each call of the suite's check."""
+    checked = suites.SUITES[suite]
+    margins = []
+
+    def check(values, context, tol):
+        outcome = checked.check(values, context, tol)
+        margins.append(outcome[0])
+        return outcome
+
+    with monkeypatch.context() as patch:
+        patch.setitem(suites.SUITES, suite, checked._replace(check=check))
+        if block_bytes is not None:
+            patch.setattr(suites, "BLOCK_BYTES", block_bytes)
+        report = mp.run_suite(suite, dim, trials, 42)
+    return margins, report.trial_values
+
+
 @pytest.mark.parametrize("dim", [2, 3])
 @pytest.mark.parametrize("suite", list(CHECKS))
 def test_margins_and_their_fold(suite, dim, monkeypatch):
-    """The margins of the run's 100 trials evaluated as one block and one
+    """The margins of the run's 100 trials checked in one block and one
     trial at a time agree bit for bit, and so do the trial values of
     run_suite with its default blocks, with blocks of one and with one
     block."""
-    draw, evaluate, tol, stream = suites.SUITES[suite]
-    suite_rng = mp.SeededRng(42).spawn(stream)
-    operands = [draw(dim, suite_rng.spawn(i)) for i in range(100)]
-    trials = [margins for margins, _ in evaluate(dim, operands, tol)]
-    singles = [margins for ops in operands for margins, _ in evaluate(dim, [ops], tol)]
+    trials, one_block = recorded_run(suite, dim, 100, monkeypatch, 1 << 40)
+    singles, blocks_of_one = recorded_run(suite, dim, 100, monkeypatch, 1)
+    assert len(trials) == len(singles) == 100
     assert all(list(margins) == list(CHECKS[suite]) for margins in trials)
     for check, minima in CHECKS[suite].items():
         values = [margins[check] for margins in trials]
@@ -80,34 +97,107 @@ def test_margins_and_their_fold(suite, dim, monkeypatch):
             assert min(values) == pytest.approx(minima[dim - 2], abs=1e-12), check
     folded = hexes(max(0.0, -min(margins.values())) for margins in trials)
     assert hexes(mp.run_suite(suite, dim, 100, 42).trial_values) == folded
-    for block_bytes in (1, 1 << 40):  # blocks of one trial, one block
-        monkeypatch.setattr(suites, "BLOCK_BYTES", block_bytes)
-        assert hexes(mp.run_suite(suite, dim, 100, 42).trial_values) == folded
+    assert hexes(one_block) == hexes(blocks_of_one) == folded
 
 
-def test_blocks_close_on_operand_bytes(monkeypatch):
-    """A block closes once its operands reach BLOCK_BYTES, and never holds
-    less than one trial."""
-    suite = suites.SUITES["cm_faithfulness"]
+def test_blocks_are_sized_by_the_first_trial(monkeypatch):
+    """A run's blocks hold max(1, BLOCK_BYTES // b) trials, for the bytes b
+    of the request items of its first trial; a run whose trials request
+    nothing is one block."""
     sizes = []
+    evaluate = suites._evaluate_block
 
-    def evaluate(dim, block, tol):
-        sizes.append(len(block))
-        return suite.evaluate(dim, block, tol)
+    def recording(suite, block, tol):
+        sizes.extend([len(block)] if block else [])
+        return evaluate(suite, block, tol)
 
-    monkeypatch.setitem(suites.SUITES, "cm_faithfulness", suite._replace(evaluate=evaluate))
+    monkeypatch.setattr(suites, "_evaluate_block", recording)
     mp.run_suite("cm_faithfulness", 2, 10, 42)
     assert sizes == [10]
-    suite_rng = mp.SeededRng(42).spawn(suite.stream)
-    first, second = (suites._nbytes(suite.draw(2, suite_rng.spawn(i))) for i in range(2))
+    suite = suites.SUITES["cm_faithfulness"]
+    requests, _ = suite.draw(2, mp.SeededRng(42).spawn(suite.stream).spawn(0))
+    first = suites._nbytes(requests)
+    assert first == sum(povm.stack.nbytes for povm in requests[0][1])
     sizes.clear()
-    monkeypatch.setattr(suites, "BLOCK_BYTES", first + second + 1)  # reached by a third
+    monkeypatch.setattr(suites, "BLOCK_BYTES", 3 * first + first // 2)
     mp.run_suite("cm_faithfulness", 2, 10, 42)
-    assert sizes[0] == 3 and sum(sizes) == 10
+    assert sizes == [3, 3, 3, 1]
     sizes.clear()
     monkeypatch.setattr(suites, "BLOCK_BYTES", 1)
     mp.run_suite("cm_faithfulness", 2, 10, 42)
     assert sizes == [1] * 10
+    sizes.clear()
+    mp.run_suite("structure_lemma", 2, 10, 42)
+    assert sizes == [10]
+
+
+class TestTheBatchingLoop:
+    """run_suite hands each trial's check exactly the values of its own
+    request items, whatever the blocks, for trials of 1, 3 and 0 items and
+    for items given as a list of matrices or as an ndarray."""
+
+    COUNTS = (1, 3, 0)
+    TRIALS = 10
+
+    @pytest.fixture
+    def fake(self, monkeypatch):
+        """A suite whose two kernels echo their items, trial by trial."""
+        calls, checked = [], []
+
+        def echo(items):
+            calls.append(len(items))
+            return list(items)
+
+        monkeypatch.setattr(suites, "echo", echo, raising=False)
+        monkeypatch.setattr(suites, "echo_rows", np.asarray, raising=False)
+        order = iter(range(self.TRIALS))
+
+        def draw(dim, rng):
+            index = next(order)
+            n = self.COUNTS[index % 3]
+            own = tuple((index, j) for j in range(n))  # no array: 0 bytes
+            rows = np.full((n, 128, 64), float(index))  # 64 KiB an item
+            return (("echo", own), ("echo_rows", rows)), (index, own, rows)
+
+        def check(values, context, tol):
+            checked.append((values, context))
+            return {"ok": 0.0}, None
+
+        monkeypatch.setitem(suites.SUITES, "fake", suites.Suite(draw, check, 1e-8, 11))
+        return calls, checked
+
+    @pytest.mark.parametrize("block_bytes, blocks", [
+        (1, [1] * TRIALS),
+        (None, [8, 2]),  # the first trial's 64 KiB item sizes the blocks
+        (1 << 40, [TRIALS]),
+    ])
+    def test_each_check_gets_its_own_values(self, fake, monkeypatch, block_bytes, blocks):
+        calls, checked = fake
+        if block_bytes is not None:
+            monkeypatch.setattr(suites, "BLOCK_BYTES", block_bytes)
+        report = mp.run_suite("fake", 2, self.TRIALS, 42)
+        assert report.passed and report.trial_values == [0.0] * self.TRIALS
+        sizes = [sum(self.COUNTS[i % 3] for i in range(start, start + size))
+                 for start, size in zip(np.cumsum([0] + blocks), blocks)]
+        assert calls == sizes
+        assert [context[0] for _, context in checked] == list(range(self.TRIALS))
+        for (own_values, own_rows), (index, own, rows) in checked:
+            assert len(own_values) == len(own) == self.COUNTS[index % 3]
+            assert all(v is item for v, item in zip(own_values, own))
+            assert isinstance(own_rows, np.ndarray) and len(own_rows) == len(rows)
+            assert all(np.array_equal(value, row) for value, row in zip(own_rows, rows))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_every_trial_names_the_same_kernels(dim):
+    """The loop takes each request's kernel from a block's first trial, so
+    every draw of a suite names the same kernels in the same order."""
+    for name, suite in suites.SUITES.items():
+        suite_rng = mp.SeededRng(42).spawn(suite.stream)
+        kernels = {tuple(kernel for kernel, _ in suite.draw(dim, suite_rng.spawn(i))[0])
+                   for i in range(20)}
+        assert len(kernels) == 1, name
+        assert all(callable(getattr(suites, kernel)) for kernel in kernels.pop()), name
 
 
 class TestCrashAttribution:
@@ -146,24 +236,45 @@ class TestCrashAttribution:
         clean = self.run().trial_values
         suite = suites.SUITES[self.SUITE]
         bad_seed, bad, blocks = self.bad_seed(), [], []
+        kernel = suites.measurement_coherences  # one item, M, a cm_oracle trial
 
         def draw(dim, rng):
-            operands = suite.draw(dim, rng)
+            requests, context = suite.draw(dim, rng)
             if rng.master_seed == bad_seed:
-                bad.append(operands)
-            return operands
+                bad.append(requests[0][1][0])
+            return requests, context
 
-        def evaluate(dim, block, tol):
-            blocks.append(len(block))
-            if any(operands is bad[0] for operands in block):
+        def coherences(povms):
+            blocks.append(len(povms))
+            if any(povm is bad[0] for povm in povms):
                 raise ValueError("cannot evaluate")
-            return suite.evaluate(dim, block, tol)
+            return kernel(povms)
 
-        monkeypatch.setitem(suites.SUITES, self.SUITE,
-                            suite._replace(draw=draw, evaluate=evaluate))
+        monkeypatch.setitem(suites.SUITES, self.SUITE, suite._replace(draw=draw))
+        monkeypatch.setattr(suites, "measurement_coherences", coherences)
         report = self.run()
         assert blocks == [self.TRIALS] + [1] * self.TRIALS  # the block, then each trial
         self.assert_only_the_bad_trial_fails(report, clean, "ValueError: cannot evaluate")
+
+    def test_a_check_that_raises(self, monkeypatch):
+        clean = self.run().trial_values
+        suite = suites.SUITES[self.SUITE]
+        bad_seed, checked = self.bad_seed(), []
+
+        def draw(dim, rng):
+            requests, _ = suite.draw(dim, rng)
+            return requests, rng.master_seed
+
+        def check(values, seed, tol):
+            checked.append(seed)
+            if seed == bad_seed:
+                raise ValueError("cannot check")
+            return suite.check(values, None, tol)
+
+        monkeypatch.setitem(suites.SUITES, self.SUITE, suite._replace(draw=draw, check=check))
+        self.assert_only_the_bad_trial_fails(self.run(), clean, "ValueError: cannot check")
+        # the block's checks up to the one that raises, then each trial alone
+        assert len(checked) == self.BAD + 1 + self.TRIALS
 
 
 def test_root_and_suite_streams_build_no_generator(monkeypatch):
