@@ -32,7 +32,12 @@ once more:
   coherent random POVM with N outcomes, and the unital and non-unital random
   detection-incoherent channels. Each call draws from its own copy of
   SeededRng(SEED).spawn(N), made before the timed calls, so every call draws
-  the same instance: a sampler's cost depends on the ranks it draws.
+  the same instance: a sampler's cost depends on the ranks it draws. Case
+  "dNxB" times the block form of the sampler (`random_channels`,
+  `random_povms`, `random_dios`) on B streams, the block that `verify`
+  draws at d = N (BLOCK_STREAMS), each stream drawing what the scalar row
+  draws, from copies of SeededRng(SEED).spawn(N).spawn(t); it is reported
+  in ms per stream, so it reads against the scalar row of its d.
 - suites: `run_suite` on each (suite, dimension) run that `verify --suite
   all` plans at d = 2 to 6 (`suites.plan`), on the same block of
   SUITE_TRIALS trials (seed SEED) on every call, reported in ms per trial.
@@ -98,6 +103,22 @@ SAMPLERS = {
     "random_dio_unital": lambda d, rng: mp.random_dio(d, True, rng),
     "random_dio_general": lambda d, rng: mp.random_dio(d, False, rng),
 }
+BLOCK_STREAMS = {2: 10, 3: 20}  # trials of a verify block at d = 2 and 3 (mrbench)
+
+
+def block_samplers() -> dict:
+    """The block form of each sampler of SAMPLERS, by the same name."""
+    from mrpower.sampling import random_channels, random_dios, random_povms  # absent in older trees
+    return {
+        "random_channel_unital": lambda d, rngs: random_channels(
+            d, [d * d] * len(rngs), "unital", rngs),
+        "random_channel_general": lambda d, rngs: random_channels(
+            d, [d * d] * len(rngs), "general", rngs),
+        "random_povm_coherent": lambda d, rngs: random_povms(
+            d, [d] * len(rngs), [False] * len(rngs), rngs),
+        "random_dio_unital": lambda d, rngs: random_dios(d, [True] * len(rngs), rngs),
+        "random_dio_general": lambda d, rngs: random_dios(d, [False] * len(rngs), rngs),
+    }
 
 
 def _rows(layer: str, operations, dims) -> tuple:
@@ -114,6 +135,8 @@ ROWS = (
                       "conversion_channel+kraus"), (2, 4, 6)),
     *_rows("powers", ("composite_bound",), (2, 3, 4)),
     *_rows("sampling", tuple(SAMPLERS), (2, 3, 4)),
+    *(("sampling", operation, f"d{d}x{streams}") for d, streams in BLOCK_STREAMS.items()
+      for operation in SAMPLERS),
     *(("wire", "load", case) for case in ("d2", "d4", "d8", "d16", "hadamard", "d16-indent1")),
     *(("wire", "save", case) for case in ("d16", "conversion-d4", "conversion-d6")),
     *(("suites", name, f"d{dim}") for d in (2, 3, 4, 5, 6) for name, dim in plan("all", d)),
@@ -146,9 +169,15 @@ def call(layer: str, operation: str, case: str, workdir: str):
     """Build the inputs of one row and return the zero-argument call to time."""
     if layer == "wire":
         return wire_call(operation, case, workdir)
-    d = int(case[1:])
+    d, _, streams = case[1:].partition("x")
+    d = int(d)
     if layer == "suites":
         return lambda: mp.run_suite(operation, dim=d, trials=SUITE_TRIALS, seed=SEED)
+    if layer == "sampling" and streams:
+        block = block_samplers()[operation]
+        blocks = iter([[mp.SeededRng(SEED).spawn(d).spawn(t) for t in range(int(streams))]
+                       for _ in range(MAX_CALLS + 1)])
+        return lambda: block(d, next(blocks))
     if layer == "sampling":
         rngs = iter([mp.SeededRng(SEED).spawn(d) for _ in range(MAX_CALLS + 1)])
         return lambda: SAMPLERS[operation](d, next(rngs))
@@ -208,7 +237,9 @@ def main(argv=None) -> int:
                              "side goes first, and record both")
     args = parser.parse_args(argv)
     if args.measure:
-        per_call = SUITE_TRIALS if args.measure[0] == "suites" else 1
+        layer, _, case = args.measure
+        # suites rows per trial, block sampler rows per stream
+        per_call = SUITE_TRIALS if layer == "suites" else int(case.partition("x")[2] or 1)
         with tempfile.TemporaryDirectory() as workdir:
             try:
                 timed = call(*args.measure, workdir)

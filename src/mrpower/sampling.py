@@ -7,13 +7,14 @@ independent of scheduling order.
 
 from __future__ import annotations
 
+import itertools
+import math
+
 import numpy as np
 
 from .channels import (
     Povm,
     QuantumChannel,
-    basis_measurement,
-    classical_postprocess,
     dephasing_channel,
     StochasticMatrix,
     unitary_channel,
@@ -63,16 +64,54 @@ class SeededRng:
         return f"SeededRng(master_seed={self.master_seed})"
 
 
-def _ginibre(rows: int, cols: int, rng: SeededRng, count: tuple[int, ...] = ()) -> np.ndarray:
-    """Complex Gaussian rows x cols blocks, a stack of shape (*count, rows, cols),
-    from one draw that takes each block's real part, then its imaginary part,
-    block by block."""
-    parts = rng.gen.standard_normal((*count, 2, rows, cols))
-    blocks = np.empty((*count, rows, cols), dtype=complex)
-    blocks.real = parts[..., 0, :, :]
-    blocks.imag = parts[..., 1, :, :]
+def _ginibre(rows: int, cols: int, counts, rngs) -> np.ndarray:
+    """Complex Gaussian rows x cols blocks, one (total, rows, cols) stack in
+    stream order: stream t gives *counts[t] blocks from one draw that takes
+    each block's real part, then its imaginary part, block by block."""
+    parts = np.concatenate([
+        rng.gen.standard_normal((*count, 2, rows, cols)).reshape(-1, 2, rows, cols)
+        for count, rng in zip(counts, rngs, strict=True)
+    ])
+    blocks = np.empty((len(parts), rows, cols), dtype=complex)
+    blocks.real = parts[:, 0]
+    blocks.imag = parts[:, 1]
     blocks /= _SQRT2
     return blocks
+
+
+def _grouped(keys, items, draw) -> list:
+    """draw(key, items of that key) once for each distinct key, which
+    returns one draw per item; the draws of all the items in their order."""
+    if len(keys) != len(items):
+        raise ValueError(f"{len(keys)} parameters for {len(items)} streams")
+    drawn = [None] * len(items)
+    for key in dict.fromkeys(keys):
+        members = [t for t, own in enumerate(keys) if own == key]
+        for t, value in zip(members, draw(key, [items[t] for t in members]), strict=True):
+            drawn[t] = value
+    return drawn
+
+
+def haar_isometries(rows: int, cols: int, counts, rngs) -> list[np.ndarray]:
+    """Haar isometries: the first `cols` columns of Haar unitaries on `rows`
+    dimensions, from the QR of tall Ginibre blocks with the R-diagonal phases
+    absorbed into the columns of Q. Stream t gives a (*counts[t], rows, cols)
+    stack, bit for bit the same as drawing its isometries one after another,
+    and one stacked QR serves the whole block."""
+    if not 1 <= cols <= rows:
+        raise ValueError(f"an isometry needs 1 <= cols <= rows, got {rows} x {cols}")
+    q, r = np.linalg.qr(_ginibre(rows, cols, counts, rngs))
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    q *= (diag / np.abs(diag))[..., None, :]
+    sizes = [math.prod(count) for count in counts]
+    return [q[end - size:end].reshape(*count, rows, cols)
+            for size, end, count in zip(sizes, itertools.accumulate(sizes), counts)]
+
+
+def haar_isometry(rows: int, cols: int, rng: SeededRng, count: tuple = ()) -> np.ndarray:
+    """`haar_isometries` of one stream: a (*count, rows, cols) stack of
+    independent isometries."""
+    return haar_isometries(rows, cols, [count], [rng])[0]
 
 
 def haar_unitary(d: int, rng: SeededRng) -> np.ndarray:
@@ -80,49 +119,50 @@ def haar_unitary(d: int, rng: SeededRng) -> np.ndarray:
     return haar_isometry(d, d, rng)
 
 
-def _haar_unitary_channel(d: int, rng: SeededRng) -> QuantumChannel:
-    """The channel of a Haar unitary, the same as
+def haar_unitary_channels(d: int, rngs) -> list[QuantumChannel]:
+    """The channel of a Haar unitary from each stream, the same as
     `unitary_channel(haar_unitary(d, rng))` without its check."""
-    return QuantumChannel._from_kraus(haar_unitary(d, rng)[None])
+    unitaries = haar_isometries(d, d, [(1,)] * len(rngs), rngs)
+    return [QuantumChannel._from_kraus(u) for u in unitaries]
 
 
-def haar_isometry(
-    rows: int, cols: int, rng: SeededRng, count: tuple[int, ...] = ()
-) -> np.ndarray:
-    """First `cols` columns of a Haar unitary on `rows` dimensions: QR of a
-    tall Ginibre block with the R-diagonal phases absorbed into the columns
-    of Q. `count` draws a stack of shape (*count, rows, cols) of independent
-    isometries, the same as drawing them one after another."""
-    q, r = np.linalg.qr(_ginibre(rows, cols, rng, count))
-    diag = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * (diag / np.abs(diag))[..., None, :]
+def random_channels(d: int, kraus_ranks, kind: str, rngs) -> list[QuantumChannel]:
+    """Random CPTP channels on dimension d, the t-th of Kraus rank
+    kraus_ranks[t] drawn from rngs[t].
+
+    kind "general" slices a Haar isometry on d * kraus_rank into Kraus
+    blocks, one stacked QR per rank; kind "unital" mixes kraus_rank Haar
+    unitaries with Dirichlet weights, one stacked QR for the block.
+    """
+    if d < 1:
+        raise ValueError(f"dimension must be at least 1, got {d}")
+    for rank in kraus_ranks:
+        if not 1 <= rank <= d * d:
+            raise InvalidRank(f"kraus_rank must lie in 1..{d * d}, got {rank}")
+    if kind == "general":
+        return _grouped(kraus_ranks, rngs, lambda rank, streams: [
+            QuantumChannel._from_kraus(isometry.reshape(rank, d, d))
+            for isometry in haar_isometries(d * rank, d, [()] * len(streams), streams)
+        ])
+    if kind == "unital":
+        weights = [rng.gen.dirichlet(np.ones(rank))
+                   for rank, rng in zip(kraus_ranks, rngs, strict=True)]
+        unitaries = haar_isometries(d, d, [(rank,) for rank in kraus_ranks], rngs)
+        return [QuantumChannel._from_kraus(np.sqrt(w)[:, None, None] * u)
+                for w, u in zip(weights, unitaries)]
+    raise ValueError(f"kind must be 'general' or 'unital', got {kind!r}")
 
 
 def random_channel(d: int, kraus_rank: int, kind: str, rng: SeededRng) -> QuantumChannel:
-    """Random CPTP channel on dimension d.
-
-    kind "general" slices a Haar isometry on d * kraus_rank into Kraus
-    blocks; kind "unital" mixes kraus_rank Haar unitaries with Dirichlet
-    weights.
-    """
-    if not 1 <= kraus_rank <= d * d:
-        raise InvalidRank(f"kraus_rank must lie in 1..{d * d}, got {kraus_rank}")
-    if kind == "general":
-        isometry = haar_isometry(d * kraus_rank, d, rng)
-        kraus = isometry.reshape(kraus_rank, d, d)
-    elif kind == "unital":
-        weights = rng.gen.dirichlet(np.ones(kraus_rank))
-        kraus = np.sqrt(weights)[:, None, None] * haar_isometry(d, d, rng, (kraus_rank,))
-    else:
-        raise ValueError(f"kind must be 'general' or 'unital', got {kind!r}")
-    return QuantumChannel._from_kraus(kraus)
+    """`random_channels` of one stream."""
+    return random_channels(d, [kraus_rank], kind, [rng])[0]
 
 
-def random_dio(d: int, unital: bool, rng: SeededRng) -> QuantumChannel:
-    """Random detection-incoherent channel: the classical channel
-    rho -> sum_nm q(n|m) <m|rho|m> |n><n| of a column-stochastic q, which is
-    detection incoherent by construction, and unital when q is doubly
-    stochastic.
+def random_dios(d: int, unital, rngs) -> list[QuantumChannel]:
+    """Random detection-incoherent channels, the t-th unital when unital[t]:
+    the classical channel rho -> sum_nm q(n|m) <m|rho|m> |n><n| of a
+    column-stochastic q, which is detection incoherent by construction, and
+    unital when q is doubly stochastic.
 
     A channel K is detection incoherent exactly when each K^dag(|n><n|) is
     diagonal, and then K^dag(|n><n|) = sum_m q(n|m) |m><m| for the q of its
@@ -136,42 +176,86 @@ def random_dio(d: int, unital: bool, rng: SeededRng) -> QuantumChannel:
     """
     if d < 2:
         raise ValueError(f"dimension must be at least 2, got {d}")
-    if unital:
-        q = np.zeros((d, d))
-        for weight in rng.gen.dirichlet(np.ones(3)):
-            # the permutation |j> -> |perm[j]>
-            q[rng.gen.permutation(d), np.arange(d)] += weight
-    else:
-        q = random_stochastic_matrix(d, d, rng).entries
+    q = np.zeros((len(rngs), d, d))
+    columns = np.arange(d)
+    for own, doubly, rng in zip(q, unital, rngs, strict=True):
+        if doubly:
+            for weight in rng.gen.dirichlet(np.ones(3)):
+                # the permutation |m> -> |perm[m]>
+                own[rng.gen.permutation(d), columns] += weight
+        else:
+            own[...] = _dirichlet_columns(d, d, rng)
     # Choi entry [(n, m), (n, m)] is q(n|m); every other entry is zero
-    return QuantumChannel._from_choi(np.diag(q.reshape(-1).astype(complex)), d, d)
+    choi = np.zeros((len(rngs), d * d, d * d), dtype=complex)
+    choi[:, np.arange(d * d), np.arange(d * d)] = q.reshape(len(rngs), -1)
+    return [QuantumChannel._from_choi(own, d, d) for own in choi]
+
+
+def random_dio(d: int, unital: bool, rng: SeededRng) -> QuantumChannel:
+    """`random_dios` of one stream."""
+    return random_dios(d, [unital], [rng])[0]
 
 
 def random_stochastic_matrix(rows: int, cols: int, rng: SeededRng) -> StochasticMatrix:
     """Column-stochastic matrix with Dirichlet-distributed columns."""
-    columns = rng.gen.dirichlet(np.ones(rows), size=cols)
-    return StochasticMatrix._from_valid(np.ascontiguousarray(columns.T))
+    if rows < 1 or cols < 1:
+        raise ValueError(f"a stochastic matrix needs a row and a column, got {rows} x {cols}")
+    return StochasticMatrix._from_valid(_dirichlet_columns(rows, cols, rng))
+
+
+def _dirichlet_columns(rows: int, cols: int, rng: SeededRng) -> np.ndarray:
+    """A rows x cols column-stochastic matrix with Dirichlet columns."""
+    return np.ascontiguousarray(rng.gen.dirichlet(np.ones(rows), size=cols).T)
+
+
+def random_povms(d: int, ns, incoherent, rngs) -> list[Povm]:
+    """Random POVMs on dimension d, the t-th with ns[t] outcomes, incoherent
+    when incoherent[t], drawn from rngs[t].
+
+    Coherent draws normalize Wishart blocks G_x = A_x A_x^dag by the inverse
+    square root of their total, one stacked eigh per outcome count; a stream
+    whose total is singular draws again at once, alone. Incoherent draws
+    post-process the basis measurement with a random stochastic matrix p,
+    which gives the diagonal elements M_y = sum_i p(y|i) |i><i|.
+    """
+    if d < 1:
+        raise ValueError(f"dimension must be at least 1, got {d}")
+    if min(ns, default=2) < 2:
+        raise ValueError(f"outcome count must be at least 2, got {min(ns)}")
+
+    def draw(classical, trials):
+        ns, streams = zip(*trials)
+        if not classical:
+            return _grouped(ns, streams, lambda n, group: _coherent_povms(d, n, group))
+        stacks = np.zeros((len(streams), max(ns), d, d), dtype=complex)
+        for stack, n, rng in zip(stacks, ns, streams):
+            stack[:n, np.arange(d), np.arange(d)] = _dirichlet_columns(n, d, rng)
+        return [Povm._from_valid(stack[:n]) for stack, n in zip(stacks, ns)]
+
+    return _grouped(incoherent, list(zip(ns, rngs, strict=True)), draw)
+
+
+def _coherent_povms(d: int, n: int, rngs, attempts: int = 10) -> list[Povm]:
+    a = _ginibre(d, d, [(n,)] * len(rngs), rngs).reshape(len(rngs), n, d, d)
+    blocks = a @ a.conj().swapaxes(-1, -2)
+    eig, vec = np.linalg.eigh(blocks.sum(axis=1))
+    # the floor changes only a singular total, whose POVM is dropped
+    inv_sqrt = (vec / np.sqrt(np.maximum(eig, EIG_CLIP))[:, None, :]) @ vec.conj().swapaxes(1, 2)
+    elements = inv_sqrt[:, None] @ blocks @ inv_sqrt[:, None]
+    povms = []
+    for stack, smallest, rng in zip(elements, eig[:, 0], rngs):
+        if smallest > EIG_CLIP:
+            povms.append(Povm._from_valid(stack))
+        elif attempts > 1:
+            povms += _coherent_povms(d, n, [rng], attempts - 1)
+        else:
+            raise SingularTotal("total of sampled blocks stayed singular after 10 redraws")
+    return povms
 
 
 def random_povm(d: int, n: int, incoherent: bool, rng: SeededRng) -> Povm:
-    """Random n-outcome POVM on dimension d.
-
-    Coherent draws normalize Wishart blocks G_x = A_x A_x^dag by the inverse
-    square root of their total; incoherent draws post-process the basis
-    measurement with a random stochastic matrix.
-    """
-    if n < 2:
-        raise ValueError(f"outcome count must be at least 2, got {n}")
-    if incoherent:
-        return classical_postprocess(basis_measurement(d), random_stochastic_matrix(n, d, rng))
-    for _ in range(10):
-        a = _ginibre(d, d, rng, (n,))
-        blocks = a @ a.conj().transpose(0, 2, 1)
-        eig, vec = np.linalg.eigh(blocks.sum(axis=0))
-        if eig[0] > EIG_CLIP:
-            inv_sqrt = (vec / np.sqrt(eig)) @ vec.conj().T
-            return Povm._from_valid(inv_sqrt @ blocks @ inv_sqrt)
-    raise SingularTotal("total of sampled blocks stayed singular after 10 redraws")
+    """`random_povms` of one stream."""
+    return random_povms(d, [n], [incoherent], [rng])[0]
 
 
 def example_channels() -> dict[str, QuantumChannel]:

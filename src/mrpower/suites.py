@@ -1,15 +1,15 @@
 """Randomized verification suites and their structured reports.
 
 Every suite runs `trials` independent trials at the dimension it is given,
-each seeded through splitmix64 from the master seed. A suite draws each
-trial's operands from the trial's own stream, as requests to batch kernels,
-and `run_suite` serves the requests of a block of trials together, one
+each seeded through splitmix64 from the master seed. A suite draws a block
+of trials at once, each trial's operands from its own stream, as requests to
+batch kernels, and `run_suite` serves the block's requests together, one
 kernel call per request position. A suite's check then reads one trial's
 values and returns its named checks as signed margins, nonnegative when a
 check holds (an inequality's slack, or -|residual| for an equality);
-`run_suite` folds them into one violation per trial. Trials are order-independent and their
-values do not depend on the blocks, so reports are reproducible for a fixed
-seed.
+`run_suite` folds them into one violation per trial. Trials are
+order-independent and their values do not depend on the blocks, so reports
+are reproducible for a fixed seed.
 """
 
 from __future__ import annotations
@@ -57,10 +57,12 @@ from .powers import (
 )
 from .sampling import (
     SeededRng,
-    _haar_unitary_channel,
-    random_channel,
+    _grouped,
+    haar_unitary_channels,
+    random_channels,
     random_dio,
-    random_povm,
+    random_dios,
+    random_povms,
     random_stochastic_matrix,
 )
 
@@ -101,15 +103,30 @@ def _violation(margins: dict[str, float]) -> float:
     return max(0.0, -min(-math.inf if math.isnan(m) else float(m) for m in margins.values()))
 
 
-def _draw_dm_properties(dim: int, rng: SeededRng):
-    n = 2 + int(rng.gen.integers(0, 2))
-    m = random_povm(dim, n, False, rng)
-    k = random_povm(dim, n, False, rng)
-    second_m = random_povm(dim, n, False, rng)
-    second_k = random_povm(dim, n, False, rng)
+def _integers(rngs, low: int, high: int) -> list[int]:
+    """One integer in low..high-1 from each stream."""
+    return [int(rng.gen.integers(low, high)) for rng in rngs]
 
-    unital = random_channel(dim, int(rng.gen.integers(1, dim * dim + 1)), "unital", rng)
-    rotation = _haar_unitary_channel(dim, rng)
+
+def _released(items: list):
+    """The items of a list in order, each dropped from the list once the next
+    is taken: a trial's sampled operands are freed once its requests are made."""
+    for index in range(len(items)):
+        yield items[index]
+        items[index] = None
+
+
+def _draw_dm_properties(dim: int, rngs):
+    ns = [2 + n for n in _integers(rngs, 0, 2)]
+    m, k, second_m, second_k = (
+        random_povms(dim, ns, [False] * len(rngs), rngs) for _ in range(4))
+    unitals = random_channels(dim, _integers(rngs, 1, dim * dim + 1), "unital", rngs)
+    rotations = haar_unitary_channels(dim, rngs)
+    return [_dm_properties_trial(*trial) for trial in zip(
+        rngs, ns, m, k, second_m, second_k, _released(unitals), _released(rotations))]
+
+
+def _dm_properties_trial(rng, n, m, k, second_m, second_k, unital, rotation):
     post = random_stochastic_matrix(int(rng.gen.integers(2, n + 2)), n, rng)
     p = float(rng.gen.uniform())
     pairs = (
@@ -146,10 +163,12 @@ def _check_dm_properties(values, context, tol: float):
     }, detail
 
 
-def _draw_cm_faithfulness(dim: int, rng: SeededRng):
-    n = 2 + int(rng.gen.integers(0, 3))
-    povms = random_povm(dim, n, True, rng), random_povm(dim, n, False, rng)
-    return (("measurement_coherences", povms),), povms
+def _draw_cm_faithfulness(dim: int, rngs):
+    ns = [2 + n for n in _integers(rngs, 0, 3)]
+    incoherent = random_povms(dim, ns, [True] * len(rngs), rngs)
+    coherent = random_povms(dim, ns, [False] * len(rngs), rngs)
+    return [((("measurement_coherences", povms),), povms)
+            for povms in zip(incoherent, coherent)]
 
 
 def _check_cm_faithfulness(values, povms, tol: float):
@@ -164,11 +183,15 @@ def _check_cm_faithfulness(values, povms, tol: float):
     return {"incoherent_vanishes": -abs(incoherent_value), "nonnegativity": coherent_value}, detail
 
 
-def _draw_cm_oracle(dim: int, rng: SeededRng):
-    n = int(rng.gen.integers(2, dim + 2))
-    m = random_povm(dim, n, False, rng)
+def _draw_cm_oracle(dim: int, rngs):
+    ns = _integers(rngs, 2, dim + 2)
+    ms = random_povms(dim, ns, [False] * len(rngs), rngs)
+    incoherents = random_povms(dim, ns, [True] * len(rngs), rngs)
+    return [_cm_oracle_trial(dim, *trial) for trial in zip(rngs, ms, incoherents)]
+
+
+def _cm_oracle_trial(dim, rng, m, incoherent):
     dephased = Povm._from_valid(m.stack * np.eye(dim))  # each element's diagonal
-    incoherent = random_povm(dim, n, True, rng)
     near = mix_povm(incoherent, dephased, 1e-6 * float(rng.gen.uniform()))
     return (("measurement_coherences", (m,)),
             ("measurement_relative_entropies", ((m, dephased), (m, incoherent), (m, near)))), None
@@ -187,10 +210,13 @@ def _check_cm_oracle(values, context, tol: float):
     }, None
 
 
-def _draw_structure_lemma(dim: int, rng: SeededRng):
-    d = int(rng.gen.integers(2, dim + 1)) if dim > 2 else 2
-    n = int(rng.gen.integers(2, 7))
-    return (), random_povm(d, n, True, rng)
+def _draw_structure_lemma(dim: int, rngs):
+    ds = _integers(rngs, 2, dim + 1) if dim > 2 else [2] * len(rngs)
+    ns = _integers(rngs, 2, 7)
+    # the dimension varies from trial to trial: one draw per dimension
+    povms = _grouped(ds, list(zip(ns, rngs)), lambda d, trials: random_povms(
+        d, [n for n, _ in trials], [True] * len(trials), [rng for _, rng in trials]))
+    return [((), povm) for povm in povms]
 
 
 def _check_structure_lemma(values, povm, tol: float):
@@ -202,13 +228,18 @@ def _check_structure_lemma(values, povm, tol: float):
     return {"reconstruction": -decomposition.residual, "column_sums": -column_dev}, None
 
 
-def _draw_power_monotone(dim: int, rng: SeededRng):
-    channel = random_channel(dim, int(rng.gen.integers(1, dim * dim + 1)), "general", rng)
-    k = random_dio(dim, False, rng)
-    l = random_dio(dim, True, rng)
+def _draw_power_monotone(dim: int, rngs):
+    channels = random_channels(dim, _integers(rngs, 1, dim * dim + 1), "general", rngs)
+    ks = random_dios(dim, [False] * len(rngs), rngs)
+    ls = random_dios(dim, [True] * len(rngs), rngs)
+    frees = random_dios(dim, [bool(flag) for flag in _integers(rngs, 0, 2)], rngs)
+    return [_power_monotone_trial(*trial)
+            for trial in zip(channels, _released(ks), _released(ls), frees)]
+
+
+def _power_monotone_trial(channel, k, l, free):
     # C(K . E . L): the basis measurement pulled back through K, then E, then L
     sandwiched = pullback_povm(l, pullback_povm(channel, pulled_back_basis(k)))
-    free = random_dio(dim, bool(rng.gen.integers(0, 2)), rng)
     return (("measurement_cohering_powers", (channel, free)),
             ("measurement_coherences", (sandwiched,))), channel
 
@@ -230,9 +261,14 @@ def _check_power_monotone(values, channel, tol: float):
     }, detail
 
 
-def _draw_power_convexity(dim: int, rng: SeededRng):
-    first = random_channel(dim, int(rng.gen.integers(1, dim * dim + 1)), "general", rng)
-    second = random_channel(dim, int(rng.gen.integers(1, dim * dim + 1)), "general", rng)
+def _draw_power_convexity(dim: int, rngs):
+    firsts = random_channels(dim, _integers(rngs, 1, dim * dim + 1), "general", rngs)
+    seconds = random_channels(dim, _integers(rngs, 1, dim * dim + 1), "general", rngs)
+    return [_power_convexity_trial(*trial)
+            for trial in zip(rngs, _released(firsts), _released(seconds))]
+
+
+def _power_convexity_trial(rng, first, second):
     p = float(rng.gen.uniform())
     # pulling back through the mixture mixes the pulled-back bases
     pa, pb = pulled_back_basis(first), pulled_back_basis(second)
@@ -244,11 +280,12 @@ def _check_power_convexity(values, p, tol: float):
     return {"convexity": p * first + (1.0 - p) * second - mixed}, None
 
 
-def _draw_conversion_equality(dim: int, rng: SeededRng):
-    unitary = conversion_operands(_haar_unitary_channel(dim, rng))
-    rank = int(rng.gen.integers(2, dim * dim + 1))
-    general = conversion_operands(random_channel(dim, rank, "general", rng))
-    return (("conversion_ent_lower_bounds", (unitary, general)),), None
+def _draw_conversion_equality(dim: int, rngs):
+    unitaries = haar_unitary_channels(dim, rngs)
+    generals = random_channels(dim, _integers(rngs, 2, dim * dim + 1), "general", rngs)
+    return [((("conversion_ent_lower_bounds",
+               (conversion_operands(unitary), conversion_operands(general))),), None)
+            for unitary, general in zip(_released(unitaries), _released(generals))]
 
 
 def _check_conversion_equality(values, context, tol: float):
@@ -257,8 +294,14 @@ def _check_conversion_equality(values, context, tol: float):
     return {"unitary_gap": -unitary.gap, "general_gap": -general.gap}, None
 
 
-def _draw_thm3_proxy(dim: int, rng: SeededRng):
-    channel = random_channel(dim, int(rng.gen.integers(1, dim * dim + 1)), "general", rng)
+def _draw_thm3_proxy(dim: int, rngs):
+    channels = random_channels(dim, _integers(rngs, 1, dim * dim + 1), "general", rngs)
+    return [_thm3_proxy_trial(dim, *trial) for trial in zip(rngs, channels)]
+
+
+def _thm3_proxy_trial(dim, rng, channel):
+    # K and L are drawn trial by trial: their dense Choi matrices, d^8
+    # entries each, are freed once the composite's elements are made
     k = random_dio(dim * dim, bool(rng.gen.integers(0, 2)), rng)
     l = random_dio(dim * dim, True, rng)
     return (("measurement_cohering_powers", (channel,)),
@@ -272,12 +315,13 @@ def _check_thm3_proxy(values, context, tol: float):
     return {"proxy_bound": power - proxy}, None
 
 
-def _draw_duality(dim: int, rng: SeededRng):
-    channel = random_channel(dim, int(rng.gen.integers(1, dim * dim + 1)), "unital", rng)
-    return (("measurement_cohering_powers", (adjoint_channel(channel),)),
-            ("state_cohering_powers", (channel,)),
-            # E(|i><i|) for each i
-            ("coherences_of_states", images(channel, basis_measurement(dim).stack))), None
+def _draw_duality(dim: int, rngs):
+    channels = random_channels(dim, _integers(rngs, 1, dim * dim + 1), "unital", rngs)
+    return [((("measurement_cohering_powers", (adjoint_channel(channel),)),
+              ("state_cohering_powers", (channel,)),
+              # E(|i><i|) for each i
+              ("coherences_of_states", images(channel, basis_measurement(dim).stack))), None)
+            for channel in channels]
 
 
 def _check_duality(values, context, tol: float):
@@ -298,12 +342,12 @@ def _check_duality(values, context, tol: float):
     }, detail
 
 
-def _draw_thm7_reduction(dim: int, rng: SeededRng):
-    n = int(rng.gen.integers(2, dim + 1)) if dim > 2 else 2
-    incoherent = bool(rng.gen.integers(0, 4) == 0)
-    povm = random_povm(dim, n, incoherent, rng)
-    return (("measurement_cohering_powers", (measurement_as_square_channel(povm),)),
-            ("measurement_coherences", (povm,))), None
+def _draw_thm7_reduction(dim: int, rngs):
+    ns = _integers(rngs, 2, dim + 1) if dim > 2 else [2] * len(rngs)
+    incoherent = [flag == 0 for flag in _integers(rngs, 0, 4)]
+    return [((("measurement_cohering_powers", (measurement_as_square_channel(povm),)),
+              ("measurement_coherences", (povm,))), None)
+            for povm in random_povms(dim, ns, incoherent, rngs)]
 
 
 def _check_thm7_reduction(values, context, tol: float):
@@ -316,13 +360,16 @@ def _check_thm7_reduction(values, context, tol: float):
 class Suite(NamedTuple):
     """A suite's two steps, its default tolerance and its seed-stream id.
 
-    `draw(dim, rng)` makes one trial's operands from the trial's own stream
-    and returns (requests, context). `requests` is a tuple of (kernel,
-    items) pairs, where kernel names a batch function of this module (looked
-    up when the block runs) and items is the sequence it takes for this
-    trial; every trial of a suite names the same kernels in the same order.
-    `context` is what the check reads beyond the kernels' values.
-    `check(values, context, tol)` gets the tuple of each request's values,
+    `draw(dim, rngs)` makes the operands of a block of trials and returns
+    one (requests, context) per stream of rngs. Each trial reads only its
+    own stream, and in the same order whatever the block, so its operands
+    are those of `draw(dim, [rng])` bit for bit; the samplers' block forms
+    share one stacked QR or eigh among the block. `requests` is a tuple of
+    (kernel, items) pairs, where kernel names a batch function of this
+    module (looked up when the block runs) and items is the sequence it
+    takes for this trial; every trial of a suite names the same kernels in
+    the same order. `context` is what the check reads beyond the kernels'
+    values. `check(values, context, tol)` gets the tuple of each request's values,
     in request order, and returns (margins, detail), where margins names
     the trial's checks and detail is None or a message that fails the trial.
     """
@@ -381,12 +428,13 @@ def run_suite(name: str, dim: int = 2, trials: int = 100, seed: int = 42,
     """Run one named suite, with arguments that pass `check_run`, and
     assemble its report.
 
-    Trials are drawn one at a time and evaluated in blocks of
-    max(1, BLOCK_BYTES // b) trials, where b is the bytes of the request
-    items of the run's first trial that draws (one block when it requests
-    nothing). A block whose evaluation raises is evaluated again one trial
-    at a time, and a trial whose draw or evaluation raises fails alone,
-    with the exception as its detail.
+    Trials are drawn alone until one draws, and the bytes b of its request
+    items size the run's blocks to max(1, BLOCK_BYTES // b) trials (one
+    block when it requests nothing). Each block is drawn with one `draw`
+    call and evaluated together. A block whose draw raises is drawn again
+    one trial at a time, and one whose evaluation raises is evaluated again
+    one trial at a time, so a trial whose draw or evaluation raises fails
+    alone, with the exception as its detail.
     """
     tolerance = check_run(name, dim, trials, seed, tol)
     suite = SUITES[name]
@@ -395,20 +443,24 @@ def run_suite(name: str, dim: int = 2, trials: int = 100, seed: int = 42,
     start = time.perf_counter()
     outcomes: list[tuple[float, str | None]] = []
     block: list = []
-    block_size = 0
-    for index in range(trials):
-        try:
-            # appended at once: a name bound to the operands would keep the
-            # last trial's arrays alive through the next trial's draw
-            block.append(suite.draw(dim, suite_rng.spawn(index)))
-        except Exception as exc:  # a crashed trial is a failed trial
-            outcomes += _evaluate_block(suite, block, tolerance)
-            outcomes.append(_crashed(exc))
-            block = []
-            continue
-        if not block_size:
+    block_size = index = 0
+    while index < trials:
+        count = min(trials - index, block_size - len(block) if block_size else 1)
+        rngs = [suite_rng.spawn(i) for i in range(index, index + count)]
+        index += count
+        for drawn in _draw_block(suite, dim, rngs):
+            if isinstance(drawn, Exception):  # a crashed trial is a failed trial
+                outcomes += _evaluate_block(suite, block, tolerance)
+                outcomes.append(_crashed(drawn))
+                block = []
+            else:
+                block.append(drawn)
+        # a name bound to the operands would keep the last trial's arrays
+        # alive through the next block's draw
+        del drawn
+        if block and not block_size:
             # trial shapes are fixed by dim, so one trial sizes the run's blocks
-            trial_bytes = _nbytes(block[-1][0])
+            trial_bytes = _nbytes(block[0][0])
             block_size = max(1, BLOCK_BYTES // trial_bytes) if trial_bytes else trials
         if len(block) == block_size:
             outcomes += _evaluate_block(suite, block, tolerance)
@@ -435,6 +487,18 @@ def run_suite(name: str, dim: int = 2, trials: int = 100, seed: int = 42,
         passed=(max_violation <= tolerance and not failures),
         wall_time_ms=elapsed_ms,
     )
+
+
+def _draw_block(suite: Suite, dim: int, rngs: list[SeededRng]) -> list:
+    """Each trial's draw, or the exception its draw raised: a block whose draw
+    raises is drawn again trial by trial, each from a fresh copy of its stream."""
+    try:
+        return suite.draw(dim, rngs)
+    except Exception as exc:  # a crashed trial is a failed trial
+        if len(rngs) == 1:
+            return [exc]
+        return [drawn for rng in rngs
+                for drawn in _draw_block(suite, dim, [SeededRng(rng.master_seed)])]
 
 
 def _evaluate_block(suite: Suite, block: list, tol: float) -> list[tuple]:

@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from mrpower.channels import CHANNEL_EQ_TOL, QuantumChannel, unitary_channel
-from mrpower.errors import DimensionMismatch
+from mrpower.errors import DimensionMismatch, SingularTotal
 from mrpower.operators import (
     EIG_CLIP,
     PSD_TOL,
@@ -210,6 +210,21 @@ def coherent_povm_blocks(d: int, n: int, rng) -> np.ndarray:
     """The n Ginibre blocks of a coherent `random_povm(d, n, False, rng)`
     draw, one block after another."""
     return np.array([ginibre(d, d, rng) for _ in range(n)])
+
+
+def coherent_povm(d: int, n: int, rng, clip: float = EIG_CLIP) -> np.ndarray:
+    """The elements of a coherent `random_povm(d, n, False, rng)`: n
+    Wishart blocks normalized by the inverse square root of their total,
+    drawn again while the total's smallest eigenvalue is at or below clip,
+    at most 10 times in all."""
+    for _ in range(10):
+        a = coherent_povm_blocks(d, n, rng)
+        blocks = a @ a.conj().transpose(0, 2, 1)
+        eig, vec = np.linalg.eigh(blocks.sum(axis=0))
+        if eig[0] > clip:
+            inv_sqrt = (vec / np.sqrt(eig)) @ vec.conj().T
+            return inv_sqrt @ blocks @ inv_sqrt
+    raise SingularTotal("total of sampled blocks stayed singular after 10 redraws")
 
 
 def identity_channel(dim: int) -> QuantumChannel:

@@ -30,10 +30,13 @@ def test_rows_cover_every_layer_and_suite(bench_layers):
 
 
 def test_each_operation_runs_at_its_first_case(bench_layers, tmp_path):
+    """Each operation at its first case, and each block sampler at its
+    first block case."""
     first = {}
     for layer, operation, case in bench_layers.ROWS:
-        first.setdefault((layer, operation), case)
-    for (layer, operation), case in first.items():
+        first.setdefault((layer, operation, "x" in case), case)
+    assert ("sampling", "random_povm_coherent", True) in first
+    for (layer, operation, _), case in first.items():
         bench_layers.call(layer, operation, case, str(tmp_path))()
 
 

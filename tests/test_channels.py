@@ -531,7 +531,7 @@ class TestPovmHoldsOnlyItsStack:
 DERIVED_CHANNEL_BUILDERS = {
     "random_channel_general": lambda d, rank, rng: mp.random_channel(d, rank, "general", rng),
     "random_channel_unital": lambda d, rank, rng: mp.random_channel(d, rank, "unital", rng),
-    "haar_unitary_channel": lambda d, rank, rng: mp.sampling._haar_unitary_channel(d, rng),
+    "haar_unitary_channel": lambda d, rank, rng: mp.sampling.haar_unitary_channels(d, [rng])[0],
     "measurement_as_channel": lambda d, rank, rng: mp.measurement_as_channel(
         mp.random_povm(d, d + 1, False, rng)
     ),
@@ -620,12 +620,17 @@ class TestDerivedChannelsStayValid:
     def test_dirichlet_draws(self, dim, derived_channels):
         made, validated = derived_channels
         rng = mp.SeededRng(340 + dim)
+        povms = []
         for i, rows in enumerate((2, dim, dim * dim)):
             mp.random_stochastic_matrix(rows, dim, rng.spawn(i))
-            mp.random_povm(dim, rows + 1, True, rng.spawn(10 + i))
-        assert len(made) == 6 and not validated
+            povms.append(mp.random_povm(dim, rows + 1, True, rng.spawn(10 + i)))
+        assert len(made) == 3 and not validated
         for derived in made:
             assert_validator_accepts(derived)
+        # an incoherent POVM puts its Dirichlet columns on the diagonals of
+        # its elements without a StochasticMatrix; the POVM validator takes it
+        for povm in povms:
+            assert mp.Povm(povm.stack).stack.tobytes() == povm.stack.tobytes()
 
     def test_suites_call_no_public_validator(self, derived_channels):
         """Every channel and stochastic matrix of a suite run is derived."""

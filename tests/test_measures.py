@@ -248,7 +248,7 @@ class TestBatchedMeasuresMatchPerElementSums:
         rng = mp.SeededRng(319)
         m, k = (mp.random_povm(3, 3, False, rng) for _ in range(2))
         post = mp.random_stochastic_matrix(5, 3, rng)
-        rotation = mp.sampling._haar_unitary_channel(3, rng)
+        rotation = mp.sampling.haar_unitary_channels(3, [rng])[0]
         pairs = [
             (m, k),
             (m, m),
@@ -285,7 +285,7 @@ class TestBatchedMeasuresMatchPerElementSums:
 
     def test_batch_decomposes_once_whatever_its_pair_count(self, monkeypatch):
         rng = mp.SeededRng(320)
-        rotation = mp.sampling._haar_unitary_channel(2, rng)
+        rotation = mp.sampling.haar_unitary_channels(2, [rng])[0]
         m, n = (mp.pullback_povm(rotation, mp.random_povm(2, 3, False, rng)) for _ in range(2))
         calls = []
         for name in ("eigvalsh", "eigh"):

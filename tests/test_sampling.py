@@ -7,7 +7,7 @@ import pytest
 import mrpower as mp
 import reference as ref
 from mrpower import sampling
-from mrpower.errors import InvalidRank
+from mrpower.errors import InvalidRank, SingularTotal
 
 
 class TestSeededRng:
@@ -105,7 +105,7 @@ class TestBatchedDrawsMatchOneByOne:
         for n in range(2, d * d + 1):
             for seed in range(20):
                 self.assert_same_draws_and_stream(
-                    lambda rng: sampling._ginibre(d, d, rng, (n,)),
+                    lambda rng: sampling._ginibre(d, d, [(n,)], [rng]),
                     lambda rng: ref.coherent_povm_blocks(d, n, rng),
                     2000 * d + 50 * n + seed,
                 )
@@ -117,6 +117,116 @@ class TestBatchedDrawsMatchOneByOne:
                                   for _ in range(2)]),
             7,
         )
+
+
+    # block sampler -> (d, ranks, ns, flags, rngs) -> each stream's array, and
+    # its scalar -> (d, rank, n, flag, rng) -> the array of one draw
+    BLOCK_DRAWS = {
+        "random_channels_general": (
+            lambda d, ranks, ns, flags, rngs: [
+                c.kraus for c in sampling.random_channels(d, ranks, "general", rngs)],
+            lambda d, rank, n, flag, rng: mp.random_channel(d, rank, "general", rng).kraus),
+        "random_channels_unital": (
+            lambda d, ranks, ns, flags, rngs: [
+                c.kraus for c in sampling.random_channels(d, ranks, "unital", rngs)],
+            lambda d, rank, n, flag, rng: mp.random_channel(d, rank, "unital", rng).kraus),
+        "haar_unitary_channels": (
+            lambda d, ranks, ns, flags, rngs: [
+                c.kraus for c in sampling.haar_unitary_channels(d, rngs)],
+            lambda d, rank, n, flag, rng: mp.unitary_channel(mp.haar_unitary(d, rng)).kraus),
+        "haar_isometries": (
+            lambda d, ranks, ns, flags, rngs: sampling.haar_isometries(
+                d * d, d, [(rank % 3,) * (rank % 2) for rank in ranks], rngs),
+            lambda d, rank, n, flag, rng: mp.haar_isometry(d * d, d, rng, (rank % 3,) * (rank % 2))),
+        "random_povms": (
+            lambda d, ranks, ns, flags, rngs: [
+                p.stack for p in sampling.random_povms(d, ns, flags, rngs)],
+            lambda d, rank, n, flag, rng: mp.random_povm(d, n, flag, rng).stack),
+        "random_dios": (
+            lambda d, ranks, ns, flags, rngs: [
+                c.choi for c in sampling.random_dios(d, flags, rngs)],
+            lambda d, rank, n, flag, rng: mp.random_dio(d, flag, rng).choi),
+    }
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("sampler", list(BLOCK_DRAWS))
+    def test_block_of_mixed_shapes(self, sampler, d):
+        """A block of streams with Kraus ranks 1..d^2, outcome counts
+        2..d+1 and mixed unital and coherence flags draws each stream's
+        operands bit for bit as one draw alone does, and leaves each stream
+        where one draw alone leaves it."""
+        block, alone = self.BLOCK_DRAWS[sampler]
+        ranks = list(range(1, d * d + 1)) * 2
+        ns = [2 + rank % d for rank in ranks]
+        flags = [rank % 3 == 0 for rank in ranks]
+        seeds = [3000 * d + t for t in range(len(ranks))]
+        rngs, ref_rngs = [mp.SeededRng(s) for s in seeds], [mp.SeededRng(s) for s in seeds]
+        drawn = block(d, ranks, ns, flags, rngs)
+        assert len(drawn) == len(ranks)
+        for array, rank, n, flag, rng in zip(drawn, ranks, ns, flags, ref_rngs):
+            expected = alone(d, rank, n, flag, rng)
+            assert array.shape == expected.shape and array.tobytes() == expected.tobytes()
+        assert [r.gen.integers(1 << 62) for r in rngs] == [r.gen.integers(1 << 62) for r in ref_rngs]
+
+    def test_povms_of_one_dimension_and_many_outcomes(self):
+        """At d = 1 numpy sums a stream's n Wishart blocks pairwise once n
+        reaches 8, so a stream's total depends on its own outcome count
+        only: a block that mixes counts up to 30 still draws each POVM bit
+        for bit as it is drawn alone."""
+        ns = [9, 20, 3, 30, 8, 2]
+        flags = [False, False, False, False, True, True]
+        for block in range(25):
+            seeds = [7100 + 10 * block + t for t in range(len(ns))]
+            drawn = sampling.random_povms(1, ns, flags, [mp.SeededRng(s) for s in seeds])
+            for povm, n, flag, seed in zip(drawn, ns, flags, seeds):
+                alone = mp.random_povm(1, n, flag, mp.SeededRng(seed))
+                assert povm.stack.tobytes() == alone.stack.tobytes()
+
+    def test_a_singular_total_draws_again_from_its_own_stream(self, monkeypatch):
+        """With EIG_CLIP raised so that some streams' totals count as
+        singular, each such stream draws again at once, as the one-by-one
+        reference does, and every stream ends where the reference leaves it."""
+        clip, d = 2.0, 2
+        ns = [2 + t % 2 for t in range(20)]
+        seeds = [7200 + t for t in range(20)]
+        default = [p.stack for p in sampling.random_povms(
+            d, ns, [False] * 20, [mp.SeededRng(s) for s in seeds])]
+        monkeypatch.setattr(sampling, "EIG_CLIP", clip)
+        rngs, ref_rngs = [mp.SeededRng(s) for s in seeds], [mp.SeededRng(s) for s in seeds]
+        drawn = [p.stack for p in sampling.random_povms(d, ns, [False] * 20, rngs)]
+        for stack, n, rng in zip(drawn, ns, ref_rngs):
+            assert stack.tobytes() == ref.coherent_povm(d, n, rng, clip).tobytes()
+        assert [r.gen.integers(1 << 62) for r in rngs] == [r.gen.integers(1 << 62) for r in ref_rngs]
+        # six streams drew again, one of them five times
+        assert sum(a.tobytes() != b.tobytes() for a, b in zip(drawn, default)) == 6
+
+    def test_a_total_that_stays_singular_raises_after_ten_draws(self, monkeypatch):
+        monkeypatch.setattr(sampling, "EIG_CLIP", np.inf)
+        rng, ref_rng = mp.SeededRng(7300), mp.SeededRng(7300)
+        with pytest.raises(SingularTotal, match="after 10 redraws"):
+            mp.random_povm(3, 4, False, rng)
+        ref_rng.gen.standard_normal((10, 4, 2, 3, 3))
+        assert rng.gen.integers(1 << 62) == ref_rng.gen.integers(1 << 62)
+
+
+@pytest.mark.parametrize("draw, message", [
+    (lambda rng: mp.haar_isometry(2, 3, rng), "1 <= cols <= rows"),
+    (lambda rng: mp.random_povm(0, 2, False, rng), "dimension must be at least 1"),
+    (lambda rng: mp.random_povm(0, 2, True, rng), "dimension must be at least 1"),
+    (lambda rng: mp.random_stochastic_matrix(0, 2, rng), "a row and a column"),
+    (lambda rng: mp.random_channel(0, 0, "general", rng), "dimension must be at least 1"),
+    (lambda rng: sampling.random_povms(2, [2, 2], [False], [rng, rng]), "1 parameters"),
+    (lambda rng: sampling.random_channels(2, [1], "general", [rng, rng]), "1 parameters"),
+], ids=["wide_isometry", "coherent_povm_d0", "incoherent_povm_d0", "stochastic_matrix_no_rows",
+        "channel_d0", "povm_parameters_and_streams_differ", "channel_ranks_and_streams_differ"])
+def test_a_sampler_refuses_an_empty_or_impossible_shape(draw, message):
+    """A shape with no entries, an isometry with more columns than rows and
+    per-stream parameters that do not match the streams raise ValueError
+    before the stream is read."""
+    rng = mp.SeededRng(10)
+    with pytest.raises(ValueError, match=message):
+        draw(rng)
+    assert rng._gen is None
 
 
 # sampler -> (d, rng) -> the array of one draw

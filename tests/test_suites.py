@@ -115,7 +115,7 @@ def test_blocks_are_sized_by_the_first_trial(monkeypatch):
     mp.run_suite("cm_faithfulness", 2, 10, 42)
     assert sizes == [10]
     suite = suites.SUITES["cm_faithfulness"]
-    requests, _ = suite.draw(2, mp.SeededRng(42).spawn(suite.stream).spawn(0))
+    [(requests, _)] = suite.draw(2, [mp.SeededRng(42).spawn(suite.stream).spawn(0)])
     first = suites._nbytes(requests)
     assert first == sum(povm.stack.nbytes for povm in requests[0][1])
     sizes.clear()
@@ -134,7 +134,9 @@ def test_blocks_are_sized_by_the_first_trial(monkeypatch):
 class TestTheBatchingLoop:
     """run_suite hands each trial's check exactly the values of its own
     request items, whatever the blocks, for trials of 1, 3 and 0 items and
-    for items given as a list of matrices or as an ndarray."""
+    for items given as a list of matrices or as an ndarray; it draws the
+    first trial alone and then each block, the rest of the first one
+    included, with one draw call."""
 
     COUNTS = (1, 3, 0)
     TRIALS = 10
@@ -142,7 +144,7 @@ class TestTheBatchingLoop:
     @pytest.fixture
     def fake(self, monkeypatch):
         """A suite whose two kernels echo their items, trial by trial."""
-        calls, checked = [], []
+        calls, checked, drawn = [], [], []
 
         def echo(items):
             calls.append(len(items))
@@ -152,27 +154,32 @@ class TestTheBatchingLoop:
         monkeypatch.setattr(suites, "echo_rows", np.asarray, raising=False)
         order = iter(range(self.TRIALS))
 
-        def draw(dim, rng):
+        def trial():
             index = next(order)
             n = self.COUNTS[index % 3]
             own = tuple((index, j) for j in range(n))  # no array: 0 bytes
             rows = np.full((n, 128, 64), float(index))  # 64 KiB an item
             return (("echo", own), ("echo_rows", rows)), (index, own, rows)
 
+        def draw(dim, rngs):
+            drawn.append(len(rngs))
+            return [trial() for _ in rngs]
+
         def check(values, context, tol):
             checked.append((values, context))
             return {"ok": 0.0}, None
 
         monkeypatch.setitem(suites.SUITES, "fake", suites.Suite(draw, check, 1e-8, 11))
-        return calls, checked
+        return calls, checked, drawn
 
-    @pytest.mark.parametrize("block_bytes, blocks", [
-        (1, [1] * TRIALS),
-        (None, [8, 2]),  # the first trial's 64 KiB item sizes the blocks
-        (1 << 40, [TRIALS]),
+    @pytest.mark.parametrize("block_bytes, blocks, draws", [
+        (1, [1] * TRIALS, [1] * TRIALS),
+        (None, [8, 2], [1, 7, 2]),  # the first trial's 64 KiB item sizes the blocks
+        (1 << 40, [TRIALS], [1, TRIALS - 1]),
     ])
-    def test_each_check_gets_its_own_values(self, fake, monkeypatch, block_bytes, blocks):
-        calls, checked = fake
+    def test_each_check_gets_its_own_values(self, fake, monkeypatch, block_bytes, blocks,
+                                            draws):
+        calls, checked, drawn = fake
         if block_bytes is not None:
             monkeypatch.setattr(suites, "BLOCK_BYTES", block_bytes)
         report = mp.run_suite("fake", 2, self.TRIALS, 42)
@@ -180,6 +187,7 @@ class TestTheBatchingLoop:
         sizes = [sum(self.COUNTS[i % 3] for i in range(start, start + size))
                  for start, size in zip(np.cumsum([0] + blocks), blocks)]
         assert calls == sizes
+        assert drawn == draws
         assert [context[0] for _, context in checked] == list(range(self.TRIALS))
         for (own_values, own_rows), (index, own, rows) in checked:
             assert len(own_values) == len(own) == self.COUNTS[index % 3]
@@ -194,10 +202,44 @@ def test_every_trial_names_the_same_kernels(dim):
     every draw of a suite names the same kernels in the same order."""
     for name, suite in suites.SUITES.items():
         suite_rng = mp.SeededRng(42).spawn(suite.stream)
-        kernels = {tuple(kernel for kernel, _ in suite.draw(dim, suite_rng.spawn(i))[0])
-                   for i in range(20)}
+        draws = suite.draw(dim, [suite_rng.spawn(i) for i in range(20)])
+        kernels = {tuple(kernel for kernel, _ in requests) for requests, _ in draws}
         assert len(kernels) == 1, name
         assert all(callable(getattr(suites, kernel)) for kernel in kernels.pop()), name
+
+
+def held_bytes(value) -> list:
+    """The shape, dtype and bytes of every array that a draw holds, in
+    order (a POVM's stack, a channel's Kraus operators and Choi matrix),
+    and the repr of every other value."""
+    if isinstance(value, mp.Povm):
+        return held_bytes(value.stack)
+    if isinstance(value, mp.QuantumChannel):
+        return held_bytes(value.kraus) + held_bytes(value.choi)
+    if isinstance(value, np.ndarray):
+        return [f"{value.shape} {value.dtype.str}", value.tobytes()]
+    if isinstance(value, (tuple, list)):
+        return [b for item in value for b in held_bytes(item)]
+    return [repr(value)]
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+@pytest.mark.parametrize("name", list(CHECKS))
+def test_a_block_draws_what_each_trial_draws_alone(name, dim):
+    """A draw of 20 streams at once gives each trial the requests and
+    context that its stream gives alone, byte for byte, and leaves each
+    stream where a draw alone leaves it."""
+    suite = suites.SUITES[name]
+    suite_rng = mp.SeededRng(42).spawn(suite.stream)
+    rngs = [suite_rng.spawn(i) for i in range(20)]
+    alone_rngs = [suite_rng.spawn(i) for i in range(20)]
+    block = suite.draw(dim, rngs)
+    assert len(block) == 20
+    for drawn, rng in zip(block, alone_rngs):
+        [alone] = suite.draw(dim, [rng])
+        assert held_bytes(drawn) == held_bytes(alone)
+    assert ([rng.gen.integers(1 << 62) for rng in rngs]
+            == [rng.gen.integers(1 << 62) for rng in alone_rngs])
 
 
 class TestCrashAttribution:
@@ -220,17 +262,32 @@ class TestCrashAttribution:
         assert hexes(others) == hexes(v for i, v in enumerate(clean) if i != self.BAD)
 
     def test_a_draw_that_raises(self, monkeypatch):
-        clean = self.run().trial_values
+        """The block's draw reads every stream before it raises, so the
+        trials drawn again alone must start from fresh streams: each keeps
+        the margins of the unpatched run, not only its clipped value."""
         suite = suites.SUITES[self.SUITE]
-        bad_seed = self.bad_seed()
+        bad_seed, sizes, margins = self.bad_seed(), [], []
 
-        def draw(dim, rng):
-            if rng.master_seed == bad_seed:
+        def check(values, context, tol):
+            outcome = suite.check(values, context, tol)
+            margins.append({name: float(m).hex() for name, m in outcome[0].items()})
+            return outcome
+
+        def draw(dim, rngs):
+            sizes.append(len(rngs))
+            draws = suite.draw(dim, rngs)
+            if any(rng.master_seed == bad_seed for rng in rngs):
                 raise RuntimeError("draw failed")
-            return suite.draw(dim, rng)
+            return draws
 
-        monkeypatch.setitem(suites.SUITES, self.SUITE, suite._replace(draw=draw))
+        monkeypatch.setitem(suites.SUITES, self.SUITE, suite._replace(check=check))
+        clean = self.run().trial_values
+        clean_margins, margins[:] = margins[:], []
+        monkeypatch.setitem(suites.SUITES, self.SUITE, suite._replace(draw=draw, check=check))
         self.assert_only_the_bad_trial_fails(self.run(), clean, "RuntimeError: draw failed")
+        assert margins == clean_margins[:self.BAD] + clean_margins[self.BAD + 1:]
+        # the first trial, the rest of its block, then each of those alone
+        assert sizes == [1, self.TRIALS - 1] + [1] * (self.TRIALS - 1)
 
     def test_an_evaluation_that_raises_on_one_trials_operands(self, monkeypatch):
         clean = self.run().trial_values
@@ -238,11 +295,12 @@ class TestCrashAttribution:
         bad_seed, bad, blocks = self.bad_seed(), [], []
         kernel = suites.measurement_coherences  # one item, M, a cm_oracle trial
 
-        def draw(dim, rng):
-            requests, context = suite.draw(dim, rng)
-            if rng.master_seed == bad_seed:
-                bad.append(requests[0][1][0])
-            return requests, context
+        def draw(dim, rngs):
+            draws = suite.draw(dim, rngs)
+            for rng, (requests, _) in zip(rngs, draws):
+                if rng.master_seed == bad_seed:
+                    bad.append(requests[0][1][0])
+            return draws
 
         def coherences(povms):
             blocks.append(len(povms))
@@ -261,9 +319,9 @@ class TestCrashAttribution:
         suite = suites.SUITES[self.SUITE]
         bad_seed, checked = self.bad_seed(), []
 
-        def draw(dim, rng):
-            requests, _ = suite.draw(dim, rng)
-            return requests, rng.master_seed
+        def draw(dim, rngs):
+            return [(requests, rng.master_seed)
+                    for rng, (requests, _) in zip(rngs, suite.draw(dim, rngs))]
 
         def check(values, seed, tol):
             checked.append(seed)
