@@ -128,7 +128,8 @@ def _rows(layer: str, operations, dims) -> tuple:
 # (layer, operation, case), in output order
 ROWS = (
     *_rows("operators", ("psd_entropies", "relative_entropies"), (2, 4)),
-    *_rows("channels", ("construct", "compose", "classify_channel", "pullback_povm"), (2, 4)),
+    *_rows("channels", ("construct", "compose", "classify_channel", "pullback_povm"),
+           (2, 3, 4, 5, 6)),
     *_rows("measures", ("measurement_coherence", "measurement_relative_entropy",
                         "measurement_relative_entropies", "ere_lower_bounds"), (2, 4)),
     *_rows("powers", ("C", "C_g", "certificate", "conversion_channel",

@@ -1,18 +1,14 @@
 """Quantum channels, POVMs, stochastic post-processing, and channel-class
 predicates.
 
-A channel is canonically its Choi matrix, and every operation on channels
-works on it directly: application, composition (one matrix product in the
-natural, superoperator representation, which is a reshuffle of the Choi
-matrix), adjoints and the class predicates. Kraus
-operators are a view: a channel built from Kraus operators holds them and
-builds its Choi matrix the first time `choi` is read, so a channel that is
-only written out never builds it; any other channel computes a minimal
-Kraus set from the Choi eigendecomposition the first time `kraus` is read.
-Either derived array is a deterministic function of the other, and both are
-read-only, so instances are immutable. The class predicates compare Choi
-entries with the identity or zero within CHANNEL_EQ_TOL, which is
-representation independent.
+A channel is its stack of Kraus operators, and every operation on channels
+works on that stack with batched matrix products: images E(X) = sum_k
+K_k X K_k^dag, pull-backs E^dag(Y) = sum_k K_k^dag Y K_k, composition (every
+product K2_j K1_k), adjoints ({K_k^dag}) and the class predicates. The Choi
+matrix is a view computed from the Kraus stack on first read, for callers
+and tests; no operation reads it. Both arrays are read-only, so instances
+are immutable. The class predicates compare sums of Kraus products with the
+identity or zero within CHANNEL_EQ_TOL.
 
 Channels, POVMs and stochastic matrices are validated where they enter:
 from a file, from `unitary_channel`, or from user code calling the public
@@ -20,11 +16,10 @@ constructors. What the library derives from valid objects is valid by
 construction and is not checked again:
 - a POVM computed from valid ones (a pull-back through a channel, a
   classical post-processing, a product, a mixture, a padding);
-- a channel held through `QuantumChannel._from_kraus`: both kinds of
-  `random_channel`, Haar unitary channels and `measurement_as_channel`,
-  which also builds `conversion_channel` and `measurement_as_square_channel`;
-  a channel held through `_from_choi`: composites, adjoints and the
-  classical channels of `random_dio`;
+- a channel held through `QuantumChannel._from_kraus`: composites, adjoints,
+  both kinds of `random_channel` and of `random_dio`, Haar unitary channels
+  and `measurement_as_channel`, which also builds `conversion_channel` and
+  `measurement_as_square_channel`;
 - a Dirichlet draw of `random_stochastic_matrix`, and the p(x|i) = <i|M_x|i>
   that `decompose_incoherent` reads off an incoherent POVM.
 The edge: a derived object whose rounding would pass its tolerance is
@@ -52,7 +47,6 @@ from .errors import (
 )
 from .operators import (
     EIG_CLIP,
-    PSD_TOL,
     as_array,
     check_hermitian,
     check_psd_spectra,
@@ -61,34 +55,32 @@ from .operators import (
 
 TP_TOL = 1e-9           # max-abs deviation of sum_k K_k^dag K_k from I
 COMPLETENESS_TOL = 1e-9  # max-abs deviation of sum_x M_x from I
-CHANNEL_EQ_TOL = 1e-9    # max-abs Choi deviation the class predicates allow
+CHANNEL_EQ_TOL = 1e-9    # max-abs deviation the class predicates allow
 STOCHASTIC_TOL = 1e-10   # column-sum deviation allowed in p(x|i)
 
 
 class QuantumChannel:
-    """Completely positive trace-preserving map, canonically its Choi matrix.
+    """Completely positive trace-preserving map, held as its Kraus operators.
 
-    The Choi matrix is sum_ij E(|i><j|) (x) |i><j| (unnormalized, output
-    factor first, input factor second), so its entry [(a, i), (b, j)] is
-    E(|i><j|)[a, b]. Complete positivity is automatic for any Kraus list,
-    so construction validates finiteness and trace preservation only, the
-    latter on the dim_in x dim_in Gram matrix sum_k K_k^dag K_k. A channel
-    built from Kraus operators holds them and builds its Choi matrix on the
-    first `choi` read. A channel the library derives from valid inputs is
-    held by `_from_kraus` or `_from_choi` without any check.
+    Complete positivity is automatic for any Kraus list, so construction
+    validates finiteness and trace preservation only, the latter on the
+    dim_in x dim_in Gram matrix sum_k K_k^dag K_k. A channel the library
+    derives from valid inputs is held by `_from_kraus` without any check.
+    The Choi matrix sum_ij E(|i><j|) (x) |i><j| (unnormalized, output factor
+    first, input factor second), whose entry [(a, i), (b, j)] is
+    E(|i><j|)[a, b], is built from the Kraus operators on the first `choi`
+    read.
     """
 
-    __slots__ = ("_choi", "_dim_in", "_dim_out", "_kraus")
+    __slots__ = ("_choi", "_kraus")
 
     def __init__(self, kraus) -> None:
         arr = as_array(kraus, 3, "Kraus operators")
         require_finite(arr, "Kraus operators")
-        self._dim_out, self._dim_in = arr.shape[1], arr.shape[2]
-        rows = arr.reshape(-1, self._dim_in)  # every row of every K_k
         # finite entries can overflow the Gram matrix to inf and NaN, which
         # the comparison below rejects without a warning
         with np.errstate(over="ignore", invalid="ignore"):
-            residual = _max_abs(rows.conj().T @ rows - _identity(self._dim_in))
+            residual = _max_abs(_gram(arr) - _identity(arr.shape[2]))
         if not residual <= TP_TOL:
             raise NotTracePreserving(
                 f"sum of K^dag K deviates from identity by {residual:.3e}"
@@ -105,51 +97,27 @@ class QuantumChannel:
         channel = cls.__new__(cls)
         kraus.setflags(write=False)
         channel._kraus = kraus
-        channel._dim_out, channel._dim_in = kraus.shape[1], kraus.shape[2]
         channel._choi = None
-        return channel
-
-    @classmethod
-    def _from_choi(cls, choi: np.ndarray, dim_in: int, dim_out: int) -> "QuantumChannel":
-        """Hold the complex Choi matrix of a map already known to be CPTP,
-        made read-only in place."""
-        channel = cls.__new__(cls)
-        choi.setflags(write=False)
-        channel._choi = choi
-        channel._dim_in, channel._dim_out = dim_in, dim_out
-        channel._kraus = None
         return channel
 
     @property
     def kraus(self) -> np.ndarray:
-        """Stacked Kraus operators, shape (rank, dim_out, dim_in).
-
-        The operators the channel was built from; for any other channel, the
-        minimal set sqrt(lambda_k) v_k of the Choi eigendecomposition,
-        computed on first access.
-        """
-        if self._kraus is None:
-            eig, vec = np.linalg.eigh(self._choi)
-            keep = eig > EIG_CLIP
-            kraus = (vec[:, keep] * np.sqrt(eig[keep])).T
-            kraus = kraus.reshape(-1, self._dim_out, self._dim_in)
-            kraus.setflags(write=False)
-            self._kraus = kraus
+        """Stacked Kraus operators, shape (rank, dim_out, dim_in)."""
         return self._kraus
 
     @property
     def dim_in(self) -> int:
-        return self._dim_in
+        return self._kraus.shape[2]
 
     @property
     def dim_out(self) -> int:
-        return self._dim_out
+        return self._kraus.shape[1]
 
     @property
     def choi(self) -> np.ndarray:
-        """The Choi matrix as a read-only complex array, shape
-        (dim_out * dim_in, dim_out * dim_in); for a channel built from Kraus
-        operators, sum_k vec(K_k) vec(K_k)^dag, computed on first access."""
+        """The Choi matrix sum_k vec(K_k) vec(K_k)^dag as a read-only complex
+        array, shape (dim_out * dim_in, dim_out * dim_in), computed on first
+        access."""
         if self._choi is None:
             vecs = self._kraus.reshape(self._kraus.shape[0], -1)
             choi = vecs.T @ vecs.conj()
@@ -161,22 +129,25 @@ class QuantumChannel:
         return f"QuantumChannel(dim_in={self.dim_in}, dim_out={self.dim_out})"
 
 
-def _blocks(channel: QuantumChannel) -> np.ndarray:
-    """The Choi matrix as a view J[a, i, b, j] = E(|i><j|)[a, b]."""
-    d_in, d_out = channel.dim_in, channel.dim_out
-    return channel.choi.reshape(d_out, d_in, d_out, d_in)
+def _gram(ops: np.ndarray) -> np.ndarray:
+    """sum_k A_k^dag A_k of an (r, p, q) stack, from its rows side by side."""
+    rows = ops.reshape(-1, ops.shape[2])
+    return rows.conj().T @ rows
 
 
 def _tp_residual(channel: QuantumChannel) -> float:
-    """Max-abs deviation from the identity of the Choi matrix's partial trace
-    over the output, tr E(|i><j|) = sum_k K_k^dag K_k."""
-    return _max_abs(np.einsum("aiaj->ij", _blocks(channel)) - _identity(channel.dim_in))
+    """Max-abs deviation of sum_k K_k^dag K_k from the identity."""
+    return _max_abs(_gram(channel.kraus) - _identity(channel.dim_in))
 
 
 def _unital_residual(channel: QuantumChannel) -> float:
-    """Max-abs deviation from the identity of the Choi matrix's partial trace
-    over the input, E(I)."""
-    return _max_abs(np.einsum("aibi->ab", _blocks(channel)) - _identity(channel.dim_out))
+    """Max-abs deviation of E(I) = sum_k K_k K_k^dag from the identity."""
+    return _max_abs(_gram(_daggers(channel.kraus)) - _identity(channel.dim_out))
+
+
+def _daggers(ops: np.ndarray) -> np.ndarray:
+    """The conjugate transpose of each operator of an (r, p, q) stack."""
+    return ops.conj().swapaxes(1, 2)
 
 
 @functools.cache
@@ -191,44 +162,52 @@ def _max_abs(values: np.ndarray) -> float:
     return float(np.abs(values).max(initial=0.0))
 
 
+def _conjugations(ops: np.ndarray, matrices: np.ndarray) -> np.ndarray:
+    """sum_k A_k^dag Y A_k for the (r, p, q) stack A and each p x p matrix Y
+    of a stack along the leading axes: one product of every Y row with the
+    operators side by side, then one with their conjugate columns."""
+    r, p, q = ops.shape
+    lead = matrices.shape[:-2]
+    side = ops.transpose(1, 0, 2).reshape(p, r * q)  # [a, (k, j)] = A_k[a, j]
+    # Y A_k for each Y, with rows (a, k)
+    products = (matrices.reshape(-1, p) @ side).reshape(-1, p * r, q)
+    return (side.reshape(p * r, q).conj().T @ products).reshape(*lead, q, q)
+
+
+def _row_grams(ops: np.ndarray) -> np.ndarray:
+    """sum_k A_k^dag |a><a| A_k for each row a of the (r, p, q) stack A,
+    shape (p, q, q): the Gram matrix of the a-th rows of the operators."""
+    rows = ops.transpose(1, 0, 2)
+    return rows.conj().swapaxes(1, 2) @ rows
+
+
 def images(channel: QuantumChannel, matrices: np.ndarray) -> np.ndarray:
-    """E(X)[a, b] = sum_ij J[(a, i), (b, j)] X[i, j] for one matrix or a
-    stack of them along the leading axis."""
+    """E(X) = sum_k K_k X K_k^dag for one matrix or a stack of them along the
+    leading axis."""
     if matrices.shape[-2:] != (channel.dim_in, channel.dim_in):
         raise DimensionMismatch(
             f"operator shape {matrices.shape[-2:]} != channel input dim {channel.dim_in}"
         )
-    lead = matrices.shape[:-2]
-    flat = matrices.reshape(*lead, -1) @ _superoperator(channel).T
-    return flat.reshape(*lead, channel.dim_out, channel.dim_out)
+    return _conjugations(_daggers(channel.kraus), matrices)
 
 
-def _adjoint_images(channel: QuantumChannel, matrices: np.ndarray) -> np.ndarray:
-    """E^dag(Y)[i, j] = sum_ab conj(J[(a, i), (b, j)]) Y[a, b] for one matrix
-    or a stack of them along the leading axis."""
-    lead = matrices.shape[:-2]
-    flat = matrices.reshape(*lead, -1).conj() @ _superoperator(channel)
-    return flat.conj().reshape(*lead, channel.dim_in, channel.dim_in)
-
-
-def _superoperator(channel: QuantumChannel) -> np.ndarray:
-    """Natural representation S[(a, b), (i, j)] = J[(a, i), (b, j)], which maps
-    the row-major vec(X) to vec(E(X))."""
-    d_in, d_out = channel.dim_in, channel.dim_out
-    return _blocks(channel).transpose(0, 2, 1, 3).reshape(d_out * d_out, d_in * d_in)
+def basis_images(channel: QuantumChannel) -> np.ndarray:
+    """The images E(|i><i|) = sum_k K_k |i><i| K_k^dag of the incoherent basis
+    states, shape (dim_in, dim_out, dim_out): the same matrices as
+    `images(channel, basis_measurement(channel.dim_in).stack)`, from the
+    Gram matrices of the columns of the Kraus operators."""
+    return _row_grams(_daggers(channel.kraus))
 
 
 def compose(second: QuantumChannel, first: QuantumChannel) -> QuantumChannel:
-    """Channel applying `first` then `second`: the product of their
-    superoperators, reshuffled back to a Choi matrix."""
+    """Channel applying `first` then `second`: the Kraus set of every product
+    K2_j K1_k, j-major."""
     if second.dim_in != first.dim_out:
         raise DimensionMismatch(
             f"cannot compose: inner dims {second.dim_in} and {first.dim_out} differ"
         )
-    d_in, d_out = first.dim_in, second.dim_out
-    product = _superoperator(second) @ _superoperator(first)
-    choi = product.reshape(d_out, d_out, d_in, d_in).transpose(0, 2, 1, 3)
-    return QuantumChannel._from_choi(choi.reshape(d_out * d_in, d_out * d_in), d_in, d_out)
+    products = second.kraus[:, None] @ first.kraus[None]
+    return QuantumChannel._from_kraus(products.reshape(-1, second.dim_out, first.dim_in))
 
 
 def unitary_channel(unitary) -> QuantumChannel:
@@ -242,17 +221,14 @@ def dephasing_channel(dim: int) -> QuantumChannel:
 
 
 def adjoint_channel(channel: QuantumChannel) -> QuantumChannel:
-    """The Heisenberg-picture map E^dag as a channel (Kraus set {K^dag}):
-    Choi entries J'[(i, a), (j, b)] = conj(J[(a, i), (b, j)]). Trace
-    preserving iff the input is unital."""
+    """The Heisenberg-picture map E^dag as a channel, Kraus set {K^dag}.
+    Trace preserving iff the input is unital."""
     if channel.dim_in != channel.dim_out:
         raise DimensionMismatch("adjoint channel requires a square channel")
-    d = channel.dim_in
     residual = _unital_residual(channel)
     if not residual <= TP_TOL:
         raise NotUnital(f"channel is not unital: E(I) deviates from identity by {residual:.3e}")
-    choi = _blocks(channel).conj().transpose(1, 0, 3, 2).reshape(d * d, d * d)
-    return QuantumChannel._from_choi(choi, d, d)
+    return QuantumChannel._from_kraus(np.ascontiguousarray(_daggers(channel.kraus)))
 
 
 @dataclass(frozen=True)
@@ -270,8 +246,7 @@ class ChannelClass:
 
 
 def is_unital(channel: QuantumChannel) -> bool:
-    """E(I) = I: the Choi matrix's partial trace over the input. False for a
-    non-square channel."""
+    """E(I) = sum_k K_k K_k^dag = I. False for a non-square channel."""
     if channel.dim_in != channel.dim_out:
         return False
     return _unital_residual(channel) <= CHANNEL_EQ_TOL
@@ -279,30 +254,30 @@ def is_unital(channel: QuantumChannel) -> bool:
 
 def is_dio(channel: QuantumChannel) -> bool:
     """Detection incoherence, dephase . E = dephase . E . dephase: E(|i><j|)
-    has a zero diagonal for i != j, so J[(a, i), (a, j)] = 0. False for a
-    non-square channel."""
+    has a zero diagonal for i != j, so every pulled-back basis element
+    E^dag(|a><a|) is diagonal. False for a non-square channel."""
     if channel.dim_in != channel.dim_out:
         return False
-    off = ~np.eye(channel.dim_in, dtype=bool)
-    return _max_abs(np.einsum("aiaj->aij", _blocks(channel))[:, off]) <= CHANNEL_EQ_TOL
+    return _off_diagonal(_row_grams(channel.kraus)) <= CHANNEL_EQ_TOL
+
+
+def _off_diagonal(stack: np.ndarray) -> float:
+    """The largest absolute off-diagonal entry of a stack of square matrices."""
+    return _max_abs(stack[:, ~np.eye(stack.shape[1], dtype=bool)])
 
 
 def classify_channel(channel: QuantumChannel) -> ChannelClass:
-    """Read the class flags off the Choi matrix J[(a, i), (b, j)] = E(|i><j|)[a, b].
+    """Read the class flags off the Kraus set.
 
-    Trace preservation and unitality are its two partial traces, complete
-    positivity its lowest eigenvalue; `is_dio` and `is_unital` give one flag
-    each without that eigendecomposition. Preservation of incoherent states
-    means E(|i><i|) is diagonal, so J[(a, i), (b, i)] = 0 for a != b.
+    Complete positivity is automatic for a Kraus set, so `cptp` is trace
+    preservation, sum_k K_k^dag K_k = I. Unitality and detection
+    incoherence are `is_unital` and `is_dio`. Preservation of incoherent
+    states means every basis image E(|i><i|) is diagonal.
     """
-    tp_ok = _tp_residual(channel) <= CHANNEL_EQ_TOL
-    cptp = tp_ok and bool(np.linalg.eigvalsh(channel.choi)[0] >= -PSD_TOL)
-
+    cptp = _tp_residual(channel) <= CHANNEL_EQ_TOL
     if channel.dim_in != channel.dim_out:
         return ChannelClass(cptp=cptp, unital=False, dio=False, mio=False)
-
-    off = ~np.eye(channel.dim_in, dtype=bool)
-    mio = _max_abs(np.einsum("aibi->abi", _blocks(channel))[off]) <= CHANNEL_EQ_TOL
+    mio = _off_diagonal(basis_images(channel)) <= CHANNEL_EQ_TOL
     return ChannelClass(cptp=cptp, unital=is_unital(channel), dio=is_dio(channel), mio=mio)
 
 
@@ -448,16 +423,16 @@ def pullback_povm(channel: QuantumChannel, povm: Povm) -> Povm:
         raise DimensionMismatch(
             f"POVM dim {povm.dim} != channel output dim {channel.dim_out}"
         )
-    return Povm._from_valid(_adjoint_images(channel, povm.stack))
+    return Povm._from_valid(_conjugations(channel.kraus, povm.stack))
 
 
 def pulled_back_basis(channel: QuantumChannel) -> Povm:
     """The incoherent-basis measurement pulled back through the channel,
     {E^dag(|a><a|)}, the same POVM as
     `pullback_povm(channel, basis_measurement(channel.dim_out))`:
-    E^dag(|a><a|)[i, j] = conj(J[(a, i), (a, j)]), a conjugated diagonal
-    block of the Choi matrix."""
-    return Povm._from_valid(np.einsum("aiaj->aij", _blocks(channel)).conj())
+    E^dag(|a><a|) = sum_k K_k[a, :]^dag K_k[a, :], the Gram matrix of the
+    a-th rows of the Kraus operators."""
+    return Povm._from_valid(_row_grams(channel.kraus))
 
 
 def tensor_povm(a: Povm, b: Povm) -> Povm:

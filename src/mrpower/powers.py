@@ -19,6 +19,7 @@ import numpy as np
 from .channels import (
     Povm,
     QuantumChannel,
+    basis_images,
     basis_measurement,
     is_dio,
     is_unital,
@@ -87,10 +88,7 @@ def state_cohering_powers(channels: Sequence[QuantumChannel]) -> list[float]:
     for channel in channels:
         if _require_square(channel) != d:
             raise DimensionMismatch(f"channels differ in dim ({d} vs {channel.dim_in})")
-    # E(|i><i|)[a, b] = J[(a, i), (b, i)]: the d images are one slice of the Choi matrix
-    images = np.concatenate(
-        [np.einsum("aibi->iab", channel.choi.reshape(d, d, d, d)) for channel in channels]
-    )
+    images = np.concatenate([basis_images(channel) for channel in channels])
     return coherences_of_states(images).reshape(len(channels), d).max(axis=1).tolist()
 
 
@@ -216,7 +214,8 @@ def composite_elements(
     the sandwiched composite dephase . K . (E (x) id) . L on dimension d^2,
     the operand of `composite_ent_lower_bounds`.
 
-    K must be detection incoherent and L unital detection incoherent.
+    K must be detection incoherent and L unital detection incoherent; each
+    is checked through its Kraus set.
     """
     d = _require_square(channel)
     dd = d * d
@@ -229,11 +228,15 @@ def composite_elements(
     if not (is_dio(l) and is_unital(l)):
         raise PreconditionViolation("L is not unital detection incoherent")
     # the basis measurement reads only the diagonal, so the final dephasing
-    # leaves the pulled-back elements unchanged and is not applied; E^dag
-    # acts on the first factor of each Y_n = K^dag(|n><n|):
-    # X[n, i, x, j, y] = sum_ab conj(J[a, i, b, j]) Y[n, a, x, b, y]
-    y = pulled_back_basis(k).stack.reshape(dd, d, d, d, d)
-    x = np.einsum("aibj,naxby->nixjy", channel.choi.reshape(d, d, d, d).conj(), y)
+    # leaves the pulled-back elements unchanged and is not applied. K is
+    # detection incoherent, so K^dag(|n><n|) is diagonal (its off-diagonal
+    # entries, within CHANNEL_EQ_TOL, are dropped), with entries
+    # q[n, a, x] = sum_k |K_k[n, (a, x)]|^2, and E^dag (x) id maps it to
+    # X_n = sum_x (sum_a q[n, a, x] E^dag(|a><a|)) (x) |x><x|
+    q = (np.abs(k.kraus) ** 2).sum(axis=0).reshape(dd, d, d)
+    pulled = pulled_back_basis(channel).stack.reshape(d, d * d)
+    blocks = (q.transpose(0, 2, 1) @ pulled).reshape(dd, d, d, d)  # [n, x, i, j]
+    x = blocks.transpose(0, 2, 1, 3)[..., None] * np.eye(d)[:, None, :]
     return pullback_povm(l, Povm._from_valid(x.reshape(dd, dd, dd))).stack
 
 

@@ -159,36 +159,43 @@ def random_channel(d: int, kraus_rank: int, kind: str, rng: SeededRng) -> Quantu
 
 
 def random_dios(d: int, unital, rngs) -> list[QuantumChannel]:
-    """Random detection-incoherent channels, the t-th unital when unital[t]:
-    the classical channel rho -> sum_nm q(n|m) <m|rho|m> |n><n| of a
-    column-stochastic q, which is detection incoherent by construction, and
-    unital when q is doubly stochastic.
+    """Random detection-incoherent channels, the t-th unital when unital[t],
+    held as monomial Kraus operators (one nonzero entry per column), which
+    are strictly incoherent and so detection incoherent.
 
-    A channel K is detection incoherent exactly when each K^dag(|n><n|) is
-    diagonal, and then K^dag(|n><n|) = sum_m q(n|m) |m><m| for the q of its
-    basis statistics. A check that pulls the basis measurement back through
-    K (its cohering power, or K as the last channel of a sandwiched
-    composite) reads K only through q, so the classical channel of q gives
-    every value such a check can take. Non-unital draws take q with
-    Dirichlet columns; unital draws take a Dirichlet mixture of three
-    permutation matrices, which is doubly stochastic but does not exhaust
-    the unital class.
+    A non-unital draw takes a column-stochastic q with Dirichlet columns and
+    holds its shift form K_j = sum_m sqrt(q(m+j mod d | m)) |m+j><m|,
+    j = 0..d-1. Its pulled-back basis K^dag(|n><n|) = sum_m q(n|m) |m><m| is
+    that of the classical channel of q, and a check that pulls the basis
+    measurement back through K reads K only through it. A unital draw is a
+    Dirichlet mixture of three phased permutation unitaries
+    sum_m e^{i theta_m} |perm(m)><m|, which keep coherence.
     """
     if d < 2:
         raise ValueError(f"dimension must be at least 2, got {d}")
-    q = np.zeros((len(rngs), d, d))
     columns = np.arange(d)
-    for own, doubly, rng in zip(q, unital, rngs, strict=True):
+
+    def draw(doubly, streams):
         if doubly:
-            for weight in rng.gen.dirichlet(np.ones(3)):
-                # the permutation |m> -> |perm[m]>
-                own[rng.gen.permutation(d), columns] += weight
+            # each stream's weights, then its phases, then its permutations
+            # |m> -> |perm[m]>
+            weights, phases, perms = [], [], []
+            for gen in (rng.gen for rng in streams):
+                weights.append(gen.dirichlet(np.ones(3)))
+                phases.append(gen.uniform(size=(3, d)))
+                perms.append([gen.permutation(d) for _ in range(3)])
+            trial, op = np.ogrid[:len(streams), :3]
+            kraus = np.zeros((len(streams), 3, d, d), dtype=complex)
+            kraus[trial[..., None], op[..., None], np.array(perms), columns] = (
+                np.sqrt(weights)[..., None] * np.exp(2j * np.pi * np.array(phases)))
         else:
-            own[...] = _dirichlet_columns(d, d, rng)
-    # Choi entry [(n, m), (n, m)] is q(n|m); every other entry is zero
-    choi = np.zeros((len(rngs), d * d, d * d), dtype=complex)
-    choi[:, np.arange(d * d), np.arange(d * d)] = q.reshape(len(rngs), -1)
-    return [QuantumChannel._from_choi(own, d, d) for own in choi]
+            q = np.array([_dirichlet_columns(d, d, rng) for rng in streams])
+            shifted = (columns[:, None] + columns) % d  # [j, m] = m + j mod d
+            kraus = np.zeros((len(streams), d, d, d), dtype=complex)
+            kraus[:, columns[:, None], shifted, columns] = np.sqrt(q[:, shifted, columns])
+        return [QuantumChannel._from_kraus(ops) for ops in kraus]
+
+    return _grouped([bool(flag) for flag in unital], rngs, draw)
 
 
 def random_dio(d: int, unital: bool, rng: SeededRng) -> QuantumChannel:

@@ -27,9 +27,8 @@ from .channels import (
     Povm,
     QuantumChannel,
     adjoint_channel,
-    basis_measurement,
+    basis_images,
     classical_postprocess,
-    images,
     is_dio,
     mix_povm,
     pullback_povm,
@@ -47,6 +46,7 @@ from .measures import (
 )
 from .powers import (
     CONVERSION_GAP_TOL,
+    cnot_matrix,
     composite_elements,
     composite_ent_lower_bounds,
     conversion_ent_lower_bounds,
@@ -60,7 +60,6 @@ from .sampling import (
     _grouped,
     haar_unitary_channels,
     random_channels,
-    random_dio,
     random_dios,
     random_povms,
     random_stochastic_matrix,
@@ -295,17 +294,23 @@ def _check_conversion_equality(values, context, tol: float):
 
 
 def _draw_thm3_proxy(dim: int, rngs):
-    channels = random_channels(dim, _integers(rngs, 1, dim * dim + 1), "general", rngs)
-    return [_thm3_proxy_trial(dim, *trial) for trial in zip(rngs, channels)]
-
-
-def _thm3_proxy_trial(dim, rng, channel):
-    # K and L are drawn trial by trial: their dense Choi matrices, d^8
-    # entries each, are freed once the composite's elements are made
-    k = random_dio(dim * dim, bool(rng.gen.integers(0, 2)), rng)
-    l = random_dio(dim * dim, True, rng)
-    return (("measurement_cohering_powers", (channel,)),
-            ("composite_ent_lower_bounds", (composite_elements(channel, k, l),))), None
+    dd = dim * dim
+    channels = random_channels(dim, _integers(rngs, 1, dd + 1), "general", rngs)
+    # K is the identity or a detection-incoherent draw, half and half; L is
+    # CNOT^dag with probability 1/4, which with K = id makes the composite
+    # the conversion channel, where the bound is attained, and otherwise a
+    # unital detection-incoherent draw
+    k_drawn = [flag == 1 for flag in _integers(rngs, 0, 2)]
+    l_drawn = [flag > 0 for flag in _integers(rngs, 0, 4)]
+    identity = QuantumChannel._from_kraus(np.eye(dd, dtype=complex)[None])
+    cnot_dagger = QuantumChannel._from_kraus(cnot_matrix(dim).T[None].copy())
+    ks = _grouped(k_drawn, rngs, lambda drawn, streams: (
+        random_dios(dd, [False] * len(streams), streams) if drawn else [identity] * len(streams)))
+    ls = _grouped(l_drawn, rngs, lambda drawn, streams: (
+        random_dios(dd, [True] * len(streams), streams) if drawn else [cnot_dagger] * len(streams)))
+    return [((("measurement_cohering_powers", (channel,)),
+              ("composite_ent_lower_bounds", (composite_elements(channel, k, l),))), None)
+            for channel, k, l in zip(_released(channels), _released(ks), _released(ls))]
 
 
 def _check_thm3_proxy(values, context, tol: float):
@@ -319,8 +324,7 @@ def _draw_duality(dim: int, rngs):
     channels = random_channels(dim, _integers(rngs, 1, dim * dim + 1), "unital", rngs)
     return [((("measurement_cohering_powers", (adjoint_channel(channel),)),
               ("state_cohering_powers", (channel,)),
-              # E(|i><i|) for each i
-              ("coherences_of_states", images(channel, basis_measurement(dim).stack))), None)
+              ("coherences_of_states", basis_images(channel))), None)
             for channel in channels]
 
 
@@ -536,11 +540,11 @@ def _crashed(exc: Exception) -> tuple[float, str]:
 
 def _nbytes(operands) -> int:
     """Bytes of the arrays that a trial's request items hold: a POVM its
-    stack, a channel its Choi matrix (the form every kernel reads)."""
+    stack, a channel its Kraus operators."""
     if isinstance(operands, Povm):
         return operands.stack.nbytes
     if isinstance(operands, QuantumChannel):
-        return operands.choi.nbytes
+        return operands.kraus.nbytes
     if isinstance(operands, np.ndarray):
         return operands.nbytes
     if isinstance(operands, (tuple, list)):

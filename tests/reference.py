@@ -240,10 +240,27 @@ def permutation_channel(perm) -> QuantumChannel:
 
 
 def mix_channels(a: QuantumChannel, b: QuantumChannel, p: float) -> QuantumChannel:
-    """Convex mixture p a + (1 - p) b, held as the same mixture of the Choi
-    matrices."""
-    choi = p * a.choi + (1.0 - p) * b.choi
-    return QuantumChannel._from_choi(choi, a.dim_in, a.dim_out)
+    """Convex mixture p a + (1 - p) b, the Kraus union
+    {sqrt(p) A_k} + {sqrt(1 - p) B_k}."""
+    return QuantumChannel(np.concatenate((np.sqrt(p) * a.kraus, np.sqrt(1.0 - p) * b.kraus)))
+
+
+def classical_choi(q: np.ndarray) -> np.ndarray:
+    """The Choi matrix of the classical channel rho -> sum_nm q(n|m) <m|rho|m> |n><n|
+    of a column-stochastic q: diagonal, with entry [(n, m), (n, m)] = q(n|m)."""
+    return np.diag(q.reshape(-1)).astype(complex)
+
+
+def choi_pulled_back_basis(choi: np.ndarray, d: int) -> np.ndarray:
+    """E^dag(|a><a|)[i, j] = conj(J[(a, i), (a, j)]), the conjugated diagonal
+    blocks of the Choi matrix of a channel on dimension d."""
+    return np.einsum("aiaj->aij", choi.reshape(d, d, d, d)).conj()
+
+
+def dirichlet_columns(rows: int, cols: int, rng) -> np.ndarray:
+    """The column-stochastic q that a non-unital `random_dio` draws: Dirichlet
+    columns, one draw of `cols` of them."""
+    return rng.gen.dirichlet(np.ones(rows), size=cols).T
 
 
 def extend_with_identity(channel: QuantumChannel, d_anc: int) -> QuantumChannel:

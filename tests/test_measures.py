@@ -163,16 +163,16 @@ class TestVerifyKillsMutants:
     @pytest.mark.parametrize("module, name, mutant, killed_by", [
         (suites, "measurement_cohering_powers",
          lambda f: lambda es: [1.001 * v for v in f(es)], {"duality", "thm7_reduction"}),
-        (suites, "measurement_cohering_powers",
-         lambda f: lambda es: [0.999 * v for v in f(es)], {"duality", "thm7_reduction"}),
+        (suites, "measurement_cohering_powers", lambda f: lambda es: [0.999 * v for v in f(es)],
+         {"duality", "thm3_proxy", "thm7_reduction"}),
         (suites, "measurement_cohering_powers", lambda f: lambda es: [v + 1e-6 for v in f(es)],
          {"power_monotone", "duality", "thm7_reduction"}),
         (suites, "measurement_coherences", lambda f: lambda ms: [v + 1e-6 for v in f(ms)],
          {"cm_faithfulness", "cm_oracle", "thm7_reduction"}),
         (powers, "ere_lower_bounds", lambda f: lambda x, dims: 1.5 * f(x, dims),
-         {"conversion_equality"}),
+         {"conversion_equality", "thm3_proxy"}),
         (powers, "ere_lower_bounds", lambda f: lambda x, dims: f(x, dims) + 1e-3,
-         {"conversion_equality"}),
+         {"conversion_equality", "thm3_proxy"}),
         (suites, "measurement_relative_entropies",
          lambda f: lambda pairs: [1.01 * v for v in f(pairs)], {"cm_oracle"}),
         (suites, "state_cohering_powers", lambda f: lambda es: [1.01 * v for v in f(es)],

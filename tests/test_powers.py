@@ -10,6 +10,7 @@ from mrpower.errors import (
     UnsupportedScale,
 )
 from mrpower.measures import ere_lower_bounds
+from mrpower.operators import EIG_CLIP
 from mrpower.suites import SUITES
 
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
@@ -90,8 +91,8 @@ class TestConversionChannel:
 
 
 def composed_conversion_channel(channel):
-    """dephase . (E (x) id) . CNOT^dag as written, from superoperator
-    products: the reference for `conversion_channel`."""
+    """dephase . (E (x) id) . CNOT^dag as written, from every product of
+    the Kraus sets: the reference for `conversion_channel`."""
     d = channel.dim_in
     pre = mp.unitary_channel(mp.cnot_matrix(d).conj().T)
     extended = mp.compose(ref.extend_with_identity(channel, d), pre)
@@ -115,7 +116,8 @@ class TestConversionChannelMatchesComposition:
             converted = mp.conversion_channel(channel)
             reference = composed_conversion_channel(channel)
             assert ref.choi_distance(converted, reference) <= 1e-12, name
-            assert converted.kraus.shape[0] == reference.kraus.shape[0], name
+            choi_rank = np.count_nonzero(np.linalg.eigvalsh(reference.choi) > EIG_CLIP)
+            assert converted.kraus.shape[0] == choi_rank, name
             assert converted.kraus.shape[0] <= dim**3, name
 
     @pytest.mark.parametrize("dim", [2, 3, 4])
@@ -360,11 +362,13 @@ class TestDuality:
             assert c_adj == pytest.approx(average, abs=1e-10)
 
 
-class TestConvexitySuiteMatchesChoiMixture:
+class TestConvexitySuiteMatchesTheMixedChannel:
     """`power_convexity` takes C of the mixture from the mixed pulled-back
-    bases. That value equals, bit for bit, C of the mixture of the two Choi
-    matrices, and so does every trial value. The trial values alone would
-    pin little: clipped at zero, they are all 0.0 for these seeds."""
+    bases. That value equals C of the mixture channel, the union of the
+    weighted Kraus sets, to rounding (within 1e-15), and every trial value
+    is, bit for bit, the one the mixed pulled-back bases give. The trial
+    values alone would pin little: clipped at zero, they are all 0.0 for
+    these seeds."""
 
     @pytest.mark.parametrize("dim", [2, 3, 4, 5])
     def test_trial_values(self, dim):
@@ -379,7 +383,8 @@ class TestConvexitySuiteMatchesChoiMixture:
             p = float(rng.gen.uniform())
             mixed = mp.measurement_cohering_power(ref.mix_channels(first, second, p))
             pulled = mp.mix_povm(mp.pulled_back_basis(first), mp.pulled_back_basis(second), p)
-            assert mp.measurement_coherence(pulled).hex() == mixed.hex(), f"trial {index}"
+            assert mixed == pytest.approx(mp.measurement_coherence(pulled), rel=0, abs=1e-15)
+            mixed = mp.measurement_coherence(pulled)
             bound = p * mp.measurement_cohering_power(first) + (1.0 - p) * (
                 mp.measurement_cohering_power(second)
             )

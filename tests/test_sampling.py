@@ -144,8 +144,8 @@ class TestBatchedDrawsMatchOneByOne:
             lambda d, rank, n, flag, rng: mp.random_povm(d, n, flag, rng).stack),
         "random_dios": (
             lambda d, ranks, ns, flags, rngs: [
-                c.choi for c in sampling.random_dios(d, flags, rngs)],
-            lambda d, rank, n, flag, rng: mp.random_dio(d, flag, rng).choi),
+                c.kraus for c in sampling.random_dios(d, flags, rngs)],
+            lambda d, rank, n, flag, rng: mp.random_dio(d, flag, rng).kraus),
     }
 
     @pytest.mark.parametrize("d", [2, 3, 4])
@@ -234,8 +234,8 @@ STREAM_DRAWS = {
     "haar_isometry": lambda d, rng: mp.haar_isometry(2 * d, d, rng),
     "random_channel_general": lambda d, rng: mp.random_channel(d, d, "general", rng).kraus,
     "random_channel_unital": lambda d, rng: mp.random_channel(d, d, "unital", rng).kraus,
-    "random_dio_general": lambda d, rng: mp.random_dio(d, False, rng).choi,
-    "random_dio_unital": lambda d, rng: mp.random_dio(d, True, rng).choi,
+    "random_dio_general": lambda d, rng: mp.random_dio(d, False, rng).kraus,
+    "random_dio_unital": lambda d, rng: mp.random_dio(d, True, rng).kraus,
     "random_povm_coherent": lambda d, rng: mp.random_povm(d, d + 1, False, rng).stack,
     "random_povm_incoherent": lambda d, rng: mp.random_povm(d, d + 1, True, rng).stack,
     "random_stochastic_matrix": lambda d, rng: mp.random_stochastic_matrix(d + 1, d, rng).entries,
@@ -255,12 +255,12 @@ STREAM_DIGESTS = {
     "random_channel_unital d2": "82b82f35eec6793f0d722bb8a19f5e19",
     "random_channel_unital d3": "65ecb5a6a1b27babb5c3c37dad5f3249",
     "random_channel_unital d4": "ddb7258e01ce02992458021151b3b1cc",
-    "random_dio_general d2": "528e00c523af1ef09a31923c9cd7fccc",
-    "random_dio_general d3": "6b1c3908a9769f574481cc095af8b2d7",
-    "random_dio_general d4": "94b1a306f6cc3a7d68a36fc73fdb37c3",
-    "random_dio_unital d2": "e39380f1078173b4a365d4631947f6b4",
-    "random_dio_unital d3": "21ebe1ad8a58cd6b6baf04ad601105e2",
-    "random_dio_unital d4": "00a7c05c59070fcbaaad234340ea9e6c",
+    "random_dio_general d2": "b6f7f1e72b3774a61280f2219997a682",
+    "random_dio_general d3": "9c9139eb06e474df40980fbb4f430e10",
+    "random_dio_general d4": "bec11ec88f4758dfb46ca09872598eb2",
+    "random_dio_unital d2": "d7d405d071995d055d62da8c9aca571c",
+    "random_dio_unital d3": "6cc9becbd3b451798f6885601a2c4330",
+    "random_dio_unital d4": "6c8cbec262c205ed515f2801e6e3c083",
     "random_povm_coherent d2": "ca4547b9985367eb7b7661d9d6e7db07",
     "random_povm_coherent d3": "9eb67132f6dc91019768d5037502b55d",
     "random_povm_coherent d4": "c3bf2ab7ce7a143cb7ca72c9cbc0eceb",
@@ -324,24 +324,55 @@ class TestRandomDio:
 
     @pytest.mark.parametrize("unital", [False, True])
     def test_pulls_each_basis_projector_back_to_its_q_row(self, unital):
-        """The Choi matrix is diagonal with entry [(n, m), (n, m)] = q(n|m)
-        for a column-stochastic q (doubly stochastic when unital), and
-        K^dag(|n><n|) = sum_m q(n|m) |m><m|."""
+        """K^dag(|n><n|) = sum_m q(n|m) |m><m| for a column-stochastic q
+        (doubly stochastic when unital) with no off-diagonal entry at all."""
         rng = mp.SeededRng(11)
         for d in (2, 3, 4):
             for i in range(5):
-                channel = mp.random_dio(d, unital, rng.spawn(10 * d + i))
-                choi = channel.choi
-                assert np.count_nonzero(choi - np.diag(np.diag(choi))) == 0
-                q = np.diag(choi).real.reshape(d, d)
-                assert np.all(q >= 0)
+                pulled = mp.pulled_back_basis(mp.random_dio(d, unital, rng.spawn(10 * d + i)))
+                assert np.count_nonzero(pulled.stack[:, ~np.eye(d, dtype=bool)]) == 0
+                q = pulled.stack.diagonal(axis1=1, axis2=2)
+                assert np.all(q.real >= 0) and np.abs(q.imag).max() <= 1e-15
                 np.testing.assert_allclose(q.sum(axis=0), 1.0, rtol=0, atol=1e-12)
                 if unital:
                     np.testing.assert_allclose(q.sum(axis=1), 1.0, rtol=0, atol=1e-12)
-                expected = np.stack([np.diag(row) for row in q]).astype(complex)
-                np.testing.assert_allclose(
-                    mp.pulled_back_basis(channel).stack, expected, rtol=0, atol=1e-15
-                )
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 9])
+    def test_shift_form_pulls_back_as_the_classical_channel_of_q(self, d):
+        """A non-unital draw holds d monomial operators, the shift form of the
+        q that its stream's Dirichlet columns give, and its pulled-back basis
+        equals that of the classical channel of q, read off that channel's
+        dense diagonal Choi matrix, within 1e-15."""
+        for seed in range(1100 + 10 * d, 1105 + 10 * d):
+            channel = mp.random_dio(d, False, mp.SeededRng(seed))
+            assert channel.kraus.shape == (d, d, d)
+            assert (np.count_nonzero(channel.kraus, axis=1) <= 1).all()
+            q = ref.dirichlet_columns(d, d, mp.SeededRng(seed))
+            expected = ref.choi_pulled_back_basis(ref.classical_choi(q), d)
+            np.testing.assert_allclose(
+                mp.pulled_back_basis(channel).stack, expected, rtol=0, atol=1e-15
+            )
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_unital_draw_mixes_three_phased_permutations(self, d):
+        """A unital draw holds sqrt(w_k) U_k for Dirichlet weights w and three
+        permutations U_k with unit-modulus phases, and keeps the coherence of
+        |+><+|, which the classical channel of its q would remove."""
+        rng = mp.SeededRng(12)
+        plus = np.full((d, d), 1.0 / d)
+        for i in range(5):
+            channel = mp.random_dio(d, True, rng.spawn(i))
+            kraus = channel.kraus
+            support = kraus != 0
+            assert kraus.shape == (3, d, d)
+            assert (support.sum(axis=1) == 1).all() and (support.sum(axis=2) == 1).all()
+            weights = (np.abs(kraus) ** 2).sum(axis=(1, 2)) / d
+            assert weights.sum() == pytest.approx(1.0, abs=1e-12)
+            np.testing.assert_allclose(
+                np.abs(kraus), np.sqrt(weights)[:, None, None] * support, rtol=0, atol=1e-15
+            )
+            image = mp.images(channel, plus)
+            assert largest_off_diagonal(mp.Povm._from_valid(image[None])) > 1e-3
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_classical_channel_of_q_reads_as_the_dephased_channel(self, d):
