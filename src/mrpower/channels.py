@@ -4,11 +4,9 @@ predicates.
 A channel is its stack of Kraus operators, and every operation on channels
 works on that stack with batched matrix products: images E(X) = sum_k
 K_k X K_k^dag, pull-backs E^dag(Y) = sum_k K_k^dag Y K_k, composition (every
-product K2_j K1_k), adjoints ({K_k^dag}) and the class predicates. The Choi
-matrix is a view computed from the Kraus stack on first read, for callers
-and tests; no operation reads it. Both arrays are read-only, so instances
-are immutable. The class predicates compare sums of Kraus products with the
-identity or zero within CHANNEL_EQ_TOL.
+product K2_j K1_k), adjoints ({K_k^dag}) and the class predicates. The
+stack is read-only, so instances are immutable. The class predicates compare
+sums of Kraus products with the identity or zero within CHANNEL_EQ_TOL.
 
 Channels, POVMs and stochastic matrices are validated where they enter:
 from a file, from `unitary_channel`, or from user code calling the public
@@ -17,8 +15,8 @@ construction and is not checked again:
 - a POVM computed from valid ones (a pull-back through a channel, a
   classical post-processing, a product, a mixture, a padding);
 - a channel held through `QuantumChannel._from_kraus`: composites, adjoints,
-  both kinds of `random_channel` and of `random_dio`, Haar unitary channels
-  and `measurement_as_channel`, which also builds `conversion_channel` and
+  both kinds of `random_channel` and of `random_dio`, and
+  `measurement_as_channel`, which also builds `conversion_channel` and
   `measurement_as_square_channel`;
 - a Dirichlet draw of `random_stochastic_matrix`, and the p(x|i) = <i|M_x|i>
   that `decompose_incoherent` reads off an incoherent POVM.
@@ -66,13 +64,9 @@ class QuantumChannel:
     validates finiteness and trace preservation only, the latter on the
     dim_in x dim_in Gram matrix sum_k K_k^dag K_k. A channel the library
     derives from valid inputs is held by `_from_kraus` without any check.
-    The Choi matrix sum_ij E(|i><j|) (x) |i><j| (unnormalized, output factor
-    first, input factor second), whose entry [(a, i), (b, j)] is
-    E(|i><j|)[a, b], is built from the Kraus operators on the first `choi`
-    read.
     """
 
-    __slots__ = ("_choi", "_kraus")
+    __slots__ = ("_kraus",)
 
     def __init__(self, kraus) -> None:
         arr = as_array(kraus, 3, "Kraus operators")
@@ -80,14 +74,13 @@ class QuantumChannel:
         # finite entries can overflow the Gram matrix to inf and NaN, which
         # the comparison below rejects without a warning
         with np.errstate(over="ignore", invalid="ignore"):
-            residual = _max_abs(_gram(arr) - _identity(arr.shape[2]))
+            residual = _identity_residual(arr)
         if not residual <= TP_TOL:
             raise NotTracePreserving(
                 f"sum of K^dag K deviates from identity by {residual:.3e}"
             )
         arr.setflags(write=False)
         self._kraus = arr
-        self._choi = None
 
     @classmethod
     def _from_kraus(cls, kraus: np.ndarray) -> "QuantumChannel":
@@ -97,7 +90,6 @@ class QuantumChannel:
         channel = cls.__new__(cls)
         kraus.setflags(write=False)
         channel._kraus = kraus
-        channel._choi = None
         return channel
 
     @property
@@ -113,36 +105,16 @@ class QuantumChannel:
     def dim_out(self) -> int:
         return self._kraus.shape[1]
 
-    @property
-    def choi(self) -> np.ndarray:
-        """The Choi matrix sum_k vec(K_k) vec(K_k)^dag as a read-only complex
-        array, shape (dim_out * dim_in, dim_out * dim_in), computed on first
-        access."""
-        if self._choi is None:
-            vecs = self._kraus.reshape(self._kraus.shape[0], -1)
-            choi = vecs.T @ vecs.conj()
-            choi.setflags(write=False)
-            self._choi = choi
-        return self._choi
-
     def __repr__(self) -> str:
         return f"QuantumChannel(dim_in={self.dim_in}, dim_out={self.dim_out})"
 
 
-def _gram(ops: np.ndarray) -> np.ndarray:
-    """sum_k A_k^dag A_k of an (r, p, q) stack, from its rows side by side."""
+def _identity_residual(ops: np.ndarray) -> float:
+    """Max-abs deviation of sum_k A_k^dag A_k from the identity for an
+    (r, p, q) stack A, from its rows side by side: trace preservation for a
+    Kraus stack, unitality E(I) = sum_k K_k K_k^dag = I for its daggers."""
     rows = ops.reshape(-1, ops.shape[2])
-    return rows.conj().T @ rows
-
-
-def _tp_residual(channel: QuantumChannel) -> float:
-    """Max-abs deviation of sum_k K_k^dag K_k from the identity."""
-    return _max_abs(_gram(channel.kraus) - _identity(channel.dim_in))
-
-
-def _unital_residual(channel: QuantumChannel) -> float:
-    """Max-abs deviation of E(I) = sum_k K_k K_k^dag from the identity."""
-    return _max_abs(_gram(_daggers(channel.kraus)) - _identity(channel.dim_out))
+    return _max_abs(rows.conj().T @ rows - _identity(ops.shape[2]))
 
 
 def _daggers(ops: np.ndarray) -> np.ndarray:
@@ -225,7 +197,7 @@ def adjoint_channel(channel: QuantumChannel) -> QuantumChannel:
     Trace preserving iff the input is unital."""
     if channel.dim_in != channel.dim_out:
         raise DimensionMismatch("adjoint channel requires a square channel")
-    residual = _unital_residual(channel)
+    residual = _identity_residual(_daggers(channel.kraus))
     if not residual <= TP_TOL:
         raise NotUnital(f"channel is not unital: E(I) deviates from identity by {residual:.3e}")
     return QuantumChannel._from_kraus(np.ascontiguousarray(_daggers(channel.kraus)))
@@ -249,7 +221,7 @@ def is_unital(channel: QuantumChannel) -> bool:
     """E(I) = sum_k K_k K_k^dag = I. False for a non-square channel."""
     if channel.dim_in != channel.dim_out:
         return False
-    return _unital_residual(channel) <= CHANNEL_EQ_TOL
+    return _identity_residual(_daggers(channel.kraus)) <= CHANNEL_EQ_TOL
 
 
 def is_dio(channel: QuantumChannel) -> bool:
@@ -274,7 +246,7 @@ def classify_channel(channel: QuantumChannel) -> ChannelClass:
     incoherence are `is_unital` and `is_dio`. Preservation of incoherent
     states means every basis image E(|i><i|) is diagonal.
     """
-    cptp = _tp_residual(channel) <= CHANNEL_EQ_TOL
+    cptp = _identity_residual(channel.kraus) <= CHANNEL_EQ_TOL
     if channel.dim_in != channel.dim_out:
         return ChannelClass(cptp=cptp, unital=False, dio=False, mio=False)
     mio = _off_diagonal(basis_images(channel)) <= CHANNEL_EQ_TOL

@@ -19,6 +19,7 @@ import numpy as np
 from .channels import (
     Povm,
     StochasticMatrix,
+    _off_diagonal,
     basis_measurement,
     classical_postprocess,
 )
@@ -92,14 +93,12 @@ def measurement_relative_entropies(pairs: Sequence[tuple[Povm, Povm]]) -> list[f
     """
     if not pairs:
         return []
-    dim = pairs[0][0].dim
     for m, n in pairs:
         if m.dim != n.dim or m.n != n.n:
             raise DimensionMismatch(
                 f"POVMs differ in dim ({m.dim} vs {n.dim}) or outcomes ({m.n} vs {n.n})"
             )
-        if m.dim != dim:
-            raise DimensionMismatch(f"POVMs differ in dim ({dim} vs {m.dim}) across the batch")
+    _batch_value([m.dim for m, _ in pairs], "POVMs differ in dim")
     distinct = {id(m): m for m, _ in pairs}
     starts = dict(zip(distinct, itertools.accumulate((m.n for m in distinct.values()), initial=0)))
     spectra = np.linalg.eigvalsh(np.concatenate([m.stack for m in distinct.values()]))
@@ -109,6 +108,15 @@ def measurement_relative_entropies(pairs: Sequence[tuple[Povm, Povm]]) -> list[f
         *np.linalg.eigh(np.concatenate([n.stack for _, n in pairs])),
     ).tolist()
     return _outcome_sums(terms, [m for m, _ in pairs])
+
+
+def _batch_value(values: Sequence, differ: str):
+    """The value that every member of a non-empty batch has; the first that
+    differs raises DimensionMismatch, its message led by `differ`."""
+    for value in values:
+        if value != values[0]:
+            raise DimensionMismatch(f"{differ} ({values[0]} vs {value}) across the batch")
+    return values[0]
 
 
 def _outcome_sums(terms: list[float], povms: Sequence[Povm]) -> list[float]:
@@ -135,18 +143,14 @@ def measurement_coherences(povms: Sequence[Povm]) -> list[float]:
     POVM's terms are summed in outcome order. An empty sequence gives []."""
     if not povms:
         return []
-    dim = povms[0].dim
-    for m in povms:
-        if m.dim != dim:
-            raise DimensionMismatch(f"POVMs differ in dim ({dim} vs {m.dim}) across the batch")
+    _batch_value([m.dim for m in povms], "POVMs differ in dim")
     stack = np.concatenate([m.stack for m in povms])
     return _outcome_sums(_dephasing_gains(stack, np.linalg.eigvalsh(stack)).tolist(), povms)
 
 
 def is_incoherent_measurement(m: Povm) -> bool:
     """True iff every element is diagonal within INCOHERENT_TOL, max-abs."""
-    off = m.stack[:, ~np.eye(m.dim, dtype=bool)]
-    return float(np.abs(off).max(initial=0.0)) <= INCOHERENT_TOL
+    return _off_diagonal(m.stack) <= INCOHERENT_TOL
 
 
 @dataclass(frozen=True)

@@ -32,6 +32,7 @@ from .channels import (
 )
 from .errors import DimensionMismatch, PreconditionViolation, UnsupportedScale
 from .measures import (
+    _batch_value,
     coherences_of_states,
     ere_lower_bounds,
     measurement_coherences,
@@ -84,10 +85,7 @@ def state_cohering_powers(channels: Sequence[QuantumChannel]) -> list[float]:
     channels of one dimension, from one `coherences_of_states` call."""
     if not channels:
         return []
-    d = _require_square(channels[0])
-    for channel in channels:
-        if _require_square(channel) != d:
-            raise DimensionMismatch(f"channels differ in dim ({d} vs {channel.dim_in})")
+    d = _batch_value([_require_square(channel) for channel in channels], "channels differ in dim")
     images = np.concatenate([basis_images(channel) for channel in channels])
     return coherences_of_states(images).reshape(len(channels), d).max(axis=1).tolist()
 
@@ -197,12 +195,7 @@ def _ere_lower_bounds_each(stacks: Sequence[np.ndarray]) -> np.ndarray:
     """`ere_lower_bounds` over the (d, d) split of each (d^2, d^2, d^2) stack
     of a sequence of them, one row per stack, from one call over their
     concatenation."""
-    shape = stacks[0].shape
-    for stack in stacks:
-        if stack.shape != shape:
-            raise DimensionMismatch(
-                f"element stacks differ in shape ({shape} vs {stack.shape}) across the batch"
-            )
+    shape = _batch_value([stack.shape for stack in stacks], "element stacks differ in shape")
     d = math.isqrt(shape[-1])
     return ere_lower_bounds(np.concatenate(stacks), (d, d)).reshape(len(stacks), -1)
 

@@ -119,19 +119,13 @@ def haar_unitary(d: int, rng: SeededRng) -> np.ndarray:
     return haar_isometry(d, d, rng)
 
 
-def haar_unitary_channels(d: int, rngs) -> list[QuantumChannel]:
-    """The channel of a Haar unitary from each stream, the same as
-    `unitary_channel(haar_unitary(d, rng))` without its check."""
-    unitaries = haar_isometries(d, d, [(1,)] * len(rngs), rngs)
-    return [QuantumChannel._from_kraus(u) for u in unitaries]
-
-
 def random_channels(d: int, kraus_ranks, kind: str, rngs) -> list[QuantumChannel]:
     """Random CPTP channels on dimension d, the t-th of Kraus rank
     kraus_ranks[t] drawn from rngs[t].
 
     kind "general" slices a Haar isometry on d * kraus_rank into Kraus
-    blocks, one stacked QR per rank; kind "unital" mixes kraus_rank Haar
+    blocks, one stacked QR per rank; at rank 1 its one Kraus operator is
+    `haar_unitary(d, rng)`, bit for bit. Kind "unital" mixes kraus_rank Haar
     unitaries with Dirichlet weights, one stacked QR for the block.
     """
     if d < 1:

@@ -58,7 +58,6 @@ from .powers import (
 from .sampling import (
     SeededRng,
     _grouped,
-    haar_unitary_channels,
     random_channels,
     random_dios,
     random_povms,
@@ -120,7 +119,7 @@ def _draw_dm_properties(dim: int, rngs):
     m, k, second_m, second_k = (
         random_povms(dim, ns, [False] * len(rngs), rngs) for _ in range(4))
     unitals = random_channels(dim, _integers(rngs, 1, dim * dim + 1), "unital", rngs)
-    rotations = haar_unitary_channels(dim, rngs)
+    rotations = random_channels(dim, [1] * len(rngs), "general", rngs)
     return [_dm_properties_trial(*trial) for trial in zip(
         rngs, ns, m, k, second_m, second_k, _released(unitals), _released(rotations))]
 
@@ -280,7 +279,7 @@ def _check_power_convexity(values, p, tol: float):
 
 
 def _draw_conversion_equality(dim: int, rngs):
-    unitaries = haar_unitary_channels(dim, rngs)
+    unitaries = random_channels(dim, [1] * len(rngs), "general", rngs)
     generals = random_channels(dim, _integers(rngs, 2, dim * dim + 1), "general", rngs)
     return [((("conversion_ent_lower_bounds",
                (conversion_operands(unitary), conversion_operands(general))),), None)

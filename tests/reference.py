@@ -268,10 +268,18 @@ def extend_with_identity(channel: QuantumChannel, d_anc: int) -> QuantumChannel:
     return QuantumChannel([np.kron(k, np.eye(d_anc)) for k in channel.kraus])
 
 
+def choi(channel: QuantumChannel) -> np.ndarray:
+    """The Choi matrix sum_ij E(|i><j|) (x) |i><j| (unnormalized, output
+    factor first, input factor second), whose entry [(a, i), (b, j)] is
+    E(|i><j|)[a, b], as sum_k vec(K_k) vec(K_k)^dag from the Kraus stack."""
+    vecs = channel.kraus.reshape(channel.kraus.shape[0], -1)
+    return vecs.T @ vecs.conj()
+
+
 def choi_distance(a: QuantumChannel, b: QuantumChannel) -> float:
     if (a.dim_in, a.dim_out) != (b.dim_in, b.dim_out):
         raise DimensionMismatch("channels act on different spaces")
-    return float(np.max(np.abs(a.choi - b.choi)))
+    return float(np.max(np.abs(choi(a) - choi(b))))
 
 
 def channels_equal(a: QuantumChannel, b: QuantumChannel) -> bool:

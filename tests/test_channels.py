@@ -41,7 +41,8 @@ class TestConstruction:
             mp.QuantumChannel([0.5 * np.eye(2)])
 
     def test_choi_matches_definition(self):
-        # choi = sum_ij E(|i><j|) (x) |i><j|, built entry by entry
+        # the reference Choi matrix = sum_ij E(|i><j|) (x) |i><j|, built
+        # entry by entry
         rng = mp.SeededRng(202)
         channel = random_channel_any(3, rng)
         d = 3
@@ -54,7 +55,7 @@ class TestConstruction:
                 basis = np.zeros((d, d), dtype=complex)
                 basis[i, j] = 1.0
                 expected += np.kron(image, basis)
-        np.testing.assert_allclose(channel.choi, expected, atol=1e-12)
+        np.testing.assert_allclose(ref.choi(channel), expected, atol=1e-12)
 
 
 class TestApplyAndAdjoint:
@@ -531,7 +532,8 @@ class TestPovmHoldsOnlyItsStack:
 DERIVED_CHANNEL_BUILDERS = {
     "random_channel_general": lambda d, rank, rng: mp.random_channel(d, rank, "general", rng),
     "random_channel_unital": lambda d, rank, rng: mp.random_channel(d, rank, "unital", rng),
-    "haar_unitary_channel": lambda d, rank, rng: mp.sampling.haar_unitary_channels(d, [rng])[0],
+    "haar_unitary_channel": lambda d, rank, rng: mp.sampling.random_channels(
+        d, [1], "general", [rng])[0],
     "measurement_as_channel": lambda d, rank, rng: mp.measurement_as_channel(
         mp.random_povm(d, d + 1, False, rng)
     ),
@@ -651,9 +653,8 @@ class TestDerivedChannelsStayValid:
 
 
 def kraus_choi(kraus):
-    """sum_k vec(K_k) vec(K_k)^dag, straight from a Kraus list."""
-    vecs = np.array([np.asarray(k).reshape(-1) for k in kraus])
-    return vecs.T @ vecs.conj()
+    """The reference Choi matrix of the map of a Kraus list."""
+    return ref.choi(mp.QuantumChannel._from_kraus(np.array(kraus)))
 
 
 def oversized_channel(d, count, rng):
@@ -695,7 +696,7 @@ class TestComposeMatchesKrausProducts:
             second = random_channel_any(dim, rng.spawn(2 * i + 1))
             products = [k2 @ k1 for k2 in second.kraus for k1 in first.kraus]
             composed = mp.compose(second, first)
-            np.testing.assert_allclose(composed.choi, kraus_choi(products), atol=1e-12)
+            np.testing.assert_allclose(ref.choi(composed), kraus_choi(products), atol=1e-12)
 
     def test_more_than_4096_products(self):
         rng = mp.SeededRng(234)
@@ -704,7 +705,7 @@ class TestComposeMatchesKrausProducts:
         products = [k2 @ k1 for k2 in second.kraus for k1 in first.kraus]
         assert len(products) > 4096
         composed = mp.compose(second, first)
-        np.testing.assert_allclose(composed.choi, kraus_choi(products), atol=1e-12)
+        np.testing.assert_allclose(ref.choi(composed), kraus_choi(products), atol=1e-12)
 
     def test_non_square_factors(self):
         rng = mp.SeededRng(235)
@@ -713,7 +714,7 @@ class TestComposeMatchesKrausProducts:
         composed = mp.compose(second, first)
         assert (composed.dim_in, composed.dim_out) == (3, 5)
         products = [k2 @ k1 for k2 in second.kraus for k1 in first.kraus]
-        np.testing.assert_allclose(composed.choi, kraus_choi(products), atol=1e-12)
+        np.testing.assert_allclose(ref.choi(composed), kraus_choi(products), atol=1e-12)
 
 
 class TestLazyKraus:
@@ -723,26 +724,56 @@ class TestLazyKraus:
         assert np.array_equal(mp.QuantumChannel(kraus).kraus, np.array(kraus))
 
 
-class TestLazyChoi:
-    @pytest.mark.parametrize("excess, accepted", [(2e-9, False), (5e-10, True)])
-    def test_trace_preservation_is_checked_on_the_gram_matrix(self, excess, accepted):
-        kraus = random_channel_any(3, mp.SeededRng(238)).kraus * np.sqrt(1.0 + excess)
+def rotation(off_diagonal):
+    """The real qubit rotation whose pulled-back basis elements have
+    off-diagonal entries of magnitude sin(t) cos(t) = off_diagonal."""
+    t = np.arcsin(2.0 * off_diagonal) / 2.0
+    return np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+
+
+def amplitude_damping(gamma):
+    """Kraus set {diag(1, sqrt(1 - gamma)), sqrt(gamma) |0><1|}: trace
+    preserving, with E(I) = sum K K^dag = diag(1 + gamma, 1 - gamma)."""
+    return [np.diag([1.0, np.sqrt(1.0 - gamma)]),
+            np.sqrt(gamma) * np.array([[0.0, 1.0], [0.0, 0.0]])]
+
+
+class TestToleranceEdges:
+    """Each rule on the Kraus stack at 10% inside and 10% outside its
+    tolerance: the constructor's trace preservation, unitality and
+    detection incoherence."""
+
+    @pytest.mark.parametrize("scale, accepted", [(0.9, True), (1.1, False)])
+    @pytest.mark.parametrize("base", ["identity", "random_channel"])
+    def test_trace_preservation(self, base, scale, accepted):
+        kraus = (np.eye(2)[None].astype(complex) if base == "identity"
+                 else random_channel_any(3, mp.SeededRng(238)).kraus)
+        strict, loose = (np.sqrt(1.0 + scale * tol) * kraus
+                         for tol in (mp.channels.TP_TOL, mp.channels.CHANNEL_EQ_TOL))
         if accepted:
-            mp.QuantumChannel(kraus)
+            mp.QuantumChannel(strict)
         else:
             with pytest.raises(NotTracePreserving):
-                mp.QuantumChannel(kraus)
+                mp.QuantumChannel(strict)
+        assert mp.classify_channel(mp.QuantumChannel._from_kraus(loose)).cptp == accepted
 
-    @pytest.mark.parametrize("order", ["C", "F"])
-    def test_choi_is_built_once_on_first_read(self, order):
-        kraus = np.array(random_channel_any(3, mp.SeededRng(239)).kraus, order=order)
-        channel = mp.QuantumChannel(kraus)
-        assert channel._choi is None
-        vecs = np.ascontiguousarray(kraus).reshape(kraus.shape[0], -1)
-        choi = channel.choi
-        assert choi.tobytes() == (vecs.T @ vecs.conj()).tobytes()
-        assert not choi.flags.writeable
-        assert channel.choi is choi
+    @pytest.mark.parametrize("scale, accepted", [(0.9, True), (1.1, False)])
+    def test_unitality(self, scale, accepted):
+        channel = mp.QuantumChannel(amplitude_damping(scale * mp.channels.CHANNEL_EQ_TOL))
+        assert mp.is_unital(channel) == accepted
+        assert mp.classify_channel(channel).unital == accepted
+        channel = mp.QuantumChannel(amplitude_damping(scale * mp.channels.TP_TOL))
+        if accepted:
+            mp.adjoint_channel(channel)
+        else:
+            with pytest.raises(NotUnital):
+                mp.adjoint_channel(channel)
+
+    @pytest.mark.parametrize("scale, accepted", [(0.9, True), (1.1, False)])
+    def test_detection_incoherence(self, scale, accepted):
+        channel = mp.unitary_channel(rotation(scale * mp.channels.CHANNEL_EQ_TOL))
+        assert mp.is_dio(channel) == accepted
+        assert mp.classify_channel(channel).dio == accepted
 
 
 class TestChoiAlgebraMatchesKraus:
@@ -762,7 +793,7 @@ class TestChoiAlgebraMatchesKraus:
         channel = mp.random_channel(3, 4, "unital", rng)
         adjoint = mp.adjoint_channel(channel)
         expected = [k.conj().T for k in channel.kraus]
-        np.testing.assert_allclose(adjoint.choi, kraus_choi(expected), atol=1e-12)
+        np.testing.assert_allclose(ref.choi(adjoint), kraus_choi(expected), atol=1e-12)
 
 
 class TestClassifyMatchesKrausReference:
@@ -813,8 +844,8 @@ class TestNonFiniteInput:
             mp.QuantumChannel([[[bad, 0.0], [0.0, 1.0]]])
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    def test_channel_rejects_finite_entries_that_overflow_the_choi_matrix(self):
-        # the Choi entries overflow to +-inf, so its partial trace holds NaN
+    def test_channel_rejects_finite_entries_that_overflow_the_gram_matrix(self):
+        # the entries of sum K^dag K overflow to +-inf, and inf - inf is NaN
         with pytest.raises(NotTracePreserving):
             mp.QuantumChannel([[[1e155, 1e155], [1e155, -1e155]]])
 
@@ -839,15 +870,15 @@ CHANNEL_BUILDERS = {
 
 class TestReadOnly:
     @pytest.mark.parametrize("name", list(CHANNEL_BUILDERS))
-    def test_choi_and_kraus_cannot_be_written(self, name):
+    def test_kraus_is_all_it_holds_and_read_only(self, name):
         rng = mp.SeededRng(249)
         channel = CHANNEL_BUILDERS[name](
             random_channel_any(2, rng.spawn(0)), random_channel_any(2, rng.spawn(1))
         )
-        for array in (channel.choi, channel.kraus):
-            assert not array.flags.writeable
-            with pytest.raises(ValueError, match="read-only"):
-                array[0, 0] = 7.0
+        assert type(channel).__slots__ == ("_kraus",)
+        assert not channel.kraus.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            channel.kraus[0, 0] = 7.0
 
 
 class TestSharedConstants:

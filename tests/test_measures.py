@@ -248,7 +248,7 @@ class TestBatchedMeasuresMatchPerElementSums:
         rng = mp.SeededRng(319)
         m, k = (mp.random_povm(3, 3, False, rng) for _ in range(2))
         post = mp.random_stochastic_matrix(5, 3, rng)
-        rotation = mp.sampling.haar_unitary_channels(3, [rng])[0]
+        rotation = mp.random_channel(3, 1, "general", rng)
         pairs = [
             (m, k),
             (m, m),
@@ -285,7 +285,7 @@ class TestBatchedMeasuresMatchPerElementSums:
 
     def test_batch_decomposes_once_whatever_its_pair_count(self, monkeypatch):
         rng = mp.SeededRng(320)
-        rotation = mp.sampling.haar_unitary_channels(2, [rng])[0]
+        rotation = mp.random_channel(2, 1, "general", rng)
         m, n = (mp.pullback_povm(rotation, mp.random_povm(2, 3, False, rng)) for _ in range(2))
         calls = []
         for name in ("eigvalsh", "eigh"):
@@ -379,6 +379,17 @@ class TestIncoherentStructure:
 
     def test_plus_minus_is_coherent(self):
         assert not mp.is_incoherent_measurement(plus_povm())
+
+    @pytest.mark.parametrize("scale, incoherent", [(0.9, True), (1.1, False)])
+    def test_off_diagonal_at_the_tolerance_edge(self, scale, incoherent):
+        off = scale * mp.measures.INCOHERENT_TOL
+        element = np.array([[0.5, off], [off, 0.5]])
+        assert mp.is_incoherent_measurement(mp.Povm([element, np.eye(2) - element])) == incoherent
+
+    def test_one_dimensional_povm_is_incoherent(self):
+        povm = mp.Povm([[[0.25]], [[0.75]]])
+        assert mp.is_incoherent_measurement(povm)
+        np.testing.assert_allclose(mp.decompose_incoherent(povm).post.entries, [[0.25], [0.75]])
 
     def test_postprocessed_basis_stays_incoherent(self):
         rng = mp.SeededRng(309)

@@ -116,7 +116,7 @@ class TestConversionChannelMatchesComposition:
             converted = mp.conversion_channel(channel)
             reference = composed_conversion_channel(channel)
             assert ref.choi_distance(converted, reference) <= 1e-12, name
-            choi_rank = np.count_nonzero(np.linalg.eigvalsh(reference.choi) > EIG_CLIP)
+            choi_rank = np.count_nonzero(np.linalg.eigvalsh(ref.choi(reference)) > EIG_CLIP)
             assert converted.kraus.shape[0] == choi_rank, name
             assert converted.kraus.shape[0] <= dim**3, name
 

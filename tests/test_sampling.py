@@ -75,6 +75,17 @@ class TestRandomChannel:
         purity = np.trace(out @ out).real
         assert purity == pytest.approx(1.0, abs=1e-10)
 
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_rank_one_general_draw_is_a_haar_unitary(self, d):
+        """On each stream the one Kraus operator of a rank-1 general draw is
+        `haar_unitary(d, rng)` byte for byte, and the stream ends where that
+        draw leaves it."""
+        for seed in range(13):
+            rng, ref_rng = mp.SeededRng(8000 + seed), mp.SeededRng(8000 + seed)
+            [kraus] = mp.random_channel(d, 1, "general", rng).kraus
+            assert kraus.tobytes() == mp.haar_unitary(d, ref_rng).tobytes()
+            assert rng.gen.integers(1 << 62) == ref_rng.gen.integers(1 << 62)
+
     def test_invalid_rank(self):
         with pytest.raises(InvalidRank):
             mp.random_channel(2, 5, "general", mp.SeededRng(7))
@@ -130,9 +141,9 @@ class TestBatchedDrawsMatchOneByOne:
             lambda d, ranks, ns, flags, rngs: [
                 c.kraus for c in sampling.random_channels(d, ranks, "unital", rngs)],
             lambda d, rank, n, flag, rng: mp.random_channel(d, rank, "unital", rng).kraus),
-        "haar_unitary_channels": (
+        "random_channels_rank_one": (
             lambda d, ranks, ns, flags, rngs: [
-                c.kraus for c in sampling.haar_unitary_channels(d, rngs)],
+                c.kraus for c in sampling.random_channels(d, [1] * len(rngs), "general", rngs)],
             lambda d, rank, n, flag, rng: mp.unitary_channel(mp.haar_unitary(d, rng)).kraus),
         "haar_isometries": (
             lambda d, ranks, ns, flags, rngs: sampling.haar_isometries(
