@@ -20,9 +20,7 @@ once more:
 - powers: C, C_g, the certificate and the conversion channel of E, and the
   bound of the composite of E between a detection-incoherent K and a unital
   detection-incoherent L on dimension N^2, drawn from spawn(1) and spawn(2)
-  of E's generator. `conversion_channel+kraus` also reads the Kraus set,
-  which `convert` writes, so a construction that defers its Kraus set
-  cannot look faster than it is.
+  of E's generator.
 - wire: `load_channel` on E's file, on the Hadamard example, and on the
   d = 16 file written with `json.dumps(..., indent=1)`, a layout only the
   JSON reference path reads; `save_channel` of E and of the conversion
@@ -132,8 +130,7 @@ ROWS = (
            (2, 3, 4, 5, 6)),
     *_rows("measures", ("measurement_coherence", "measurement_relative_entropy",
                         "measurement_relative_entropies", "ere_lower_bounds"), (2, 4)),
-    *_rows("powers", ("C", "C_g", "certificate", "conversion_channel",
-                      "conversion_channel+kraus"), (2, 4, 6)),
+    *_rows("powers", ("C", "C_g", "certificate", "conversion_channel"), (2, 4, 6)),
     *_rows("powers", ("composite_bound",), (2, 3, 4)),
     *_rows("sampling", tuple(SAMPLERS), (2, 3, 4)),
     *(("sampling", operation, f"d{d}x{streams}") for d, streams in BLOCK_STREAMS.items()
@@ -213,7 +210,6 @@ def call(layer: str, operation: str, case: str, workdir: str):
         "C_g": lambda: mp.state_cohering_power(e),
         "certificate": lambda: mp.conversion_ent_lower_bound(e),
         "conversion_channel": lambda: mp.conversion_channel(e),
-        "conversion_channel+kraus": lambda: mp.conversion_channel(e).kraus,
     }[operation]
 
 

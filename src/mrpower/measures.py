@@ -44,8 +44,10 @@ def relative_entropy_of_coherence(rho: HermitianOperator) -> float:
 def coherences_of_states(states: Sequence[np.ndarray]) -> np.ndarray:
     """`relative_entropy_of_coherence` of every density operator of a
     sequence of d x d matrices, or of an (n, d, d) stack, from one batched
-    eigvalsh."""
+    eigvalsh. An empty sequence gives an empty array."""
     states = np.asarray(states)
+    if not len(states):
+        return np.zeros(0)
     traces = np.einsum("xii->x", states).real
     worst = float(np.abs(traces - 1.0).max())
     if not worst <= DENSITY_TRACE_TOL:

@@ -106,14 +106,6 @@ def _integers(rngs, low: int, high: int) -> list[int]:
     return [int(rng.gen.integers(low, high)) for rng in rngs]
 
 
-def _released(items: list):
-    """The items of a list in order, each dropped from the list once the next
-    is taken: a trial's sampled operands are freed once its requests are made."""
-    for index in range(len(items)):
-        yield items[index]
-        items[index] = None
-
-
 def _draw_dm_properties(dim: int, rngs):
     ns = [2 + n for n in _integers(rngs, 0, 2)]
     m, k, second_m, second_k = (
@@ -121,7 +113,7 @@ def _draw_dm_properties(dim: int, rngs):
     unitals = random_channels(dim, _integers(rngs, 1, dim * dim + 1), "unital", rngs)
     rotations = random_channels(dim, [1] * len(rngs), "general", rngs)
     return [_dm_properties_trial(*trial) for trial in zip(
-        rngs, ns, m, k, second_m, second_k, _released(unitals), _released(rotations))]
+        rngs, ns, m, k, second_m, second_k, unitals, rotations)]
 
 
 def _dm_properties_trial(rng, n, m, k, second_m, second_k, unital, rotation):
@@ -231,8 +223,7 @@ def _draw_power_monotone(dim: int, rngs):
     ks = random_dios(dim, [False] * len(rngs), rngs)
     ls = random_dios(dim, [True] * len(rngs), rngs)
     frees = random_dios(dim, [bool(flag) for flag in _integers(rngs, 0, 2)], rngs)
-    return [_power_monotone_trial(*trial)
-            for trial in zip(channels, _released(ks), _released(ls), frees)]
+    return [_power_monotone_trial(*trial) for trial in zip(channels, ks, ls, frees)]
 
 
 def _power_monotone_trial(channel, k, l, free):
@@ -262,8 +253,7 @@ def _check_power_monotone(values, channel, tol: float):
 def _draw_power_convexity(dim: int, rngs):
     firsts = random_channels(dim, _integers(rngs, 1, dim * dim + 1), "general", rngs)
     seconds = random_channels(dim, _integers(rngs, 1, dim * dim + 1), "general", rngs)
-    return [_power_convexity_trial(*trial)
-            for trial in zip(rngs, _released(firsts), _released(seconds))]
+    return [_power_convexity_trial(*trial) for trial in zip(rngs, firsts, seconds)]
 
 
 def _power_convexity_trial(rng, first, second):
@@ -283,7 +273,7 @@ def _draw_conversion_equality(dim: int, rngs):
     generals = random_channels(dim, _integers(rngs, 2, dim * dim + 1), "general", rngs)
     return [((("conversion_ent_lower_bounds",
                (conversion_operands(unitary), conversion_operands(general))),), None)
-            for unitary, general in zip(_released(unitaries), _released(generals))]
+            for unitary, general in zip(unitaries, generals)]
 
 
 def _check_conversion_equality(values, context, tol: float):
@@ -309,7 +299,7 @@ def _draw_thm3_proxy(dim: int, rngs):
         random_dios(dd, [True] * len(streams), streams) if drawn else [cnot_dagger] * len(streams)))
     return [((("measurement_cohering_powers", (channel,)),
               ("composite_ent_lower_bounds", (composite_elements(channel, k, l),))), None)
-            for channel, k, l in zip(_released(channels), _released(ks), _released(ls))]
+            for channel, k, l in zip(channels, ks, ls)]
 
 
 def _check_thm3_proxy(values, context, tol: float):
@@ -399,9 +389,6 @@ SUITES = {
 }
 
 SUITE_NAMES = tuple(SUITES)
-
-# suites whose trials work on dimension d^2 (conversion channels, composites)
-SQUARED_DIMENSION_SUITES = frozenset({"conversion_equality", "thm3_proxy"})
 
 
 def plan(suite: str, dim: int) -> list[tuple[str, int]]:

@@ -373,6 +373,25 @@ class TestMeasurementCoherences:
             mp.measures.measurement_coherences([mp.basis_measurement(2), mp.basis_measurement(3)])
 
 
+# each batch kernel with the arguments of an empty batch
+EMPTY_BATCHES = [
+    (mp.measures.measurement_coherences, ([],)),
+    (measurement_relative_entropies, ([],)),
+    (mp.measures.coherences_of_states, ([],)),
+    (powers.measurement_cohering_powers, ([],)),
+    (powers.state_cohering_powers, ([],)),
+    (powers.conversion_ent_lower_bounds, ([],)),
+    (powers.composite_ent_lower_bounds, ([],)),
+    (ere_lower_bounds, (np.zeros((0, 4, 4), dtype=complex), (2, 2))),
+]
+
+
+@pytest.mark.parametrize("kernel, args", EMPTY_BATCHES,
+                         ids=[kernel.__name__ for kernel, _ in EMPTY_BATCHES])
+def test_batch_kernel_gives_an_empty_result_for_an_empty_batch(kernel, args):
+    assert len(kernel(*args)) == 0
+
+
 class TestIncoherentStructure:
     def test_basis_is_incoherent(self):
         assert mp.is_incoherent_measurement(mp.basis_measurement(2))
